@@ -3,9 +3,20 @@
 This is the computational heart of the relaxed Hamiltonian: the sup over
 probability measures on the first control grid against the inf over
 measures on the second reduces, for a bilinear payoff, to a finite matrix
-game.  The default solver is a dense primal simplex on the classical
-shifted-game linear program (one value variable, one constraint per pure
-strategy); fictitious play is kept as an independent verification oracle.
+game.  :func:`solve_games` solves a whole batch of such games at once, one
+per grid node.  Every matrix game has an optimal pair supported on a
+square kernel M_S (Shapley & Snow 1950, *Basic solutions of discrete
+games*), and with A = adj(M_S) and s = 1^T A 1 != 0
+
+    v = det(M_S) / s,    nu_S = A 1 / s,    mu_S = 1^T A / s.
+
+Kernels of size up to 3 are solved in closed form for every node, and a
+node takes the first candidate whose weights are nonnegative and whose
+pure best responses certify the value (duality gap <= tol).  A node no
+kernel certifies -- one whose optimal kernels are larger, or a degenerate
+one with s = 0 -- falls back to a dense primal simplex on the shifted-game
+linear program.  Fictitious play is kept as an independent verification
+oracle.
 
 Conventions: rows belong to the maximizing player, columns to the
 minimizing player, entries are payoffs to the maximizer.
@@ -13,25 +24,13 @@ minimizing player, entries are payoffs to the maximizer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import combinations, product
+from typing import NamedTuple
 
 import numpy as np
-
-try:  # numba only accelerates the fictitious-play oracle
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except Exception:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
 
 __all__ = [
     "PayoffMatrix",
@@ -39,6 +38,8 @@ __all__ = [
     "GameSolution",
     "GameError",
     "solve_game",
+    "solve_games",
+    "GameBatch",
     "pure_minimax",
     "best_response_value",
     "fictitious_play",
@@ -47,7 +48,11 @@ __all__ = [
 
 
 class GameError(ValueError):
-    pass
+    """A game the solver rejects; ``node`` is its index in the batch, when known."""
+
+    def __init__(self, message: str, node: int | None = None):
+        super().__init__(message)
+        self.node = node
 
 
 @dataclass(frozen=True)
@@ -189,10 +194,10 @@ def _simplex_game(ms: np.ndarray, tol_pivot: float = 1e-11):
 
 
 def _solve_entries(ent: np.ndarray, tol: float):
-    """Raw solver on a plain entries array; returns (value, mu, nu, gap).
+    """Simplex solve of one game; returns (value, mu, nu, gap).
 
-    Internal fast path shared with the PDE and partition modules, which
-    validate their entry arrays wholesale instead of per node.
+    The fallback of :func:`solve_games` for games no small kernel
+    certifies; raises :class:`GameError` when the gap exceeds ``tol``.
     """
     m, k = ent.shape
     if m == 1 and k == 1:
@@ -218,36 +223,172 @@ def _solve_entries(ent: np.ndarray, tol: float):
     return float(value), mu, nu, float(gap)
 
 
-def _solve_oriented(ent: np.ndarray, tol: float, orientation: str):
-    """Saddle solve reading the game as sup-inf or as inf-sup.
+# ---------------------------------------------------------------------------
+# Batched kernel solver (Shapley-Snow basic solutions)
+# ---------------------------------------------------------------------------
 
-    Both orientations agree within the solver tolerance (the mixed game has
-    a saddle point); they run genuinely different pivot sequences, which is
-    what scheme-level value-coincidence checks exercise.
+_MAX_KERNEL = 3
+# a kernel size with more support pairs than this is not enumerated; games
+# that need it take the simplex
+_MAX_SUPPORTS = 4096
+# floats held at once by one chunk of the enumeration, candidates x nodes x
+# (r*r + m + k); bounds its memory on large batches
+_CHUNK_ELEMENTS = 1 << 20
+_WEIGHT_FLOOR = -1e-12
+
+
+class GameBatch(NamedTuple):
+    """Solutions of n games: value and gap (n,), mu (n, m), nu (n, k).
+
+    ``kernel`` holds each game's certified support pair as an index into
+    the enumeration of :func:`solve_games` (-1 where the simplex solved it);
+    passing it back as ``hint`` tries those supports first.
     """
-    if orientation == "supinf":
-        return _solve_entries(ent, tol)
-    value, nu, mu, _ = _solve_entries(np.ascontiguousarray(-ent.T), tol)
-    row_br = float((ent @ nu).max())
-    col_br = float((mu @ ent).min())
-    gap = row_br - col_br
-    if gap > tol:
-        raise GameError(f"saddle-point tolerance not met: duality gap {gap:.3e} > {tol:.1e}")
-    return float(min(max(-value, col_br), row_br)), mu, nu, float(gap)
+
+    value: np.ndarray
+    mu: np.ndarray
+    nu: np.ndarray
+    gap: np.ndarray
+    kernel: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _supports(m: int, k: int) -> tuple:
+    """(first kernel index, rows (C, r), cols (C, r)) per enumerated size r.
+
+    The C square support pairs of size r, rows and then columns in
+    lexicographic order; kernel indices number them across sizes.
+    """
+    out = []
+    offset = 0
+    for r in range(1, min(m, k, _MAX_KERNEL) + 1):
+        if math.comb(m, r) * math.comb(k, r) > _MAX_SUPPORTS:
+            continue
+        pairs = list(product(combinations(range(m), r), combinations(range(k), r)))
+        rows = np.array([p[0] for p in pairs])
+        cols = np.array([p[1] for p in pairs])
+        for arr in (rows, cols):
+            arr.flags.writeable = False
+        out.append((offset, rows, cols))
+        offset += len(pairs)
+    return tuple(out)
+
+
+_SIGN2 = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None, None]
+_NEXT, _AFTER = [1, 2, 0], [2, 0, 1]
+
+
+def _cofactors(sub: np.ndarray) -> np.ndarray:
+    """Signed cofactors of the r x r kernels sub[i, j, ...], r <= 3."""
+    r = sub.shape[0]
+    if r == 1:
+        return np.ones_like(sub)
+    if r == 2:
+        return sub[::-1, ::-1] * _SIGN2
+    # 3 x 3: C_ij = s[i+1, j+1] s[i+2, j+2] - s[i+1, j+2] s[i+2, j+1], mod 3
+    a, b = sub[_NEXT], sub[_AFTER]
+    return a[:, _NEXT] * b[:, _AFTER] - a[:, _AFTER] * b[:, _NEXT]
+
+
+def _try_kernels(ent, nodes, rows, cols, tol, out):
+    """Evaluate candidate kernels on ``nodes``; accept the first certified one.
+
+    ``rows`` and ``cols`` have shape (r, C, 1) for C candidates shared by
+    every node, or (r, 1, len(nodes)) for one candidate per node.  Fills
+    ``out`` at the accepted nodes except for ``kernel``; returns the
+    accepted mask over ``nodes`` and the accepted candidate of each.
+    """
+    m, k, _ = ent.shape
+    sub = ent[rows[:, None], cols[None, :], nodes]  # (r, r, C, n)
+    n_cand, n_nodes = sub.shape[2:]
+    cof = _cofactors(sub)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        nu_s = cof.sum(axis=0)  # adj(M_S) 1
+        mu_s = cof.sum(axis=1)  # 1^T adj(M_S)
+        total = nu_s.sum(axis=0)
+        v = (sub[0] * cof[0]).sum(axis=0) / total  # det(M_S) / s
+        nu_s /= total
+        mu_s /= total
+        ok = (nu_s.min(axis=0) >= _WEIGHT_FLOOR) & (mu_s.min(axis=0) >= _WEIGHT_FLOOR)
+        cand, node = np.arange(n_cand)[:, None], np.arange(n_nodes)
+        nu_f = np.zeros((n_cand, k, n_nodes))
+        mu_f = np.zeros((n_cand, m, n_nodes))
+        nu_f[cand, cols, node] = np.maximum(nu_s, 0.0)
+        mu_f[cand, rows, node] = np.maximum(mu_s, 0.0)
+        e = ent[:, :, nodes]
+        row_br = np.einsum("ijn,cjn->cin", e, nu_f).max(axis=1)
+        col_br = np.einsum("ijn,cin->cjn", e, mu_f).min(axis=1)
+        g = row_br - col_br
+        ok &= (g <= tol) & (total != 0)
+    hit = ok.any(axis=0)
+    at = np.flatnonzero(hit)
+    first = ok.argmax(axis=0)[at]
+    dest = nodes[at]
+    out.value[dest] = np.minimum(np.maximum(v[first, at], col_br[first, at]), row_br[first, at])
+    out.mu[dest] = mu_f[first, :, at]
+    out.nu[dest] = nu_f[first, :, at]
+    out.gap[dest] = g[first, at]
+    return hit, first
+
+
+def solve_games(ent: np.ndarray, tol: float = 1e-9, hint: np.ndarray | None = None) -> GameBatch:
+    """Mixed-strategy saddle points of the n games ent[:, :, j], (m, k, n).
+
+    Square kernels of size r = 1, 2, 3 are tried in order, and each game
+    takes the first one certified: nonnegative weights and duality gap
+    <= ``tol``.  The value is kept inside its best-response bracket.  With
+    ``hint`` (the ``kernel`` of an earlier batch of the same shape) each
+    game first tries its earlier kernel.  Games that no kernel certifies
+    are solved by the simplex, which raises :class:`GameError` (with
+    ``node`` set) if it cannot certify them either.
+    """
+    if tol <= 0:
+        raise GameError("tol must be positive")
+    ent = np.asarray(ent, dtype=float)
+    if ent.ndim != 3 or min(ent.shape[:2]) < 1:
+        raise GameError(f"expected an (m, k, n) batch of payoff matrices, got shape {ent.shape}")
+    m, k, n = ent.shape
+    out = GameBatch(np.empty(n), np.empty((n, m)), np.empty((n, k)), np.empty(n),
+                    np.full(n, -1))
+    pending = np.ones(n, dtype=bool)
+    supports = _supports(m, k)
+    if hint is not None and hint.shape == (n,):
+        for offset, rows, cols in supports:
+            nodes = np.flatnonzero((hint >= offset) & (hint < offset + len(rows)))
+            if nodes.size:
+                c = hint[nodes] - offset
+                hit, _ = _try_kernels(ent, nodes, rows[c].T[:, None], cols[c].T[:, None], tol, out)
+                out.kernel[nodes[hit]] = hint[nodes[hit]]
+                pending[nodes[hit]] = False
+    for offset, rows, cols in supports:
+        nodes = np.flatnonzero(pending)
+        if not nodes.size:
+            break
+        r = rows.shape[1]
+        chunk = max(1, _CHUNK_ELEMENTS // (len(rows) * (r * r + m + k)))
+        for start in range(0, nodes.size, chunk):
+            part = nodes[start:start + chunk]
+            hit, first = _try_kernels(ent, part, rows.T[:, :, None], cols.T[:, :, None], tol, out)
+            out.kernel[part[hit]] = offset + first
+            pending[part[hit]] = False
+    for j in np.flatnonzero(pending):
+        try:
+            out.value[j], out.mu[j], out.nu[j], out.gap[j] = _solve_entries(ent[:, :, j], tol)
+        except GameError as err:
+            raise GameError(str(err), node=int(j)) from err
+    return out
 
 
 def solve_game(matrix: PayoffMatrix, tol: float = 1e-9) -> GameSolution:
     """Mixed-strategy saddle point of a zero-sum matrix game.
 
     Returns value, optimal strategies for both players and the duality gap
-    measured through pure best responses.  Ties are broken by the solver's
-    deterministic pivoting order; with equal inputs the output is bitwise
-    reproducible.
+    measured through pure best responses: :func:`solve_games` on a batch
+    of one.  With equal inputs the output is bitwise reproducible.
     """
-    if tol <= 0:
-        raise GameError("tol must be positive")
-    value, mu, nu, gap = _solve_entries(matrix.entries, tol)
-    return GameSolution(value, MixedStrategy(mu), MixedStrategy(nu), gap)
+    batch = solve_games(matrix.entries[:, :, None], tol)
+    return GameSolution(float(batch.value[0]), MixedStrategy(batch.mu[0]),
+                        MixedStrategy(batch.nu[0]), float(batch.gap[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +407,7 @@ class FictitiousPlayResult:
     upper: float = field(default=np.nan)
 
 
-@njit(cache=True)
-def _fp_core(ent, max_iterations, target_halfwidth):  # pragma: no cover - jitted
+def _fp_core(ent, max_iterations, target_halfwidth):
     # alternating best responses: the column player reacts to the row
     # player's empirical mixture including its latest move, which converges
     # markedly faster than simultaneous updates

@@ -2,13 +2,14 @@
 
 The lower and upper values along a partition are produced by backward
 induction: at the right endpoint of every subinterval the local matrix
-game of discrete generators is solved once per node, as sup-inf (lower)
-or inf-sup (upper), and the resulting per-node mixed strategies are held
-frozen while the field is advanced across the subinterval with monotone
-CFL-limited substeps.  Both orientations consume identical matrices, so
-their outputs differ only through the game-solver tolerance.  In the
-control-free case the games are 1x1 and a sweep reproduces the plain
-explicit scheme step for step when the substeps align.
+game of discrete generators is solved once per node, and the resulting
+per-node strategies are held frozen while the field is advanced across
+the subinterval with monotone CFL-limited substeps.  The relaxed local
+game has a saddle point, so the lower and upper sweeps share one
+canonical mixed solve and agree bitwise; they differ only in the pure
+sweeps, where the sup-inf and inf-sup envelopes expose the Isaacs gap.
+In the control-free case the games are 1x1 and a sweep reproduces the
+plain explicit scheme step for step when the substeps align.
 
 Strategy freezing is the partition-scheme counterpart of holding the
 randomized controls fixed on each subinterval; refining the partition
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import _solve_oriented, pure_minimax
+from .games import pure_minimax, solve_games
 from .hamiltonian import HamiltonianPoint, payoff_matrix
 from .pde import (
     SchemeParams,
@@ -119,8 +120,7 @@ class LocalGameSpec:
                 raise ValueError("local game data must be finite")
 
 
-def local_ode_step(spec: LocalGameSpec, prob: Problem, params: SchemeParams,
-                   orientation: str = "supinf") -> float:
+def local_ode_step(spec: LocalGameSpec, prob: Problem, params: SchemeParams) -> float:
     """Integrate dY/ds = -F0(s, x, Y, 0) from t_end down to t_start.
 
     F0 at each explicit Euler substep is the local game value of the
@@ -128,8 +128,8 @@ def local_ode_step(spec: LocalGameSpec, prob: Problem, params: SchemeParams,
 
         0.5 tr(sigma sigma^T A) + b.p + f(s, x, y + field_value, p.sigma, u, v),
 
-    solved per ``params.hamiltonian_mode`` and ``orientation``.  With a
-    constant right-hand side the result is exact for any substep count.
+    solved per ``params.hamiltonian_mode``.  With a constant right-hand
+    side the result is exact for any substep count.
     """
     delta = (spec.t_end - spec.t_start) / spec.substeps
     y = spec.y0
@@ -142,7 +142,7 @@ def local_ode_step(spec: LocalGameSpec, prob: Problem, params: SchemeParams,
         elif params.hamiltonian_mode == "pure_upper":
             f0 = pure_minimax(mat)[1]
         else:
-            f0, _, _, _ = _solve_oriented(mat.entries, params.game_tol, orientation)
+            f0 = solve_games(mat.entries[:, :, None], params.game_tol).value[0]
         y = y + delta * f0
         s = s - delta
     return float(y)
@@ -192,10 +192,11 @@ def dpp_sweep(prob: Problem, grid: SpaceGrid, pi: Partition, params: SchemeParam
               record_strategies: bool = False) -> SweepResult:
     """Backward induction over the partition.
 
-    ``orientation="lower"`` solves every local game as sup-inf and labels
-    the result W_pi; ``"upper"`` solves inf-sup and labels it U_pi.  With
-    ``pure=True`` the per-node strategies are the pure envelope selections
-    instead (no mixing), which exhibits the Isaacs gap.
+    ``orientation="lower"`` labels the result W_pi and ``"upper"`` labels
+    it U_pi.  Both solve every local game as one mixed saddle, so the two
+    relaxed sweeps are bitwise equal.  With ``pure=True`` the per-node
+    strategies are the pure sup-inf (lower) or inf-sup (upper) envelope
+    selections instead (no mixing), which exhibits the Isaacs gap.
 
     ``substeps`` fixes the per-subinterval substep count (scalar or list);
     by default each subinterval is divided until the sub-time-step meets
@@ -208,7 +209,6 @@ def dpp_sweep(prob: Problem, grid: SpaceGrid, pi: Partition, params: SchemeParam
         raise ValueError(f"partition horizon {pi.horizon} does not match problem T={prob.T}")
     counts = _substep_counts(prob, grid, pi, params, substeps)
     label = ("W_pi", "U_pi")[orientation == "upper"]
-    game_orientation = "supinf" if orientation == "lower" else "infsup"
     mode = "relaxed" if not pure else ("pure_lower" if orientation == "lower" else "pure_upper")
 
     stepper = Stepper(prob, grid, params.game_tol)
@@ -222,7 +222,7 @@ def dpp_sweep(prob: Problem, grid: SpaceGrid, pi: Partition, params: SchemeParam
         m_sub = counts[j - 1]
         delta = (t_right - t_left) / m_sub
         ent = stepper.entries(values, t_right)
-        _, mu, nu = stepper.game_values(ent, mode, game_orientation, collect_strategies=True)
+        _, mu, nu = stepper.game_values(ent, mode, t_right, collect_strategies=True)
         if record_strategies:
             mu_all.append(mu)
             nu_all.append(nu)

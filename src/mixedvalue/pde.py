@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import dsl
-from .games import _solve_oriented
+from .games import GameError, solve_games
 from .problem import Problem, interior_window, value_bound
 
 __all__ = [
@@ -146,24 +146,18 @@ class ValueField:
 class SchemeParams:
     """Parameters of the explicit scheme.
 
-    ``dt=None`` derives the step from the CFL limit.  ``game_orientation``
-    selects how the relaxed local game is read (sup-inf or inf-sup); the
-    relaxed saddle makes both reads identical, and the solver canonicalizes
-    them to one deterministic routine, so solve output does not depend on
-    this flag.
+    ``dt=None`` derives the step from the CFL limit.  ``game_tol`` bounds
+    the certified duality gap of every relaxed local game.
     """
 
     dt: float | None = None
     hamiltonian_mode: str = "relaxed"
     game_tol: float = 1e-9
     cfl_safety: float = 0.9
-    game_orientation: str = "supinf"
 
     def __post_init__(self):
         if self.hamiltonian_mode not in _MODE_LABELS:
             raise ValueError(f"unknown hamiltonian_mode {self.hamiltonian_mode!r}")
-        if self.game_orientation not in ("supinf", "infsup"):
-            raise ValueError(f"unknown game_orientation {self.game_orientation!r}")
         if not (0 < self.cfl_safety <= 1):
             raise ValueError("cfl_safety must lie in (0, 1]")
         if self.game_tol <= 0:
@@ -199,10 +193,11 @@ class Stepper:
     """Precomputed per-(grid, problem) stencil state.
 
     Time-independent coefficient arrays are cached per control pair; the
-    per-step work is then a handful of vectorized array operations plus the
-    local game solves.  Also used by the partition sweep, which freezes the
-    per-node strategies over a subinterval and advances with
-    :meth:`step_frozen`.
+    per-step work is then a handful of vectorized array operations plus one
+    batched solve of the local games, which starts each node from the
+    kernel that certified it on the previous call.  Also used by the
+    partition sweep, which freezes the per-node strategies over a
+    subinterval and advances with :meth:`step_frozen`.
     """
 
     def __init__(self, prob: Problem, grid: SpaceGrid, game_tol: float = 1e-9):
@@ -239,6 +234,7 @@ class Stepper:
             for e in list(prob.b) + [e for row in prob.sigma for e in row]
         )
         self._cache = {}
+        self._kernels = None  # per-node kernel of the last relaxed game solve
 
     # -- coefficient evaluation -------------------------------------------
 
@@ -392,25 +388,22 @@ class Stepper:
 
     # -- local games ---------------------------------------------------------
 
-    def game_values(self, ent: np.ndarray, mode: str, orientation: str = "supinf",
+    def game_values(self, ent: np.ndarray, mode: str, t: float,
                     collect_strategies: bool = False):
-        """Per-node saddle/envelope values of the generator matrices."""
+        """Per-node saddle/envelope values of the generator matrices at time t."""
         work = ent.shape[2:]
         if mode == "relaxed" and not (self.m == 1 and self.k == 1):
-            flat = ent.reshape(self.m, self.k, -1)
-            n = flat.shape[-1]
-            vals = np.empty(n)
-            mu = np.empty((n, self.m)) if collect_strategies else None
-            nu = np.empty((n, self.k)) if collect_strategies else None
-            for j in range(n):
-                value, mw, nw, _ = _solve_oriented(flat[:, :, j], self.game_tol, orientation)
-                vals[j] = value
-                if collect_strategies:
-                    mu[j] = mw
-                    nu[j] = nw
-            vals = vals.reshape(work)
+            try:
+                batch = solve_games(ent.reshape(self.m, self.k, -1), self.game_tol, self._kernels)
+            except GameError as err:  # the simplex fallback gave up on one node
+                first = 1 if self.mode == "clamp" else 0  # grid index of work node 0
+                node = tuple(int(i) + first for i in np.unravel_index(err.node, work))
+                raise GameError(f"local game at grid node {node} (t={t}): {err}",
+                                node=err.node) from err
+            self._kernels = batch.kernel
+            vals = batch.value.reshape(work)
             if collect_strategies:
-                return vals, mu.reshape(work + (self.m,)), nu.reshape(work + (self.k,))
+                return vals, batch.mu.reshape(work + (self.m,)), batch.nu.reshape(work + (self.k,))
             return vals, None, None
 
         if self.m == 1 and self.k == 1:
@@ -470,10 +463,10 @@ class Stepper:
             raise NonFiniteFieldError(f"non-finite value at node {node} (t={t_new})")
         return new
 
-    def step(self, values, t, dt, mode, orientation="supinf", collect_strategies=False):
+    def step(self, values, t, dt, mode, collect_strategies=False):
         """One explicit step from level t to t - dt."""
         ent = self.entries(values, t)
-        vals, mu, nu = self.game_values(ent, mode, orientation, collect_strategies)
+        vals, mu, nu = self.game_values(ent, mode, t, collect_strategies)
         nb = self._neighbors(values)
         new = self._finish(values, nb["c"] + dt * vals, t - dt)
         return (new, mu, nu) if collect_strategies else (new, None, None)
@@ -511,8 +504,7 @@ def step_back(field: ValueField, prob: Problem, grid: SpaceGrid,
         raise CflViolationError("step_back requires an explicit params.dt")
     dt = _resolve_dt(prob, grid, params)
     stepper = Stepper(prob, grid, params.game_tol)
-    new, _, _ = stepper.step(field.values, field.t, dt, params.hamiltonian_mode,
-                             params.game_orientation)
+    new, _, _ = stepper.step(field.values, field.t, dt, params.hamiltonian_mode)
     return ValueField(t=field.t - dt, values=new, label=field.label)
 
 
@@ -533,8 +525,7 @@ def solve(prob: Problem, grid: SpaceGrid, params: SchemeParams) -> list:
     values = levels[0].values
     t = prob.T
     for step_idx in range(n_steps):
-        values, _, _ = stepper.step(values, t, dt, params.hamiltonian_mode,
-                                    params.game_orientation)
+        values, _, _ = stepper.step(values, t, dt, params.hamiltonian_mode)
         t = prob.T * (n_steps - step_idx - 1) / n_steps
         fld = ValueField(t=t, values=values, label=label)
         fld.check_bound(prob)

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from mixedvalue import games
 from mixedvalue.games import (
     GameError,
     MixedStrategy,
     PayoffMatrix,
-    _solve_oriented,
     best_response_value,
     fictitious_play,
     pure_minimax,
     solve_game,
+    solve_games,
 )
 
 
@@ -185,13 +186,105 @@ class TestProperties:
             assert v2 == pytest.approx(-v1, abs=1e-8)
 
     def test_oriented_solves_agree(self):
+        # the batched solver reads M and -M^T (the same game with the
+        # players' roles swapped) through one routine; values negate and
+        # the strategies stay certified
         rng = np.random.default_rng(31)
         for _ in range(30):
-            ent = rng.uniform(-1, 1, rng.integers(1, 25, 2))
-            v_si, mu_si, nu_si, g_si = _solve_oriented(ent, 1e-9, "supinf")
-            v_is, mu_is, nu_is, g_is = _solve_oriented(ent, 1e-9, "infsup")
-            assert abs(v_si - v_is) <= 2e-9
-            assert g_si <= 1e-9 and g_is <= 1e-9
+            m, k = rng.integers(1, 7, 2)
+            ent = rng.uniform(-1, 1, (m, k, 8))
+            a = solve_games(ent, 1e-9)
+            b = solve_games(-ent.transpose(1, 0, 2), 1e-9)
+            assert np.max(np.abs(a.value + b.value)) <= 2e-9
+            assert np.max(a.gap) <= 1e-9 and np.max(b.gap) <= 1e-9
+
+
+def assert_certified(ent, batch, tol):
+    """Gap <= tol recomputed from the returned strategies, which are
+    probability vectors, and the value inside the best-response bracket
+    (up to rounding: the gap itself may round below zero)."""
+    for w, size in ((batch.mu, ent.shape[0]), (batch.nu, ent.shape[1])):
+        assert w.shape == (ent.shape[2], size)
+        assert np.all(w >= 0.0)
+        assert np.max(np.abs(w.sum(axis=1) - 1.0)) <= 1e-12
+    row_br = np.einsum("ijn,nj->ni", ent, batch.nu).max(axis=1)
+    col_br = np.einsum("ijn,ni->nj", ent, batch.mu).min(axis=1)
+    assert np.all(row_br - col_br <= tol)
+    assert np.all(batch.gap <= tol)
+    assert np.all((col_br - 1e-12 <= batch.value) & (batch.value <= row_br + 1e-12))
+
+
+class TestSolveGames:
+    """The batched kernel solver against the HiGHS oracle and the simplex."""
+
+    def test_random_batches_match_oracle(self):
+        rng = np.random.default_rng(37)
+        for m in range(1, 7):
+            for k in range(1, 7):
+                ent = rng.uniform(-1, 1, (m, k, 6))
+                batch = solve_games(ent, 1e-9)
+                assert_certified(ent, batch, 1e-9)
+                for j in range(ent.shape[2]):
+                    assert abs(batch.value[j] - lp_oracle_value(ent[:, :, j])) <= 1e-8
+
+    @pytest.mark.parametrize("ent", [
+        [[1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]],  # duplicate columns
+        [[1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]],  # duplicate rows
+        [[0.3, 0.3, 0.3], [0.3, 0.3, 0.3]],  # constant: every pair is a saddle
+        [[2.0, 3.0, 4.0], [0.0, 1.0, 5.0]],  # pure saddle at (0, 0)
+        [[3.0, 0.0, 5.0], [1.0, 2.0, 6.0], [0.0, -1.0, 4.0]],  # dominated row and column
+        [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]],  # a third row that ties the value
+    ], ids=["dup_cols", "dup_rows", "constant", "saddle", "dominated", "tied_row"])
+    def test_degenerate_cases(self, ent):
+        ent = np.asarray(ent)
+        batch = solve_games(ent[:, :, None], 1e-9)
+        assert_certified(ent[:, :, None], batch, 1e-9)
+        assert abs(batch.value[0] - lp_oracle_value(ent)) <= 1e-12
+
+    def test_pure_saddle_takes_point_masses(self):
+        batch = solve_games(np.array([[2.0, 3.0], [0.0, 1.0]])[:, :, None], 1e-9)
+        assert batch.value[0] == 2.0 and batch.gap[0] == 0.0
+        assert batch.mu[0].tolist() == [1.0, 0.0] and batch.nu[0].tolist() == [1.0, 0.0]
+
+    def test_full_support_seven_takes_fallback(self):
+        # the diagonal game I_7 has the unique saddle (uniform, uniform) with
+        # value 1/7, so no kernel of size <= 3 certifies it
+        ent = np.eye(7)[:, :, None]
+        batch = solve_games(ent, 1e-9)
+        assert batch.kernel[0] == -1
+        assert abs(batch.value[0] - 1.0 / 7.0) <= 1e-12
+        assert_certified(ent, batch, 1e-9)
+
+    def test_warm_and_cold_agree(self):
+        rng = np.random.default_rng(43)
+        for m, k in ((2, 2), (3, 3), (2, 5), (4, 3), (6, 6)):
+            base = rng.uniform(-1, 1, (m, k, 200))
+            moved = base + 0.05 * rng.uniform(-1, 1, base.shape)
+            hint = solve_games(base, 1e-9).kernel
+            cold = solve_games(moved, 1e-9)
+            warm = solve_games(moved, 1e-9, hint)
+            assert_certified(moved, warm, 1e-9)
+            assert np.max(np.abs(warm.value - cold.value)) <= 2e-9
+
+    def test_fallback_failure_names_the_game(self, monkeypatch):
+        def refuse(ent, tol):
+            raise GameError("refused")
+
+        monkeypatch.setattr(games, "_solve_entries", refuse)
+        easy = np.zeros((7, 7, 1))  # a constant game: certified by a 1x1 kernel
+        ent = np.concatenate([easy, easy, np.eye(7)[:, :, None]], axis=-1)
+        with pytest.raises(GameError, match="refused") as err:
+            solve_games(ent, 1e-9)
+        assert err.value.node == 2
+
+    @pytest.mark.parametrize("ent", [np.zeros((2, 2)), np.zeros((0, 2, 3))])
+    def test_rejects_bad_batches(self, ent):
+        with pytest.raises(GameError):
+            solve_games(ent, 1e-9)
+
+    def test_rejects_bad_tol(self):
+        with pytest.raises(GameError):
+            solve_games(np.zeros((2, 2, 1)), 0.0)
 
 
 class TestFictitiousPlay:

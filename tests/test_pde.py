@@ -1,9 +1,12 @@
 import copy
 import math
+import re
 
 import numpy as np
 import pytest
 
+from mixedvalue.games import GameError, _solve_entries
+from mixedvalue.partition import Partition, dpp_sweep
 from mixedvalue.pde import (
     CflViolationError,
     NonFiniteFieldError,
@@ -142,14 +145,96 @@ class TestSolve:
             for fld in levels:
                 fld.check_bound(uv_cost)
 
-    def test_orientation_flag_is_bitwise_irrelevant(self, uv_cost):
-        # the relaxed local game has a saddle point; the solver reads it
-        # through one canonical routine, so both orientations coincide
-        grid = SpaceGrid.for_problem(uv_cost, 51)
-        a = solve(uv_cost, grid, SchemeParams(game_orientation="supinf"))
-        b = solve(uv_cost, grid, SchemeParams(game_orientation="infsup"))
-        for fa, fb in zip(a, b):
+    def test_orientation_flag_is_bitwise_irrelevant(self, uv_drift):
+        # the relaxed local game has a saddle point and both sweep
+        # orientations read it through one canonical solve, so relaxed
+        # W_pi and U_pi coincide bitwise (uv_drift, where solving the
+        # games as sup-inf and as inf-sup differed in the last bits)
+        grid = SpaceGrid.for_problem(uv_drift, 51)
+        pi = Partition.uniform(uv_drift.T, 8)
+        low = dpp_sweep(uv_drift, grid, pi, SchemeParams(), "lower", record_strategies=True)
+        up = dpp_sweep(uv_drift, grid, pi, SchemeParams(), "upper", record_strategies=True)
+        for fa, fb in zip(low.levels, up.levels):
             assert np.array_equal(fa.values, fb.values)
+        assert np.array_equal(low.mu, up.mu) and np.array_equal(low.nu, up.nu)
+
+
+def payoff3(mat):
+    """DSL f equal to mat[i][j] at (u1, v1) = (-1, 0, 1)[i], (-1, 0, 1)[j]."""
+    basis = ("{s}*({s}-1)/2", "(1-{s}*{s})", "{s}*({s}+1)/2")
+    return " + ".join(
+        f"{mat[i][j]!r}*{basis[i].format(s='u1')}*{basis[j].format(s='v1')}"
+        for i in range(3) for j in range(3)
+    )
+
+
+CONTROLS3 = {"points": [[-1.0], [0.0], [1.0]]}
+
+
+def game3_problem(name, b, f, phi, sup_b, sup_f, lip_phi):
+    return load_problem({
+        "name": name, "d": 1, "T": 1.0, "b": [b], "sigma": [["1"]], "f": f, "phi": phi,
+        "U": CONTROLS3, "V": CONTROLS3,
+        "domain": {"min": [-6.0], "max": [6.0], "boundary": "clamp"},
+        "condition41_mode": "sigma_uncontrolled",
+        "bounds": {"sup_b": sup_b, "sup_sigma": 1.0, "lip_y_f": 0.0, "sup_f": sup_f,
+                   "lip_phi": lip_phi, "sup_phi": lip_phi, "value_lip": lip_phi},
+    })
+
+
+@pytest.fixture(scope="module")
+def drift_cost3():
+    # player-controlled drift and a fully mixed 3x3 running cost: node- and
+    # level-dependent local games whose saddles use 2x2 and 3x3 kernels
+    mat = [[0.8, -0.6, 0.3], [-0.7, 0.9, -0.2], [0.1, -0.4, 0.6]]
+    return game3_problem("drift_cost3", "u1 - 0.5*v1", payoff3(mat), "cos(x1)",
+                         sup_b=1.5, sup_f=0.9, lip_phi=1.0)
+
+
+class TestBatchedGames:
+    def test_game_values_match_per_node_simplex(self, drift_cost3):
+        grid = SpaceGrid.for_problem(drift_cost3, 41)
+        levels = solve(drift_cost3, grid, SchemeParams())
+        stepper = Stepper(drift_cost3, grid, 1e-9)
+        solved = 0
+        for fld in levels[:-1]:
+            ent = stepper.entries(fld.values, fld.t)
+            vals, mu, nu = stepper.game_values(ent, "relaxed", fld.t, collect_strategies=True)
+            for j in range(ent.shape[-1]):
+                game = ent[:, :, j]
+                ref, _, _, _ = _solve_entries(game, 1e-9)
+                assert abs(vals[j] - ref) <= 1e-12
+                # every node carries its certificate
+                assert (game @ nu[j]).max() - (mu[j] @ game).min() <= 1e-9
+                solved += 1
+        assert solved == 39 * (len(levels) - 1)
+        # the solve took the kernel path, warm-started level to level
+        assert np.all(stepper._kernels >= 0)
+
+    def test_failure_names_the_node(self, drift_cost3):
+        # at tol = 1e-300 only rounding-exact certificates pass, so the
+        # simplex fallback must give up on some node of the first level
+        grid = SpaceGrid.for_problem(drift_cost3, 41)
+        with pytest.raises(GameError, match=r"local game at grid node \((\d+),\) \(t=1\.0\)") as err:
+            solve(drift_cost3, grid, SchemeParams(game_tol=1e-300))
+        node = int(re.search(r"grid node \((\d+),\)", str(err.value)).group(1))
+        assert 1 <= node <= 39
+
+    def test_asymmetric_running_cost_value(self):
+        # b = 0, phi = 0, f = M[u, v]: the field stays flat, every local game
+        # is M, and V(t) = (T - t) val(M).  M is completely mixed, so
+        # val(M) = 1 / (1^T M^-1 1) with positive optimal strategies.
+        mat = np.array([[0.5, -0.4, 0.2], [-0.3, 0.6, 0.1], [0.2, 0.0, -0.5]])
+        x = np.linalg.solve(mat.T, np.ones(3))
+        y = np.linalg.solve(mat, np.ones(3))
+        assert np.all(x / x.sum() > 0) and np.all(y / y.sum() > 0)
+        val = 1.0 / x.sum()
+        prob = game3_problem("cost3", "0", payoff3(mat.tolist()), "0",
+                             sup_b=0.0, sup_f=0.6, lip_phi=0.0)
+        grid = SpaceGrid.for_problem(prob, 41)
+        levels = solve(prob, grid, SchemeParams())
+        for fld in levels:
+            assert np.max(np.abs(fld.values - (prob.T - fld.t) * val)) <= 1e-12
 
 
 class TestComparisonPrinciple:
