@@ -10,12 +10,10 @@ controls.
 __version__ = "0.1.0"
 
 from .games import (
-    FictitiousPlayResult,
     GameSolution,
     MixedStrategy,
     PayoffMatrix,
     best_response_value,
-    fictitious_play,
     pure_minimax,
     solve_game,
 )
@@ -43,11 +41,9 @@ __all__ = [
     "PayoffMatrix",
     "MixedStrategy",
     "GameSolution",
-    "FictitiousPlayResult",
     "solve_game",
     "pure_minimax",
     "best_response_value",
-    "fictitious_play",
     "HamiltonianPoint",
     "hamiltonian_value",
     "payoff_matrix",

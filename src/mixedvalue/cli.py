@@ -77,12 +77,6 @@ def _write_csv(path: str, header, rows) -> None:
         w.writerows(rows)
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    return int(os.environ.get("MIXEDVALUE_THREADS", "1"))
-
-
 def _field_rows(levels, grid):
     axes = grid.axes
     rows = []
@@ -158,7 +152,6 @@ def _cmd_solve_pde(args, argv, started):
     _write_manifest(args.out, "solve-pde", argv, {
         "problem": args.problem, "nx": args.nx, "mode": args.mode,
         "dt_safety": args.dt_safety, "n_steps": len(levels) - 1,
-        "threads": _threads(args),
     }, [args.out], started)
     v0 = levels[-1].values
     print(f"solved {prob.name} [{args.mode}]: {len(levels) - 1} steps, "
@@ -182,7 +175,7 @@ def _cmd_solve_partition(args, argv, started):
     _write_manifest(args.out, "solve-partition", argv, {
         "problem": args.problem, "nx": args.nx, "n_steps": args.n_steps,
         "orientation": args.orientation, "dt_safety": args.dt_safety,
-        "partition": list(pi.times), "threads": _threads(args),
+        "partition": list(pi.times),
     }, [args.out], started)
     print(f"swept {prob.name} n={args.n_steps} ({args.orientation}), wrote {args.out}")
     return 0
@@ -198,7 +191,7 @@ def _cmd_converge(args, argv, started):
     _write_csv(args.out, header, [[r[k] for k in header] for r in rows])
     _write_manifest(args.out, "converge", argv, {
         "problem": args.problem, "nx": args.nx, "meshes": meshes,
-        "dt_safety": args.dt_safety, "threads": _threads(args),
+        "dt_safety": args.dt_safety,
     }, [args.out], started)
     for r in rows:
         print(f"n={r['n']:4d}  |pi|={r['mesh']:.5f}  sup|W-V|={r['sup_w_minus_v']:.3e}  "
@@ -227,7 +220,7 @@ def _cmd_simulate(args, argv, started):
     _write_manifest(args.out, "simulate", argv, {
         "problem": args.problem, "n_steps": args.n_steps, "paths": args.paths,
         "profile": args.profile, "seed": args.seed, "x0": x0,
-        "euler_substeps": args.euler_substeps, "threads": _threads(args),
+        "euler_substeps": args.euler_substeps,
     }, [args.out], started)
     print(f"estimate={est.mean:.6g}  std_error={est.std_error:.3g}  "
           f"paths={est.n_paths}  seed={args.seed}")
@@ -283,9 +276,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="mixedvalue",
         description="Mixed-strategy values of zero-sum stochastic differential games",
     )
-    ap.add_argument("--threads", type=int, default=None,
-                    help="worker hint; results are independent of it "
-                         "(env MIXEDVALUE_THREADS as fallback)")
     sub = ap.add_subparsers(dest="subcommand")
 
     g = sub.add_parser("game", help="solve a matrix game from a CSV file")

@@ -15,8 +15,7 @@ node takes the first candidate whose weights are nonnegative and whose
 pure best responses certify the value (duality gap <= tol).  A node no
 kernel certifies -- one whose optimal kernels are larger, or a degenerate
 one with s = 0 -- falls back to a dense primal simplex on the shifted-game
-linear program.  Fictitious play is kept as an independent verification
-oracle.
+linear program.
 
 Conventions: rows belong to the maximizing player, columns to the
 minimizing player, entries are payoffs to the maximizer.
@@ -25,7 +24,7 @@ minimizing player, entries are payoffs to the maximizer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from typing import NamedTuple
@@ -42,8 +41,6 @@ __all__ = [
     "GameBatch",
     "pure_minimax",
     "best_response_value",
-    "fictitious_play",
-    "FictitiousPlayResult",
 ]
 
 
@@ -389,100 +386,3 @@ def solve_game(matrix: PayoffMatrix, tol: float = 1e-9) -> GameSolution:
     batch = solve_games(matrix.entries[:, :, None], tol)
     return GameSolution(float(batch.value[0]), MixedStrategy(batch.mu[0]),
                         MixedStrategy(batch.nu[0]), float(batch.gap[0]))
-
-
-# ---------------------------------------------------------------------------
-# Fictitious play (verification oracle)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FictitiousPlayResult:
-    value: float
-    mu: MixedStrategy
-    nu: MixedStrategy
-    bracket_halfwidth: float
-    iterations: int
-    lower: float = field(default=np.nan)
-    upper: float = field(default=np.nan)
-
-
-def _fp_core(ent, max_iterations, target_halfwidth):
-    # alternating best responses: the column player reacts to the row
-    # player's empirical mixture including its latest move, which converges
-    # markedly faster than simultaneous updates
-    m, k = ent.shape
-    row_cum = np.zeros(m)  # ent @ (column empirical counts)
-    col_cum = np.zeros(k)  # (row empirical counts) @ ent
-    row_counts = np.zeros(m)
-    col_counts = np.zeros(k)
-    lb_star = -1e300
-    ub_star = 1e300
-    n = 0
-    while n < max_iterations:
-        ir = 0
-        if n > 0:
-            best = row_cum[0]
-            for i in range(1, m):
-                if row_cum[i] > best:
-                    best = row_cum[i]
-                    ir = i
-        row_counts[ir] += 1.0
-        for j in range(k):
-            col_cum[j] += ent[ir, j]
-        jc = 0
-        worst = col_cum[0]
-        for j in range(1, k):
-            if col_cum[j] < worst:
-                worst = col_cum[j]
-                jc = j
-        col_counts[jc] += 1.0
-        for i in range(m):
-            row_cum[i] += ent[i, jc]
-        n += 1
-        # running duality bracket from best responses to the empirical mixtures
-        ub = row_cum[0]
-        for i in range(1, m):
-            if row_cum[i] > ub:
-                ub = row_cum[i]
-        lb = col_cum[0]
-        for j in range(1, k):
-            if col_cum[j] < lb:
-                lb = col_cum[j]
-        ub /= n
-        lb /= n
-        if ub < ub_star:
-            ub_star = ub
-        if lb > lb_star:
-            lb_star = lb
-        if n >= 16 and (ub_star - lb_star) * 0.5 <= target_halfwidth:
-            break
-    return lb_star, ub_star, n, row_counts, col_counts
-
-
-def fictitious_play(
-    matrix: PayoffMatrix,
-    max_iterations: int = 2_000_000,
-    target_halfwidth: float = 0.0,
-) -> FictitiousPlayResult:
-    """Fictitious-play estimate of the game value with a certified bracket.
-
-    Players alternate best responses to the opponent's empirical mixture.
-    The best-response payoffs give lower/upper bounds on the value whose
-    running extrema form a certified bracket; the midpoint is reported,
-    so the value error is at most ``bracket_halfwidth``.  Stops early once
-    the half-width reaches ``target_halfwidth``.
-    """
-    ent = np.ascontiguousarray(matrix.entries, dtype=float)
-    lb, ub, n, rc, cc = _fp_core(ent, max_iterations, target_halfwidth)
-    mu = MixedStrategy(rc / rc.sum())
-    nu = MixedStrategy(cc / cc.sum())
-    return FictitiousPlayResult(
-        value=0.5 * (lb + ub),
-        mu=mu,
-        nu=nu,
-        bracket_halfwidth=0.5 * (ub - lb),
-        iterations=int(n),
-        lower=float(lb),
-        upper=float(ub),
-    )

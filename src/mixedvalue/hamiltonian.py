@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dsl
 from .games import GameSolution, PayoffMatrix, pure_minimax, solve_game
-from .problem import Problem
+from .problem import Problem, stack_entries
 
 __all__ = [
     "HamiltonianPoint",
@@ -66,23 +65,20 @@ class HamiltonianPoint:
         return self.x.size
 
 
-def _point_bindings(pt: HamiltonianPoint, prob: Problem, u_idx: int, v_idx: int):
-    bnd = prob.state_bindings(pt.t, pt.x)
-    bnd.update(prob.control_bindings(u_idx, v_idx))
-    return bnd
+def _generator(pt: HamiltonianPoint, prob: Problem, iu, iv) -> np.ndarray:
+    """Generator values for the broadcast control index arrays iu, iv."""
+    shape = np.broadcast_shapes(np.shape(iu), np.shape(iv))
+    b, sig = prob.coefficients(pt.t, pt.x, iu, iv)
+    b, sig = stack_entries(b, shape), stack_entries(sig, shape)
+    z = pt.p @ sig
+    fval = prob.running_cost(pt.t, pt.x, iu, iv, pt.y, z)
+    trace = np.trace(sig @ np.swapaxes(sig, -1, -2) @ pt.A, axis1=-2, axis2=-1)
+    return 0.5 * trace + np.dot(b, pt.p) + fval
 
 
 def hamiltonian_value(pt: HamiltonianPoint, prob: Problem, u_idx: int, v_idx: int) -> float:
     """Generator value for one pure control pair."""
-    bnd = _point_bindings(pt, prob, u_idx, v_idx)
-    b = np.array([dsl.evaluate(e, bnd) for e in prob.b], dtype=float)
-    sig = np.array([[dsl.evaluate(e, bnd) for e in row] for row in prob.sigma], dtype=float)
-    z = pt.p @ sig
-    bnd["y"] = pt.y
-    for i, name in enumerate(prob.z_names()):
-        bnd[name] = z[i]
-    fval = float(dsl.evaluate(prob.f, bnd))
-    return float(0.5 * np.trace(sig @ sig.T @ pt.A) + b @ pt.p + fval)
+    return float(_generator(pt, prob, u_idx, v_idx))
 
 
 def payoff_matrix(pt: HamiltonianPoint, prob: Problem) -> PayoffMatrix:
@@ -91,12 +87,9 @@ def payoff_matrix(pt: HamiltonianPoint, prob: Problem) -> PayoffMatrix:
     The bilinear extension to mixed strategies (mu, nu) is exactly
     mu^T M nu, so matrix-game machinery applies directly.
     """
-    m, k = prob.u_grid.n, prob.v_grid.n
-    ent = np.empty((m, k))
-    for iu in range(m):
-        for iv in range(k):
-            ent[iu, iv] = hamiltonian_value(pt, prob, iu, iv)
-    return PayoffMatrix(ent)
+    iu = np.arange(prob.u_grid.n)[:, None]
+    iv = np.arange(prob.v_grid.n)[None, :]
+    return PayoffMatrix(_generator(pt, prob, iu, iv))
 
 
 def relaxed_value(pt: HamiltonianPoint, prob: Problem, tol: float = 1e-9) -> GameSolution:

@@ -22,11 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from . import dsl
 from .games import MixedStrategy
 from .pde import SpaceGrid
 from .partition import Partition, SweepResult
-from .problem import Problem
+from .problem import Problem, stack_entries
 
 __all__ = [
     "RandomizationDevice",
@@ -266,31 +265,6 @@ def _draw_indices(uniforms: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return (uniforms[:, None] > cum).sum(axis=1)
 
 
-def _coeff_arrays(prob, t, x, iu_scalar, iv_scalar):
-    bnd = {"t": t}
-    for i, name in enumerate(prob.x_names()):
-        bnd[name] = x[:, i]
-    bnd.update(prob.control_bindings(iu_scalar, iv_scalar))
-    b = np.empty_like(x)
-    for i, e in enumerate(prob.b):
-        b[:, i] = dsl.evaluate(e, bnd)
-    sig = np.empty(x.shape + (prob.d,))
-    for i, row in enumerate(prob.sigma):
-        for j, e in enumerate(row):
-            sig[:, i, j] = dsl.evaluate(e, bnd)
-    return b, sig
-
-
-def _running_cost_values(prob, t, x, iu_scalar, iv_scalar):
-    bnd = {"t": t, "y": 0.0}
-    for i, name in enumerate(prob.x_names()):
-        bnd[name] = x[:, i]
-    for name in prob.z_names():
-        bnd[name] = 0.0
-    bnd.update(prob.control_bindings(iu_scalar, iv_scalar))
-    return np.broadcast_to(np.asarray(dsl.evaluate(prob.f, bnd), dtype=float), x.shape[:1])
-
-
 def simulate(prob: Problem, pi: Partition, profile: StrategyProfile, x0,
              n_paths: int, euler_substeps: int, device: RandomizationDevice) -> PathEnsemble:
     """Simulate randomized-control paths along the partition.
@@ -310,8 +284,6 @@ def simulate(prob: Problem, pi: Partition, profile: StrategyProfile, x0,
     if x0.size != prob.d:
         raise ValueError(f"x0 has dimension {x0.size}, expected {prob.d}")
 
-    n_controls_u = prob.u_grid.n
-    n_controls_v = prob.v_grid.n
     states = np.empty((n_paths, pi.n * euler_substeps + 1, prob.d))
     states[:, 0] = x0
     u_idx = np.empty((n_paths, pi.n), dtype=np.int64)
@@ -333,18 +305,11 @@ def simulate(prob: Problem, pi: Partition, profile: StrategyProfile, x0,
         sqdt = math.sqrt(delta)
         for s in range(euler_substeps):
             t = t_left + s * delta
-            new_x = np.empty_like(x)
-            for iu in range(n_controls_u):
-                for iv in range(n_controls_v):
-                    sel = (du == iu) & (dv == iv)
-                    if not sel.any():
-                        continue
-                    xs = x[sel]
-                    b, sig = _coeff_arrays(prob, t, xs, iu, iv)
-                    cost[sel] += delta * _running_cost_values(prob, t, xs, iu, iv)
-                    dw = normals[sel, s, :] * sqdt
-                    new_x[sel] = xs + b * delta + np.einsum("nij,nj->ni", sig, dw)
-            x = new_x
+            b, sig = prob.coefficients(t, x, du, dv)
+            b, sig = stack_entries(b, du.shape), stack_entries(sig, du.shape)
+            cost += delta * prob.running_cost(t, x, du, dv)
+            dw = normals[:, s, :] * sqdt
+            x = x + b * delta + np.einsum("nij,nj->ni", sig, dw)
             col += 1
             states[:, col] = x
             if not np.all(np.isfinite(x)):
@@ -380,35 +345,8 @@ class ClassicalCaseError(ValueError):
     """f depends on y or z: expected payoffs need the PDE route."""
 
 
-def _check_classical(prob: Problem, rel_tol: float = 1e-8) -> None:
-    rng = np.random.default_rng(7)
-    n = 16
-    t = rng.uniform(0, prob.T, n)
-    x = rng.uniform(prob.domain.x_min, prob.domain.x_max, (n, prob.d))
-    iu = rng.integers(0, prob.u_grid.n, n)
-    iv = rng.integers(0, prob.v_grid.n, n)
-    y = rng.normal(size=n)
-    z = rng.normal(size=(n, prob.d))
-
-    def fv(yv, zv):
-        bnd = {"t": t, "y": yv}
-        for i, name in enumerate(prob.x_names()):
-            bnd[name] = x[:, i]
-        for i, name in enumerate(prob.z_names()):
-            bnd[name] = zv[:, i] if zv.ndim == 2 else zv
-        up = prob.u_grid.points[iu]
-        vp = prob.v_grid.points[iv]
-        for i, name in enumerate(prob.u_names()):
-            bnd[name] = up[:, i]
-        for i, name in enumerate(prob.v_names()):
-            bnd[name] = vp[:, i]
-        return np.asarray(dsl.evaluate(prob.f, bnd), dtype=float)
-
-    base = fv(np.zeros(n), np.zeros((n, prob.d)))
-    scale = 1.0 + np.abs(base)
-    if np.any(np.abs(fv(y, np.zeros((n, prob.d))) - base) / scale > rel_tol) or np.any(
-        np.abs(fv(np.zeros(n), z) - base) / scale > rel_tol
-    ):
+def _check_classical(prob: Problem) -> None:
+    if prob.f_needs_yz:
         raise ClassicalCaseError(
             "running cost depends on y or z; expected-payoff Monte Carlo only "
             "covers the classical case (use the PDE or partition solvers instead)"
@@ -418,13 +356,12 @@ def _check_classical(prob: Problem, rel_tol: float = 1e-8) -> None:
 def estimate_payoff(ensemble: PathEnsemble, prob: Problem) -> PayoffEstimate:
     """Sample mean and standard error of terminal plus running cost.
 
-    Requires the classical case (f free of y and z), enforced by a
-    finite-difference probe.  The reduction is numpy pairwise summation,
+    Requires the classical case: f must not name y or any z component
+    (``Problem.f_needs_yz``).  The reduction is numpy pairwise summation,
     deterministic for a fixed ensemble.
     """
     _check_classical(prob)
-    xb = {name: ensemble.states[:, -1, i] for i, name in enumerate(prob.x_names())}
-    payoff = np.asarray(dsl.evaluate(prob.phi, xb), dtype=float)
+    payoff = np.asarray(prob.terminal_cost(ensemble.states[:, -1]), dtype=float)
     payoff = np.broadcast_to(payoff, (ensemble.n_paths,)) + ensemble.running_cost
     mean = float(np.mean(payoff))
     if ensemble.n_paths > 1:
@@ -491,10 +428,12 @@ def exploit(prob: Problem, pi: Partition, fixed_side: str, fixed_profile: Strate
 
     cells = np.linspace(prob.domain.x_min[0], prob.domain.x_max[0], n_cells)
     n_u, n_v = prob.u_grid.n, prob.v_grid.n
+    iu = np.arange(n_u)[:, None, None]
+    iv = np.arange(n_v)[:, None]
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
 
     # terminal values on the cell grid, for the best response and the profile
-    values = np.asarray(dsl.evaluate(prob.phi, {"x1": cells}), dtype=float)
+    values = np.asarray(prob.terminal_cost(cells[:, None]), dtype=float)
     values = np.broadcast_to(values, cells.shape).copy()
     values_prof = values.copy()
 
@@ -502,23 +441,15 @@ def exploit(prob: Problem, pi: Partition, fixed_side: str, fixed_profile: Strate
         t_left, t_right = pi.times[j], pi.times[j + 1]
         delta = (t_right - t_left) / euler_substeps
         noise = device.exploration_normals(j, kernel_paths, euler_substeps, 1)[:, :, 0]
-        # kernel end states and rewards, then both value functions at once
-        ends = np.empty((n_cells, n_u, n_v, kernel_paths))
-        rewards = np.empty_like(ends)
-        for ic, xc in enumerate(cells):
-            for iu in range(n_u):
-                for iv in range(n_v):
-                    xs = np.full((kernel_paths, 1), xc)
-                    reward = np.zeros(kernel_paths)
-                    for s in range(euler_substeps):
-                        t = t_left + s * delta
-                        b, sig = _coeff_arrays(prob, t, xs, iu, iv)
-                        reward += delta * _running_cost_values(prob, t, xs, iu, iv)
-                        xs = xs + b * delta + sig[:, :, 0] * (
-                            noise[:, s, None] * math.sqrt(delta)
-                        )
-                    ends[ic, iu, iv] = xs[:, 0]
-                    rewards[ic, iu, iv] = reward
+        # kernel end states and rewards over cells x u x v x kernel paths,
+        # then both value functions at once
+        ends = np.broadcast_to(cells[:, None, None, None], (n_cells, n_u, n_v, kernel_paths))
+        rewards = np.zeros(ends.shape)
+        for s in range(euler_substeps):
+            t = t_left + s * delta
+            b, sig = prob.coefficients(t, ends[..., None], iu, iv)
+            rewards += delta * prob.running_cost(t, ends[..., None], iu, iv)
+            ends = ends + b[0] * delta + sig[0][0] * (noise[:, s] * math.sqrt(delta))
         q = np.mean(rewards + np.interp(ends, cells, values), axis=-1)
         q_prof = np.mean(rewards + np.interp(ends, cells, values_prof), axis=-1)
         uw = fixed_profile.weights_at(j, 1, cells[:, None])

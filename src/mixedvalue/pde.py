@@ -179,8 +179,8 @@ def cfl_limit(prob: Problem, grid: SpaceGrid) -> float:
 
 
 def terminal_field(prob: Problem, grid: SpaceGrid, label: str = "V_mixed") -> ValueField:
-    xb = {f"x{i + 1}": m for i, m in enumerate(grid.meshes())}
-    vals = np.broadcast_to(np.asarray(dsl.evaluate(prob.phi, xb), dtype=float), grid.shape)
+    x = np.stack(grid.meshes(), axis=-1)
+    vals = np.broadcast_to(np.asarray(prob.terminal_cost(x), dtype=float), grid.shape)
     return ValueField(t=prob.T, values=np.array(vals), label=label)
 
 
@@ -192,12 +192,13 @@ def terminal_field(prob: Problem, grid: SpaceGrid, label: str = "V_mixed") -> Va
 class Stepper:
     """Precomputed per-(grid, problem) stencil state.
 
-    Time-independent coefficient arrays are cached per control pair; the
-    per-step work is then a handful of vectorized array operations plus one
-    batched solve of the local games, which starts each node from the
-    kernel that certified it on the previous call.  Also used by the
-    partition sweep, which freezes the per-node strategies over a
-    subinterval and advances with :meth:`step_frozen`.
+    Each call of :meth:`entries` evaluates b, sigma and f once for all
+    control pairs and work nodes together, every coefficient in its own
+    broadcast shape; the per-step work is then a handful of vectorized
+    array operations plus one batched solve of the local games, which
+    starts each node from the kernel that certified it on the previous
+    call.  Also used by the partition sweep, which freezes the per-node
+    strategies over a subinterval and advances with :meth:`step_frozen`.
     """
 
     def __init__(self, prob: Problem, grid: SpaceGrid, game_tol: float = 1e-9):
@@ -220,68 +221,19 @@ class Stepper:
         self.work_shape = tuple(len(ax) for ax in work_axes)
         if any(n < 1 for n in self.work_shape):
             raise ValueError("grid too small for the boundary mode")
-        if self.d == 1:
-            self._xw = {"x1": work_axes[0]}
-        else:
-            mx = np.meshgrid(*work_axes, indexing="ij")
-            self._xw = {f"x{i + 1}": mx[i] for i in range(self.d)}
-
-        fv_f = dsl.free_variables(prob.f)
-        self._f_needs_t = "t" in fv_f
-        self._f_needs_yz = bool(fv_f & ({"y"} | set(prob.z_names())))
-        self._coef_needs_t = any(
-            "t" in dsl.free_variables(e)
-            for e in list(prob.b) + [e for row in prob.sigma for e in row]
-        )
-        self._cache = {}
+        # work-region states (*work, d) and control indices (m, 1, 1..),
+        # (1, k, 1..): one coefficient evaluation covers every control pair
+        self._xw = np.stack(np.meshgrid(*work_axes, indexing="ij"), axis=-1)
+        ones = (1,) * self.d
+        self._iu = np.arange(self.m).reshape((self.m, 1) + ones)
+        self._iv = np.arange(self.k).reshape((1, self.k) + ones)
+        self._f_needs_yz = prob.f_needs_yz
+        # b, sigma and f(y=0, z=0) on the work region, kept across calls
+        # while no coefficient depends on t
+        exprs = (*prob.b, *(e for row in prob.sigma for e in row), prob.f)
+        self._coef_needs_t = any("t" in dsl.free_variables(e) for e in exprs)
+        self._coef = None
         self._kernels = None  # per-node kernel of the last relaxed game solve
-
-    # -- coefficient evaluation -------------------------------------------
-
-    def _control_bindings(self, iu, iv):
-        return self.prob.control_bindings(iu, iv)
-
-    def _coeffs(self, iu, iv, t):
-        """(b list, sigma matrix, a matrix) on the work region."""
-        key = (iu, iv)
-        if not self._coef_needs_t and key in self._cache:
-            return self._cache[key]
-        bnd = dict(self._xw)
-        bnd["t"] = t
-        bnd.update(self._control_bindings(iu, iv))
-        prob = self.prob
-        b = [dsl.evaluate(e, bnd) for e in prob.b]
-        sig = [[dsl.evaluate(e, bnd) for e in row] for row in prob.sigma]
-        if self.d == 1:
-            a = [[sig[0][0] * sig[0][0]]]
-        else:
-            a = [
-                [
-                    sig[0][0] * sig[0][0] + sig[0][1] * sig[0][1],
-                    sig[0][0] * sig[1][0] + sig[0][1] * sig[1][1],
-                ],
-                [None, sig[1][0] * sig[1][0] + sig[1][1] * sig[1][1]],
-            ]
-            a[1][0] = a[0][1]
-        out = (b, sig, a)
-        if not self._coef_needs_t:
-            self._cache[key] = out
-        return out
-
-    def _f_values(self, iu, iv, t, y, z):
-        key = ("f", iu, iv)
-        if not self._f_needs_t and not self._f_needs_yz and key in self._cache:
-            return self._cache[key]
-        bnd = dict(self._xw)
-        bnd["t"] = t
-        bnd.update(self._control_bindings(iu, iv))
-        bnd["y"] = y
-        for i, name in enumerate(self.prob.z_names()):
-            bnd[name] = z[i]
-        out = dsl.evaluate(self.prob.f, bnd)
-        if not self._f_needs_t and not self._f_needs_yz:
-            self._cache[key] = out
-        return out
 
     # -- stencil ------------------------------------------------------------
 
@@ -333,58 +285,53 @@ class Stepper:
         nb = self._neighbors(values)
         c = nb["c"]
         h = self.h
-        ent = np.empty((self.m, self.k) + self.work_shape)
-        for iu in range(self.m):
-            for iv in range(self.k):
-                b, sig, a = self._coeffs(iu, iv, t)
-                if self.d == 1:
-                    fwd = (nb["p0"] - c) / h[0]
-                    bwd = (c - nb["m0"]) / h[0]
-                    second = (nb["p0"] - 2.0 * c + nb["m0"]) / h[0] ** 2
-                    bv = b[0]
-                    drift = np.maximum(bv, 0.0) * fwd - np.maximum(-bv, 0.0) * bwd
-                    diff = 0.5 * a[0][0] * second
-                    if self._f_needs_yz:
-                        pup = np.where(np.asarray(bv) >= 0.0, fwd, bwd)
-                        z = [pup * sig[0][0]]
-                        fval = self._f_values(iu, iv, t, c, z)
-                    else:
-                        fval = self._f_values(iu, iv, t, 0.0, [0.0])
-                    ent[iu, iv] = diff + drift + fval
-                else:
-                    fwd0 = (nb["p0"] - c) / h[0]
-                    bwd0 = (c - nb["m0"]) / h[0]
-                    fwd1 = (nb["p1"] - c) / h[1]
-                    bwd1 = (c - nb["m1"]) / h[1]
-                    sec0 = (nb["p0"] - 2.0 * c + nb["m0"]) / h[0] ** 2
-                    sec1 = (nb["p1"] - 2.0 * c + nb["m1"]) / h[1] ** 2
-                    a12 = a[0][1]
-                    cross_pos = (
-                        2.0 * c + nb["pp"] + nb["mm"] - nb["p0"] - nb["m0"] - nb["p1"] - nb["m1"]
-                    ) / (2.0 * h[0] * h[1])
-                    cross_neg = -(
-                        2.0 * c + nb["pm"] + nb["mp"] - nb["p0"] - nb["m0"] - nb["p1"] - nb["m1"]
-                    ) / (2.0 * h[0] * h[1])
-                    cross = np.where(np.asarray(a12) >= 0.0, cross_pos, cross_neg)
-                    drift = (
-                        np.maximum(b[0], 0.0) * fwd0
-                        - np.maximum(-b[0], 0.0) * bwd0
-                        + np.maximum(b[1], 0.0) * fwd1
-                        - np.maximum(-b[1], 0.0) * bwd1
-                    )
-                    diff = 0.5 * a[0][0] * sec0 + 0.5 * a[1][1] * sec1 + a12 * cross
-                    if self._f_needs_yz:
-                        p0 = np.where(np.asarray(b[0]) >= 0.0, fwd0, bwd0)
-                        p1 = np.where(np.asarray(b[1]) >= 0.0, fwd1, bwd1)
-                        z = [
-                            p0 * sig[0][0] + p1 * sig[1][0],
-                            p0 * sig[0][1] + p1 * sig[1][1],
-                        ]
-                        fval = self._f_values(iu, iv, t, c, z)
-                    else:
-                        fval = self._f_values(iu, iv, t, 0.0, [0.0, 0.0])
-                    ent[iu, iv] = diff + drift + fval
-        return ent
+        prob, xw, iu, iv = self.prob, self._xw, self._iu, self._iv
+        if self._coef is None or self._coef_needs_t:
+            b, sig = prob.coefficients(t, xw, iu, iv)
+            self._coef = b, sig, None if self._f_needs_yz else prob.running_cost(t, xw, iu, iv)
+        b, sig, fval = self._coef
+        if self.d == 1:
+            fwd = (nb["p0"] - c) / h[0]
+            bwd = (c - nb["m0"]) / h[0]
+            second = (nb["p0"] - 2.0 * c + nb["m0"]) / h[0] ** 2
+            a00 = sig[0][0] * sig[0][0]
+            drift = np.maximum(b[0], 0.0) * fwd - np.maximum(-b[0], 0.0) * bwd
+            diff = 0.5 * a00 * second
+            if self._f_needs_yz:
+                pup = np.where(np.asarray(b[0]) >= 0.0, fwd, bwd)
+                fval = prob.running_cost(t, xw, iu, iv, c, (pup * sig[0][0])[..., None])
+        else:
+            fwd0 = (nb["p0"] - c) / h[0]
+            bwd0 = (c - nb["m0"]) / h[0]
+            fwd1 = (nb["p1"] - c) / h[1]
+            bwd1 = (c - nb["m1"]) / h[1]
+            sec0 = (nb["p0"] - 2.0 * c + nb["m0"]) / h[0] ** 2
+            sec1 = (nb["p1"] - 2.0 * c + nb["m1"]) / h[1] ** 2
+            a00 = sig[0][0] * sig[0][0] + sig[0][1] * sig[0][1]
+            a01 = sig[0][0] * sig[1][0] + sig[0][1] * sig[1][1]
+            a11 = sig[1][0] * sig[1][0] + sig[1][1] * sig[1][1]
+            cross_pos = (
+                2.0 * c + nb["pp"] + nb["mm"] - nb["p0"] - nb["m0"] - nb["p1"] - nb["m1"]
+            ) / (2.0 * h[0] * h[1])
+            cross_neg = -(
+                2.0 * c + nb["pm"] + nb["mp"] - nb["p0"] - nb["m0"] - nb["p1"] - nb["m1"]
+            ) / (2.0 * h[0] * h[1])
+            cross = np.where(np.asarray(a01) >= 0.0, cross_pos, cross_neg)
+            drift = (
+                np.maximum(b[0], 0.0) * fwd0
+                - np.maximum(-b[0], 0.0) * bwd0
+                + np.maximum(b[1], 0.0) * fwd1
+                - np.maximum(-b[1], 0.0) * bwd1
+            )
+            diff = 0.5 * a00 * sec0 + 0.5 * a11 * sec1 + a01 * cross
+            if self._f_needs_yz:
+                p0 = np.where(np.asarray(b[0]) >= 0.0, fwd0, bwd0)
+                p1 = np.where(np.asarray(b[1]) >= 0.0, fwd1, bwd1)
+                z = np.broadcast_arrays(p0 * sig[0][0] + p1 * sig[1][0],
+                                        p0 * sig[0][1] + p1 * sig[1][1])
+                fval = prob.running_cost(t, xw, iu, iv, c, np.stack(z, axis=-1))
+        ent = diff + drift + fval
+        return np.ascontiguousarray(np.broadcast_to(ent, (self.m, self.k) + self.work_shape))
 
     # -- local games ---------------------------------------------------------
 

@@ -11,6 +11,11 @@ The solvers require one of two structural modes:
 * ``f_linear_in_z``: the running cost has the shape f0(t,x,y,u,v) + f1(t).z
   (validated by a finite-difference linearity probe).
 
+:meth:`Problem.coefficients`, :meth:`Problem.running_cost` and
+:meth:`Problem.terminal_cost` are the one place where the expressions are
+evaluated; their arguments broadcast, so one call covers every control
+pair at every state.
+
 Catalog problems carry exact finite control sets so no control
 discretization error enters the benchmarks.
 """
@@ -37,6 +42,7 @@ __all__ = [
     "ConditionViolationError",
     "load_problem",
     "freeze",
+    "stack_entries",
     "catalog_names",
     "CATALOG",
     "value_bound",
@@ -167,20 +173,49 @@ class Problem:
     def v_names(self):
         return tuple(f"v{i + 1}" for i in range(self.v_grid.q))
 
-    def control_bindings(self, u_idx: int, v_idx: int) -> dict:
-        out = {}
-        for name, val in zip(self.u_names(), self.u_grid.points[u_idx]):
-            out[name] = val
-        for name, val in zip(self.v_names(), self.v_grid.points[v_idx]):
-            out[name] = val
-        return out
+    @property
+    def f_needs_yz(self) -> bool:
+        """Whether the running cost names y or any z component."""
+        return bool(dsl.free_variables(self.f) & {"y", *self.z_names()})
 
-    def state_bindings(self, t, x) -> dict:
-        x = np.atleast_1d(x)
+    # -- coefficient evaluation ---------------------------------------------
+    #
+    # t, the leading axes of x (shape (..., d)) and the control indices iu,
+    # iv broadcast against each other.  Each returned entry keeps only the
+    # axes its expression depends on: a constant stays a scalar.
+
+    def _bind(self, t, x, iu, iv) -> dict:
+        x = np.asarray(x, dtype=float)
+        up = self.u_grid.points[iu]
+        vp = self.v_grid.points[iv]
         out = {"t": t}
         for i, name in enumerate(self.x_names()):
-            out[name] = x[i]
+            out[name] = x[..., i]
+        for i, name in enumerate(self.u_names()):
+            out[name] = up[..., i]
+        for i, name in enumerate(self.v_names()):
+            out[name] = vp[..., i]
         return out
+
+    def coefficients(self, t, x, iu, iv) -> tuple:
+        """(b, sigma): d drift entries and d x d diffusion entries."""
+        bnd = self._bind(t, x, iu, iv)
+        b = tuple(dsl.evaluate(e, bnd) for e in self.b)
+        sigma = tuple(tuple(dsl.evaluate(e, bnd) for e in row) for row in self.sigma)
+        return b, sigma
+
+    def running_cost(self, t, x, iu, iv, y=0.0, z=0.0):
+        """f(t, x, y, z, u, v); z is a scalar or has shape (..., d)."""
+        bnd = self._bind(t, x, iu, iv)
+        bnd["y"] = y
+        for i, name in enumerate(self.z_names()):
+            bnd[name] = z if np.ndim(z) == 0 else z[..., i]
+        return dsl.evaluate(self.f, bnd)
+
+    def terminal_cost(self, x):
+        """phi(x) for x of shape (..., d)."""
+        x = np.asarray(x, dtype=float)
+        return dsl.evaluate(self.phi, {name: x[..., i] for i, name in enumerate(self.x_names())})
 
 
 # ---------------------------------------------------------------------------
@@ -379,34 +414,11 @@ def _sample_points(prob: Problem, rng, n: int):
     return t, x, iu, iv, y, z
 
 
-def _bindings(prob: Problem, t, x, iu, iv, y=None, z=None):
-    out = {"t": t}
-    for i, name in enumerate(prob.x_names()):
-        out[name] = x[..., i]
-    up = prob.u_grid.points[iu]
-    vp = prob.v_grid.points[iv]
-    for i, name in enumerate(prob.u_names()):
-        out[name] = up[..., i]
-    for i, name in enumerate(prob.v_names()):
-        out[name] = vp[..., i]
-    if y is not None:
-        out["y"] = y
-    if z is not None:
-        for i, name in enumerate(prob.z_names()):
-            out[name] = z[..., i]
-    return out
-
 def _eval_all_coefficients(prob: Problem, pts):
     t, x, iu, iv, y, z = pts
-    bnd = _bindings(prob, t, x, iu, iv, y, z)
-    for e in prob.b:
-        dsl.evaluate(e, bnd)
-    for row in prob.sigma:
-        for e in row:
-            dsl.evaluate(e, bnd)
-    dsl.evaluate(prob.f, bnd)
-    xb = {name: x[..., i] for i, name in enumerate(prob.x_names())}
-    dsl.evaluate(prob.phi, xb)
+    prob.coefficients(t, x, iu, iv)
+    prob.running_cost(t, x, iu, iv, y, z)
+    prob.terminal_cost(x)
 
 
 def _probe_f_linear_in_z(prob: Problem, n_points: int = 10, rel_tol: float = 1e-8) -> None:
@@ -449,21 +461,16 @@ def _probe_f_linear_in_z(prob: Problem, n_points: int = 10, rel_tol: float = 1e-
 
 
 def _f_eval(prob, t, x, iu, iv, y, z):
-    return np.asarray(dsl.evaluate(prob.f, _bindings(prob, t, x, iu, iv, y, z)), dtype=float)
+    return np.asarray(prob.running_cost(t, x, iu, iv, y, z), dtype=float)
 
 
 def _cross_check_bounds(prob: Problem, rng, n: int = 10_000) -> None:
     # sup_f is declared for f(., y=0, z=0, .); lip_y_f covers the y growth
-    t, x, iu, iv, _, z = _sample_points(prob, rng, n)
-    bnd = _bindings(prob, t, x, iu, iv, np.zeros(n), np.zeros_like(z))
-    sup_b = max(
-        (float(np.max(np.abs(dsl.evaluate(e, bnd)))) for e in prob.b),
-        default=0.0,
-    )
-    sup_sigma = max(
-        float(np.max(np.abs(dsl.evaluate(e, bnd)))) for row in prob.sigma for e in row
-    )
-    sup_f0 = float(np.max(np.abs(dsl.evaluate(prob.f, bnd))))
+    t, x, iu, iv, _, _ = _sample_points(prob, rng, n)
+    b, sigma = prob.coefficients(t, x, iu, iv)
+    sup_b = max((float(np.max(np.abs(e))) for e in b), default=0.0)
+    sup_sigma = max(float(np.max(np.abs(e))) for row in sigma for e in row)
+    sup_f0 = float(np.max(np.abs(prob.running_cost(t, x, iu, iv))))
     msgs = []
     if sup_b > prob.bounds.sup_b * (1 + 1e-9) + 1e-12:
         msgs.append(f"|b| reaches {sup_b:.4g} > declared sup_b={prob.bounds.sup_b:.4g}")
@@ -484,11 +491,7 @@ def _check_diagonal_dominance(prob: Problem, rng, n: int = 1000) -> None:
     rejected at load time.  Checked on samples with unit grid aspect.
     """
     t, x, iu, iv, _, _ = _sample_points(prob, rng, n)
-    bnd = _bindings(prob, t, x, iu, iv)
-    sig = np.empty((n, 2, 2))
-    for i in range(2):
-        for j in range(2):
-            sig[:, i, j] = dsl.evaluate(prob.sigma[i][j], bnd)
+    sig = stack_entries(prob.coefficients(t, x, iu, iv)[1], (n,))
     a = np.einsum("nij,nkj->nik", sig, sig)
     off = np.abs(a[:, 0, 1])
     bad = (a[:, 0, 0] < off - 1e-12) | (a[:, 1, 1] < off - 1e-12)
@@ -504,6 +507,17 @@ def _check_diagonal_dominance(prob: Problem, rng, n: int = 1000) -> None:
 # ---------------------------------------------------------------------------
 
 
+def stack_entries(entries, shape) -> np.ndarray:
+    """Broadcast coefficient entries to ``shape`` and stack them after it.
+
+    b from :meth:`Problem.coefficients` gives shape + (d,), sigma gives
+    shape + (d, d).
+    """
+    if isinstance(entries, tuple):
+        return np.stack([stack_entries(e, shape) for e in entries], axis=len(shape))
+    return np.broadcast_to(entries, shape)
+
+
 def freeze(prob: Problem, t: float, x, u_idx: int, v_idx: int) -> FrozenCoefficients:
     """Evaluate b, sigma and sigma sigma^T at one (t, x, u, v) point."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -511,18 +525,15 @@ def freeze(prob: Problem, t: float, x, u_idx: int, v_idx: int) -> FrozenCoeffici
         raise ProblemError(f"state has dimension {x.size}, expected {prob.d}")
     if not (0 <= u_idx < prob.u_grid.n and 0 <= v_idx < prob.v_grid.n):
         raise ProblemError(f"control indices ({u_idx}, {v_idx}) out of range")
-    bnd = prob.state_bindings(t, x)
-    bnd.update(prob.control_bindings(u_idx, v_idx))
     try:
-        b = np.array([dsl.evaluate(e, bnd) for e in prob.b], dtype=float)
-        sig = np.array(
-            [[dsl.evaluate(e, bnd) for e in row] for row in prob.sigma], dtype=float
-        )
+        b, sig = prob.coefficients(t, x, u_idx, v_idx)
     except dsl.EvaluationError as exc:
         raise ProblemError(
             f"coefficient evaluation failed at t={t}, x={x.tolist()}, "
             f"u_idx={u_idx}, v_idx={v_idx}: {exc}"
         ) from exc
+    b = np.array(b, dtype=float)
+    sig = np.array(sig, dtype=float)
     return FrozenCoefficients(b=b, sigma=sig, sigma_sigma_t=sig @ sig.T)
 
 

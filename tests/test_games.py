@@ -8,7 +8,6 @@ from mixedvalue.games import (
     MixedStrategy,
     PayoffMatrix,
     best_response_value,
-    fictitious_play,
     pure_minimax,
     solve_game,
     solve_games,
@@ -38,6 +37,14 @@ MATCHING_PENNIES = PayoffMatrix([[1.0, -1.0], [-1.0, 1.0]])
 
 
 class TestSolveGame:
+    def test_random_games_match_lp_oracle(self):
+        rng = np.random.default_rng(41)
+        for _ in range(10):
+            ent = rng.uniform(-1, 1, rng.integers(2, 30, 2))
+            sol = solve_game(PayoffMatrix(ent))
+            assert abs(sol.value - lp_oracle_value(ent)) <= 1e-8
+            assert sol.duality_gap <= 1e-9
+
     def test_matching_pennies(self):
         sol = solve_game(MATCHING_PENNIES)
         assert sol.value == pytest.approx(0.0, abs=1e-12)
@@ -285,21 +292,3 @@ class TestSolveGames:
     def test_rejects_bad_tol(self):
         with pytest.raises(GameError):
             solve_games(np.zeros((2, 2, 1)), 0.0)
-
-
-class TestFictitiousPlay:
-    def test_bracket_contains_lp_value(self):
-        rng = np.random.default_rng(41)
-        for _ in range(10):
-            ent = rng.uniform(-1, 1, rng.integers(2, 30, 2))
-            sol = solve_game(PayoffMatrix(ent))
-            fp = fictitious_play(PayoffMatrix(ent), max_iterations=200_000,
-                                 target_halfwidth=1e-4)
-            assert fp.lower - 1e-12 <= sol.value <= fp.upper + 1e-12
-            assert abs(fp.value - sol.value) <= fp.bracket_halfwidth + 1e-12
-
-    def test_matching_pennies(self):
-        fp = fictitious_play(MATCHING_PENNIES, max_iterations=100_000,
-                             target_halfwidth=1e-6)
-        assert abs(fp.value) <= 1e-6
-        assert np.allclose(fp.mu.weights, [0.5, 0.5], atol=0.01)

@@ -7,7 +7,7 @@ import pytest
 from mixedvalue import montecarlo as mc
 from mixedvalue.partition import Partition, dpp_sweep
 from mixedvalue.pde import SchemeParams, SpaceGrid
-from mixedvalue.problem import CATALOG, load_problem
+from mixedvalue.problem import CATALOG, freeze, load_problem
 
 
 def variant(base, **over):
@@ -164,6 +164,31 @@ class TestSimulate:
                 x = x + math.sqrt(1.0 / 32.0) * z[:, s, 0]
         assert np.max(np.abs(ens.states[:, -1, 0] - x)) <= 1e-12
 
+    def test_first_substep_matches_freeze_2d(self):
+        # d=2, state- and control-dependent skew sigma, mixed open-loop play
+        prob = load_problem({
+            "name": "skew_controlled_2d", "d": 2, "T": 1.0,
+            "b": ["u1*v1 - 0.1*x1", "0.5*(u1-v1)*cos(t)"],
+            "sigma": [["1 + 0.1*u1*cos(x2)", "0.2"], ["0.1*v1", "0.8"]],
+            "f": "u1*v1 + 0.05*x2", "phi": "cos(x1)*cos(x2)",
+            "U": {"points": [[-1.0], [0.0], [1.0]]}, "V": {"points": [[-1.0], [1.0]]},
+            "domain": {"min": [-2.0, -2.0], "max": [2.0, 2.0]},
+            "condition41_mode": "f_linear_in_z",
+            "bounds": {"sup_b": 1.2, "sup_sigma": 1.1, "lip_y_f": 0.0, "sup_f": 1.1,
+                       "lip_phi": 1.5, "sup_phi": 1.0, "value_lip": 1.5},
+        })
+        pi = Partition.uniform(1.0, 2)
+        prof = mc.StrategyProfile("openloop", [[0.2, 0.3, 0.5]] * 2, [[0.6, 0.4]] * 2)
+        x0 = np.array([0.3, -0.4])
+        ens = mc.simulate(prob, pi, prof, x0, 300, 3, mc.RandomizationDevice(8))
+        assert len(set(zip(ens.u_indices[:, 0], ens.v_indices[:, 0]))) == 6
+        delta = (pi.times[1] - pi.times[0]) / 3
+        dw = mc.RandomizationDevice(8).brownian_normals(0, 0, 300, 3, 2)[:, 0] * math.sqrt(delta)
+        for i in range(300):
+            fr = freeze(prob, 0.0, x0, ens.u_indices[i, 0], ens.v_indices[i, 0])
+            sig_dw = fr.sigma[:, 0] * dw[i, 0] + fr.sigma[:, 1] * dw[i, 1]
+            assert np.array_equal(ens.states[i, 1], x0 + fr.b * delta + sig_dw)
+
     def test_profile_partition_mismatch(self, uv_cost):
         with pytest.raises(ValueError, match="subintervals"):
             mc.simulate(uv_cost, PI8, mc.StrategyProfile.uniform(uv_cost, 4),
@@ -202,6 +227,14 @@ class TestEstimatePayoff:
                           [0.0], 50, 1, mc.RandomizationDevice(0))
         with pytest.raises(mc.ClassicalCaseError, match="PDE"):
             mc.estimate_payoff(ens, ydep)
+
+    def test_rejects_z_dependent_f(self):
+        zdep = variant("uv_running_cost", name="zdep", f="u1*v1 + 0.5*z1",
+                       condition41_mode="f_linear_in_z")
+        ens = mc.simulate(zdep, PI8, mc.StrategyProfile.uniform(zdep, 8),
+                          [0.0], 50, 1, mc.RandomizationDevice(0))
+        with pytest.raises(mc.ClassicalCaseError, match="PDE"):
+            mc.estimate_payoff(ens, zdep)
 
     def test_euler_refinement_stable(self, heat):
         # halving the substep moves the estimate by at most max(3 SE, C dt)

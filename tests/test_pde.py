@@ -237,6 +237,69 @@ class TestBatchedGames:
             assert np.max(np.abs(fld.values - (prob.T - fld.t) * val)) <= 1e-12
 
 
+def yz_pair(d):
+    """Two problems equal but for f = u1*v1 against u1*v1 + 0.3*z1 - 0.2*y (- 0.1*z2)."""
+    if d == 1:
+        cfg = {
+            "d": 1, "b": ["u1*v1 - 0.1*x1"], "sigma": [["0.8 + 0.1*cos(x1)"]],
+            "phi": "cos(x1)", "domain": {"min": [-3.0], "max": [3.0]},
+            "bounds": {"sup_b": 1.3, "sup_sigma": 0.9},
+        }
+        yz = "u1*v1 + 0.3*z1 - 0.2*y"
+    else:
+        cfg = {
+            "d": 2, "b": ["u1*v1 - 0.1*x1", "0.5*(u1-v1) + 0.1*x2"],
+            "sigma": [["1", "0.2"], ["0.1", "0.8"]], "phi": "cos(x1)*cos(x2)",
+            "domain": {"min": [-3.0, -3.0], "max": [3.0, 3.0]},
+            "bounds": {"sup_b": 1.3, "sup_sigma": 1.0},
+        }
+        yz = "u1*v1 + 0.3*z1 - 0.1*z2 - 0.2*y"
+    cfg.update(name=f"yz{d}", T=1.0, U={"points": [[-1.0], [1.0]]},
+               V={"points": [[-1.0], [1.0]]}, condition41_mode="f_linear_in_z")
+    cfg["bounds"].update(lip_y_f=0.2, sup_f=1.0, lip_phi=1.0, sup_phi=1.0, value_lip=1.0)
+    base = load_problem({**cfg, "f": "u1*v1", "bounds": {**cfg["bounds"], "lip_y_f": 0.0}})
+    return base, load_problem({**cfg, "f": yz})
+
+
+class TestRunningCostInYZ:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_entries_add_upwind_z_and_y_terms(self, d):
+        base, yz = yz_pair(d)
+        grid = SpaceGrid.for_problem(base, 17 if d == 1 else 13)
+        vals = np.random.default_rng(6).uniform(-1, 1, grid.shape)
+        t = 0.4
+        e0 = Stepper(base, grid).entries(vals, t)
+        e1 = Stepper(yz, grid).entries(vals, t)
+        assert e1.shape == e0.shape
+        h = grid.h
+        inner = (slice(1, -1),) * d
+        c = vals[inner]
+        xs = [m[inner] for m in grid.meshes()]
+        for iu, u in enumerate((-1.0, 1.0)):
+            for iv, v in enumerate((-1.0, 1.0)):
+                # upwind gradient: forward difference where the drift is >= 0
+                p = []
+                if d == 1:
+                    b = [u * v - 0.1 * xs[0]]
+                    sig = np.array([[0.8 + 0.1 * np.cos(xs[0])]])
+                else:
+                    b = [u * v - 0.1 * xs[0], 0.5 * (u - v) + 0.1 * xs[1]]
+                    sig = np.array([[1.0, 0.2], [0.1, 0.8]])
+                for i in range(d):
+                    up = [slice(1, -1)] * d
+                    dn = [slice(1, -1)] * d
+                    up[i], dn[i] = slice(2, None), slice(None, -2)
+                    fwd = (vals[tuple(up)] - c) / h[i]
+                    bwd = (c - vals[tuple(dn)]) / h[i]
+                    p.append(np.where(b[i] >= 0.0, fwd, bwd))
+                z = [sum(p[i] * sig[i, j] for i in range(d)) for j in range(d)]
+                extra = 0.3 * z[0] - 0.2 * c
+                if d == 2:
+                    extra = extra - 0.1 * z[1]
+                scale = 1.0 + np.max(np.abs(e0[iu, iv]))
+                assert np.max(np.abs(e1[iu, iv] - e0[iu, iv] - extra)) <= 1e-13 * scale
+
+
 class TestComparisonPrinciple:
     """Monotone-step comparison on random field pairs.
 

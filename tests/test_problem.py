@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from mixedvalue import dsl
 from mixedvalue.problem import (
     CATALOG,
     ConditionViolationError,
@@ -15,6 +16,7 @@ from mixedvalue.problem import (
     interior_margin,
     interior_window,
     load_problem,
+    stack_entries,
     time_modulus_bound,
     value_bound,
 )
@@ -206,8 +208,8 @@ class TestFreeze:
             x = rng.uniform(-7, 7, 1)
             iu, iv = rng.integers(0, 2, 2)
             fr = freeze(prob, t, x, iu, iv)
-            bnd = prob.state_bindings(t, x)
-            bnd.update(prob.control_bindings(iu, iv))
+            bnd = {"t": t, "x1": x[0], "u1": prob.u_grid.points[iu, 0],
+                   "v1": prob.v_grid.points[iv, 0]}
             assert fr.b[0] == dsl.evaluate(prob.b[0], bnd)
             assert fr.sigma[0, 0] == dsl.evaluate(prob.sigma[0][0], bnd)
 
@@ -247,6 +249,83 @@ class TestFreeze:
         prob = load_problem("uv_running_cost")
         with pytest.raises(ProblemError):
             freeze(prob, 0.0, [0.0], 2, 0)
+
+
+# d=2 with skew, state- and control-dependent sigma and a y/z-dependent f
+SKEW_2D = {
+    "name": "skew_controlled_2d",
+    "d": 2,
+    "T": 1.0,
+    "b": ["u1*v1 - 0.1*x1", "0.5*(u1-v1)*cos(t)"],
+    "sigma": [["1 + 0.1*u1*cos(x2)", "0.2"], ["0.1*v1", "0.8 + 0.05*sin(t)"]],
+    "f": "u1*v1 + 0.3*z1 - 0.1*z2 - 0.2*y + 0.05*x2",
+    "phi": "cos(x1)*cos(x2)",
+    "U": {"points": [[-1.0], [0.0], [1.0]]},
+    "V": {"points": [[-1.0], [1.0]]},
+    "domain": {"min": [-2.0, -2.0], "max": [2.0, 2.0]},
+    "condition41_mode": "f_linear_in_z",
+    "bounds": {
+        "sup_b": 1.2, "sup_sigma": 1.1, "lip_y_f": 0.2, "sup_f": 1.1,
+        "lip_phi": 1.5, "sup_phi": 1.0, "value_lip": 1.5,
+    },
+}
+
+
+def point_bindings(prob, t, x, iu, iv, y, z):
+    bnd = {"t": t, "y": y}
+    for i in range(prob.d):
+        bnd[f"x{i + 1}"] = x[i]
+        bnd[f"z{i + 1}"] = z[i]
+    for i in range(prob.u_grid.q):
+        bnd[f"u{i + 1}"] = prob.u_grid.points[iu, i]
+    for i in range(prob.v_grid.q):
+        bnd[f"v{i + 1}"] = prob.v_grid.points[iv, i]
+    return bnd
+
+
+class TestEvaluator:
+    @pytest.mark.parametrize("source", catalog_names() + [SKEW_2D],
+                             ids=catalog_names() + ["skew_controlled_2d"])
+    def test_broadcast_matches_per_point(self, source):
+        prob = load_problem(source)
+        m, k, d, n = prob.u_grid.n, prob.v_grid.n, prob.d, 6
+        rng = np.random.default_rng(2)
+        # points on axis 0, u on axis 1, v on axis 2
+        t = rng.uniform(0, prob.T, (n, 1, 1))
+        x = rng.uniform(prob.domain.x_min, prob.domain.x_max, (n, 1, 1, d))
+        y = rng.normal(size=(n, 1, 1))
+        z = rng.normal(size=(n, 1, 1, d))
+        iu = np.arange(m)[:, None]
+        iv = np.arange(k)
+        shape = (n, m, k)
+        b, sig = prob.coefficients(t, x, iu, iv)
+        b, sig = stack_entries(b, shape), stack_entries(sig, shape)
+        f = np.broadcast_to(prob.running_cost(t, x, iu, iv, y, z), shape)
+        phi = np.broadcast_to(prob.terminal_cost(x), (n, 1, 1))
+        for i in range(n):
+            ti, xi, yi, zi = t[i, 0, 0], x[i, 0, 0], y[i, 0, 0], z[i, 0, 0]
+            bnd_x = {f"x{j + 1}": xi[j] for j in range(d)}
+            assert phi[i, 0, 0] == dsl.evaluate(prob.phi, bnd_x)
+            for a in range(m):
+                for c in range(k):
+                    fr = freeze(prob, ti, xi, a, c)
+                    assert np.array_equal(b[i, a, c], fr.b)
+                    assert np.array_equal(sig[i, a, c], fr.sigma)
+                    direct = dsl.evaluate(prob.f, point_bindings(prob, ti, xi, a, c, yi, zi))
+                    assert f[i, a, c] == direct
+
+    def test_entries_keep_their_own_shape(self):
+        prob = load_problem("uv_drift")
+        x = np.zeros((5, 1, 1, 1))
+        b, sig = prob.coefficients(0.3, x, np.arange(2)[:, None], np.arange(2))
+        assert np.shape(b[0]) == (2, 2)  # u1*v1: no state axis
+        assert np.ndim(sig[0][0]) == 0  # a constant stays a scalar
+        assert np.ndim(prob.running_cost(0.3, x, 0, 1)) == 0
+
+    def test_f_needs_yz(self):
+        assert not load_problem("uv_drift").f_needs_yz
+        assert load_problem(SKEW_2D).f_needs_yz
+        assert load_problem(cfg_variant("uv_running_cost", f="u1*v1 + 0*y")).f_needs_yz
 
 
 class TestDerivedQuantities:
