@@ -24,9 +24,9 @@ import time
 
 import numpy as np
 
-from . import __version__, dsl, montecarlo as mc, pde, problem as problem_mod
+from . import __version__, dsl, montecarlo as mc, pde
 from .games import GameError, PayoffMatrix, pure_minimax, solve_game
-from .hamiltonian import HamiltonianPoint, payoff_matrix as h_matrix, pure_bounds, relaxed_value
+from .hamiltonian import HamiltonianPoint, payoff_matrix
 from .partition import MeshTooCoarseError, Partition, convergence_study, dpp_sweep
 from .problem import ProblemError, load_problem
 
@@ -129,8 +129,9 @@ def _cmd_hamiltonian(args, argv, started):
     for p in p_vals:
         for a in a_vals:
             pt = HamiltonianPoint(t=args.t, x=[args.x], y=args.y, p=[p], A=[[a]])
-            h_minus, h_plus = pure_bounds(pt, prob)
-            sol = relaxed_value(pt, prob, tol=args.tol)
+            mat = payoff_matrix(pt, prob)
+            h_minus, h_plus = pure_minimax(mat)
+            sol = solve_game(mat, tol=args.tol)
             rows.append((args.t, args.x, p, a, h_minus, h_plus, sol.value, sol.duality_gap))
     _write_csv(args.out, ["t", "x", "p", "A", "h_minus", "h_plus", "h_relaxed", "gap"], rows)
     _write_manifest(args.out, "hamiltonian", argv, {

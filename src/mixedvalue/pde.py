@@ -189,16 +189,36 @@ def terminal_field(prob: Problem, grid: SpaceGrid, label: str = "V_mixed") -> Va
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _StencilCoefficients:
+    """Coefficients of one level's stencil, each in its own broadcast shape."""
+
+    b: tuple
+    sigma: tuple
+    up: tuple  # max(b_i, 0), weight of the forward difference
+    down: tuple  # max(-b_i, 0), weight of the backward difference
+    half_a: tuple  # 0.5 (sigma sigma^T)_ii
+    a01: object  # (sigma sigma^T)_01 for d=2, else None
+    f: object  # f(y=0, z=0), or None when f depends on y or z
+
+
 class Stepper:
     """Precomputed per-(grid, problem) stencil state.
 
     Each call of :meth:`entries` evaluates b, sigma and f once for all
     control pairs and work nodes together, every coefficient in its own
-    broadcast shape; the per-step work is then a handful of vectorized
-    array operations plus one batched solve of the local games, which
-    starts each node from the kernel that certified it on the previous
-    call.  Also used by the partition sweep, which freezes the per-node
-    strategies over a subinterval and advances with :meth:`step_frozen`.
+    broadcast shape, and kept across calls while no coefficient depends on
+    t.  The stencil reads one padded level, the level itself under clamp
+    boundaries and its periodic cell wrapped by one node otherwise, so every
+    neighbour is a slice of it.  Differences, stencil fields and partial
+    sums are computed in place in work arrays the Stepper allocates on first
+    use and then reuses; the generator accumulates in a fresh array, which
+    :meth:`entries` returns and callers may keep.  So a step allocates no
+    large temporaries besides that array and the new level.  The local
+    games of a level are solved in one batch, each node starting from the
+    kernel that certified it on the previous call.  Also used by the
+    partition sweep, which freezes the per-node strategies over a
+    subinterval and advances with :meth:`step_frozen`.
     """
 
     def __init__(self, prob: Problem, grid: SpaceGrid, game_tol: float = 1e-9):
@@ -213,11 +233,11 @@ class Stepper:
         self.m = prob.u_grid.n
         self.k = prob.v_grid.n
 
-        axes = grid.axes
-        if self.mode == "clamp":
-            work_axes = tuple(ax[1:-1] for ax in axes)
-        else:
-            work_axes = tuple(ax[:-1] for ax in axes)
+        # the work region of a level: the interior under clamp boundaries,
+        # the periodic cell (last node on each axis dropped) otherwise
+        inner = slice(1, -1) if self.mode == "clamp" else slice(None, -1)
+        self._work = (inner,) * self.d
+        work_axes = tuple(ax[inner] for ax in grid.axes)
         self.work_shape = tuple(len(ax) for ax in work_axes)
         if any(n < 1 for n in self.work_shape):
             raise ValueError("grid too small for the boundary mode")
@@ -234,104 +254,132 @@ class Stepper:
         self._coef_needs_t = any("t" in dsl.free_variables(e) for e in exprs)
         self._coef = None
         self._kernels = None  # per-node kernel of the last relaxed game solve
+        self._scratch = {}  # work arrays by name, reused across calls
 
     # -- stencil ------------------------------------------------------------
 
-    def _neighbors(self, values):
-        """Center and shifted views of the level on the work region."""
-        if self.mode == "clamp":
+    def _array(self, name, shape):
+        """The work array ``name`` of the given shape, allocated on first use."""
+        arr = self._scratch.get(name)
+        if arr is None or arr.shape != shape:
+            arr = self._scratch[name] = np.empty(shape)
+        return arr
+
+    def _coefficients(self, t) -> _StencilCoefficients:
+        """Stencil coefficients at t, kept across calls while none depends on t."""
+        if self._coef is None or self._coef_needs_t:
+            prob, xw, iu, iv = self.prob, self._xw, self._iu, self._iv
+            b, sig = prob.coefficients(t, xw, iu, iv)
             if self.d == 1:
-                return {
-                    "c": values[1:-1],
-                    "p0": values[2:],
-                    "m0": values[:-2],
-                }
-            return {
-                "c": values[1:-1, 1:-1],
-                "p0": values[2:, 1:-1],
-                "m0": values[:-2, 1:-1],
-                "p1": values[1:-1, 2:],
-                "m1": values[1:-1, :-2],
-                "pp": values[2:, 2:],
-                "mm": values[:-2, :-2],
-                "pm": values[2:, :-2],
-                "mp": values[:-2, 2:],
-            }
-        red = values[:-1] if self.d == 1 else values[:-1, :-1]
-        if self.d == 1:
-            return {
-                "c": red,
-                "p0": np.roll(red, -1),
-                "m0": np.roll(red, 1),
-            }
-        return {
-            "c": red,
-            "p0": np.roll(red, -1, axis=0),
-            "m0": np.roll(red, 1, axis=0),
-            "p1": np.roll(red, -1, axis=1),
-            "m1": np.roll(red, 1, axis=1),
-            "pp": np.roll(red, (-1, -1), axis=(0, 1)),
-            "mm": np.roll(red, (1, 1), axis=(0, 1)),
-            "pm": np.roll(red, (-1, 1), axis=(0, 1)),
-            "mp": np.roll(red, (1, -1), axis=(0, 1)),
-        }
+                half_a = (0.5 * (sig[0][0] * sig[0][0]),)
+                a01 = None
+            else:
+                half_a = (0.5 * (sig[0][0] * sig[0][0] + sig[0][1] * sig[0][1]),
+                          0.5 * (sig[1][0] * sig[1][0] + sig[1][1] * sig[1][1]))
+                a01 = sig[0][0] * sig[1][0] + sig[0][1] * sig[1][1]
+            self._coef = _StencilCoefficients(
+                b=b,
+                sigma=sig,
+                up=tuple(np.maximum(bi, 0.0) for bi in b),
+                down=tuple(np.maximum(-bi, 0.0) for bi in b),
+                half_a=half_a,
+                a01=a01,
+                f=None if self._f_needs_yz else prob.running_cost(t, xw, iu, iv),
+            )
+        return self._coef
 
     def entries(self, values: np.ndarray, t: float) -> np.ndarray:
         """Per-(u,v) discrete generator applied to the level.
 
-        Returns an (m, k, *work) array; every [iu, iv] slice is a monotone
-        affine function of the level under the CFL restriction.
+        Returns a fresh (m, k, *work) array; every [iu, iv] slice is a
+        monotone affine function of the level under the CFL restriction.
         """
-        nb = self._neighbors(values)
-        c = nb["c"]
-        h = self.h
-        prob, xw, iu, iv = self.prob, self._xw, self._iu, self._iv
-        if self._coef is None or self._coef_needs_t:
-            b, sig = prob.coefficients(t, xw, iu, iv)
-            self._coef = b, sig, None if self._f_needs_yz else prob.running_cost(t, xw, iu, iv)
-        b, sig, fval = self._coef
-        if self.d == 1:
-            fwd = (nb["p0"] - c) / h[0]
-            bwd = (c - nb["m0"]) / h[0]
-            second = (nb["p0"] - 2.0 * c + nb["m0"]) / h[0] ** 2
-            a00 = sig[0][0] * sig[0][0]
-            drift = np.maximum(b[0], 0.0) * fwd - np.maximum(-b[0], 0.0) * bwd
-            diff = 0.5 * a00 * second
-            if self._f_needs_yz:
-                pup = np.where(np.asarray(b[0]) >= 0.0, fwd, bwd)
-                fval = prob.running_cost(t, xw, iu, iv, c, (pup * sig[0][0])[..., None])
-        else:
-            fwd0 = (nb["p0"] - c) / h[0]
-            bwd0 = (c - nb["m0"]) / h[0]
-            fwd1 = (nb["p1"] - c) / h[1]
-            bwd1 = (c - nb["m1"]) / h[1]
-            sec0 = (nb["p0"] - 2.0 * c + nb["m0"]) / h[0] ** 2
-            sec1 = (nb["p1"] - 2.0 * c + nb["m1"]) / h[1] ** 2
-            a00 = sig[0][0] * sig[0][0] + sig[0][1] * sig[0][1]
-            a01 = sig[0][0] * sig[1][0] + sig[0][1] * sig[1][1]
-            a11 = sig[1][0] * sig[1][0] + sig[1][1] * sig[1][1]
-            cross_pos = (
-                2.0 * c + nb["pp"] + nb["mm"] - nb["p0"] - nb["m0"] - nb["p1"] - nb["m1"]
-            ) / (2.0 * h[0] * h[1])
-            cross_neg = -(
-                2.0 * c + nb["pm"] + nb["mp"] - nb["p0"] - nb["m0"] - nb["p1"] - nb["m1"]
-            ) / (2.0 * h[0] * h[1])
-            cross = np.where(np.asarray(a01) >= 0.0, cross_pos, cross_neg)
-            drift = (
-                np.maximum(b[0], 0.0) * fwd0
-                - np.maximum(-b[0], 0.0) * bwd0
-                + np.maximum(b[1], 0.0) * fwd1
-                - np.maximum(-b[1], 0.0) * bwd1
-            )
-            diff = 0.5 * a00 * sec0 + 0.5 * a11 * sec1 + a01 * cross
-            if self._f_needs_yz:
-                p0 = np.where(np.asarray(b[0]) >= 0.0, fwd0, bwd0)
-                p1 = np.where(np.asarray(b[1]) >= 0.0, fwd1, bwd1)
-                z = np.broadcast_arrays(p0 * sig[0][0] + p1 * sig[1][0],
-                                        p0 * sig[0][1] + p1 * sig[1][1])
-                fval = prob.running_cost(t, xw, iu, iv, c, np.stack(z, axis=-1))
-        ent = diff + drift + fval
-        return np.ascontiguousarray(np.broadcast_to(ent, (self.m, self.k) + self.work_shape))
+        d, h = self.d, self.h
+        co = self._coefficients(t)
+        pad = values if self.mode == "clamp" else np.pad(values[self._work], 1, mode="wrap")
+
+        def at(*offsets):  # the padded level shifted by offsets, on the work region
+            return pad[tuple(slice(1 + o, n - 1 + o) for o, n in zip(offsets, pad.shape))]
+
+        c = at(*(0,) * d)
+        two_c = np.multiply(2.0, c, out=self._array("two_c", c.shape))
+        fwd, bwd, sec, axis_nb = [], [], [], []
+        for i in range(d):
+            ax = (slice(None),) * i
+            # the work region extended by one node both ways along axis i
+            line = pad[tuple(slice(None) if j == i else slice(1, -1) for j in range(d))]
+            nxt, prv = line[ax + (slice(2, None),)], line[ax + (slice(None, -2),)]
+            # forward and backward differences are two views of one array
+            hi, lo = line[ax + (slice(1, None),)], line[ax + (slice(None, -1),)]
+            first = np.subtract(hi, lo, out=self._array(f"first{i}", hi.shape))
+            first /= h[i]
+            fwd.append(first[ax + (slice(1, None),)])
+            bwd.append(first[ax + (slice(None, -1),)])
+            second = self._array(f"second{i}", c.shape)
+            np.subtract(nxt, two_c, out=second)
+            second += prv
+            second /= h[i] ** 2
+            sec.append(second)
+            axis_nb += [nxt, prv]
+
+        terms = [(co.half_a[i], sec[i]) for i in range(d)]
+        if d == 2:
+            # the 7-point cross stencil follows the sign of a01; build only
+            # the variants whose sign occurs
+            den = 2.0 * h[0] * h[1]
+
+            def cross(name, diag, anti, negate):
+                out = self._array(name, c.shape)
+                np.add(two_c, diag, out=out)
+                out += anti
+                for nb in axis_nb:
+                    out -= nb
+                if negate:
+                    np.negative(out, out=out)
+                out /= den
+                return out
+
+            nonneg = np.asarray(co.a01) >= 0.0
+            if nonneg.all():
+                cr = cross("cross_pos", at(1, 1), at(-1, -1), False)
+            elif not nonneg.any():
+                cr = cross("cross_neg", at(1, -1), at(-1, 1), True)
+            else:
+                cr = self._array("cross", np.broadcast_shapes(nonneg.shape, c.shape))
+                np.copyto(cr, cross("cross_neg", at(1, -1), at(-1, 1), True))
+                np.copyto(cr, cross("cross_pos", at(1, 1), at(-1, -1), False), where=nonneg)
+            terms.append((co.a01, cr))
+        dshape = np.broadcast_shapes(*(s for a, x in terms for s in (np.shape(a), x.shape)))
+        diffusion = self._array("diffusion", dshape)
+        term = self._array("diffusion_term", dshape)
+        np.multiply(terms[0][0], terms[0][1], out=diffusion)
+        for a, x in terms[1:]:
+            np.multiply(a, x, out=term)
+            diffusion += term
+
+        f = co.f
+        if f is None:  # y is the level, z the upwind gradient times sigma
+            p = [np.where(np.asarray(bi) >= 0.0, fw, bw) for bi, fw, bw in zip(co.b, fwd, bwd)]
+            sig = co.sigma
+            z = [p[0] * sig[0][j] if d == 1 else p[0] * sig[0][j] + p[1] * sig[1][j]
+                 for j in range(d)]
+            f = self.prob.running_cost(t, self._xw, self._iu, self._iv, c,
+                                       np.stack(np.broadcast_arrays(*z), axis=-1))
+
+        # the generator accumulates in the returned array, in the order of
+        # ((up0 fwd0 - down0 bwd0) + up1 fwd1) - down1 bwd1, + diffusion, + f
+        gen = np.empty((self.m, self.k) + self.work_shape)
+        term = self._array("generator_term", gen.shape)
+        np.multiply(co.up[0], fwd[0], out=gen)
+        for i in range(d):
+            if i:
+                np.multiply(co.up[i], fwd[i], out=term)
+                gen += term
+            np.multiply(co.down[i], bwd[i], out=term)
+            gen -= term
+        gen += diffusion
+        gen += f
+        return gen
 
     # -- local games ---------------------------------------------------------
 
@@ -356,9 +404,9 @@ class Stepper:
         if self.m == 1 and self.k == 1:
             vals = ent[0, 0]
         elif mode == "pure_lower":
-            vals = ent.min(axis=1).max(axis=0)
+            vals = np.min(ent, axis=1, out=self._array("envelope", (self.m,) + work)).max(axis=0)
         else:  # pure_upper
-            vals = ent.max(axis=0).min(axis=0)
+            vals = np.max(ent, axis=0, out=self._array("envelope", (self.k,) + work)).min(axis=0)
         if not collect_strategies:
             return vals, None, None
         # pure envelopes and singleton games select point-mass strategies;
@@ -382,25 +430,24 @@ class Stepper:
 
     # -- stepping -------------------------------------------------------------
 
-    def _finish(self, values, new_work, t_new):
+    def _finish(self, values, vals, dt, t_new):
+        """The next level: values + dt * vals on the work region, then the boundary."""
         new = np.array(values, dtype=float, copy=True)
+        inc = np.multiply(dt, vals, out=self._array("increment", self.work_shape))
+        np.add(values[self._work], inc, out=new[self._work])
         if self.mode == "clamp":
             if self.d == 1:
-                new[1:-1] = new_work
                 new[0] = new[1]
                 new[-1] = new[-2]
             else:
-                new[1:-1, 1:-1] = new_work
                 new[0, :] = new[1, :]
                 new[-1, :] = new[-2, :]
                 new[:, 0] = new[:, 1]
                 new[:, -1] = new[:, -2]
         else:
             if self.d == 1:
-                new[:-1] = new_work
                 new[-1] = new[0]
             else:
-                new[:-1, :-1] = new_work
                 new[-1, :-1] = new[0, :-1]
                 new[:-1, -1] = new[:-1, 0]
                 new[-1, -1] = new[0, 0]
@@ -414,16 +461,14 @@ class Stepper:
         """One explicit step from level t to t - dt."""
         ent = self.entries(values, t)
         vals, mu, nu = self.game_values(ent, mode, t, collect_strategies)
-        nb = self._neighbors(values)
-        new = self._finish(values, nb["c"] + dt * vals, t - dt)
+        new = self._finish(values, vals, dt, t - dt)
         return (new, mu, nu) if collect_strategies else (new, None, None)
 
     def step_frozen(self, values, t, dt, mu, nu):
         """One step under frozen per-node mixed strategies."""
         ent = self.entries(values, t)
         vals = np.einsum("mk...,...m,...k->...", ent, mu, nu)
-        nb = self._neighbors(values)
-        return self._finish(values, nb["c"] + dt * vals, t - dt)
+        return self._finish(values, vals, dt, t - dt)
 
 
 # ---------------------------------------------------------------------------

@@ -484,3 +484,161 @@ class TestSpaceGrid:
     def test_minimum_nodes(self):
         with pytest.raises(ValueError):
             SpaceGrid(np.array([-1.0]), np.array([1.0]), (2,))
+
+
+def roll_reference_entries(prob, grid, values, t):
+    """The generator in whole-array form, neighbours taken with np.roll.
+
+    Same formulas and association order as the scheme: upwind first
+    differences, central second differences, the a01-sign-adapted cross
+    stencil and, when f names y or z, y = V and z = upwind p . sigma.
+    """
+    d, h = grid.d, grid.h
+    m, k = prob.u_grid.n, prob.v_grid.n
+    if prob.domain.boundary_mode == "clamp":
+        work, base, cut = (slice(1, -1),) * d, values, (slice(1, -1),) * d
+    else:
+        work, cut = (slice(None, -1),) * d, (slice(None),) * d
+        base = values[work]
+
+    def nb(*off):
+        return np.roll(base, tuple(-o for o in off), axis=tuple(range(d)))[cut]
+
+    x = np.stack([mesh[work] for mesh in grid.meshes()], axis=-1)
+    ones = (1,) * d
+    iu = np.arange(m).reshape((m, 1) + ones)
+    iv = np.arange(k).reshape((1, k) + ones)
+    b, sig = prob.coefficients(t, x, iu, iv)
+    c = nb(*(0,) * d)
+    if d == 1:
+        p0, m0 = nb(1), nb(-1)
+        fwd, bwd = [(p0 - c) / h[0]], [(c - m0) / h[0]]
+        second = (p0 - 2.0 * c + m0) / h[0] ** 2
+        drift = np.maximum(b[0], 0.0) * fwd[0] - np.maximum(-b[0], 0.0) * bwd[0]
+        diff = 0.5 * (sig[0][0] * sig[0][0]) * second
+    else:
+        p0, m0, p1, m1 = nb(1, 0), nb(-1, 0), nb(0, 1), nb(0, -1)
+        fwd = [(p0 - c) / h[0], (p1 - c) / h[1]]
+        bwd = [(c - m0) / h[0], (c - m1) / h[1]]
+        sec0 = (p0 - 2.0 * c + m0) / h[0] ** 2
+        sec1 = (p1 - 2.0 * c + m1) / h[1] ** 2
+        a00 = sig[0][0] * sig[0][0] + sig[0][1] * sig[0][1]
+        a01 = sig[0][0] * sig[1][0] + sig[0][1] * sig[1][1]
+        a11 = sig[1][0] * sig[1][0] + sig[1][1] * sig[1][1]
+        cross_pos = (2.0 * c + nb(1, 1) + nb(-1, -1) - p0 - m0 - p1 - m1) / (2.0 * h[0] * h[1])
+        cross_neg = -(2.0 * c + nb(1, -1) + nb(-1, 1) - p0 - m0 - p1 - m1) / (2.0 * h[0] * h[1])
+        cross = np.where(np.asarray(a01) >= 0.0, cross_pos, cross_neg)
+        drift = (np.maximum(b[0], 0.0) * fwd[0] - np.maximum(-b[0], 0.0) * bwd[0]
+                 + np.maximum(b[1], 0.0) * fwd[1] - np.maximum(-b[1], 0.0) * bwd[1])
+        diff = 0.5 * a00 * sec0 + 0.5 * a11 * sec1 + a01 * cross
+    if prob.f_needs_yz:
+        p = [np.where(np.asarray(b[i]) >= 0.0, fwd[i], bwd[i]) for i in range(d)]
+        z = [p[0] * sig[0][j] + p[1] * sig[1][j] if d == 2 else p[0] * sig[0][j]
+             for j in range(d)]
+        fval = prob.running_cost(t, x, iu, iv, c, np.stack(np.broadcast_arrays(*z), axis=-1))
+    else:
+        fval = prob.running_cost(t, x, iu, iv)
+    return np.broadcast_to(diff + drift + fval, (m, k) + c.shape)
+
+
+def stencil_problem(d, sigma, boundary="clamp", f="u1*v1", **over):
+    """A 2x2 game with x- and t-dependent drift on [-3, 3]^d or [-pi, pi]^d."""
+    lo = -math.pi if boundary == "periodic" else -3.0
+    b = ["u1*v1 - 0.1*x1 + 0.2*sin(x1)", "0.5*(u1-v1)*cos(t) + 0.1*x2"][:d]
+    return load_problem({
+        "name": f"stencil{d}", "d": d, "T": 1.0, "b": b, "sigma": sigma, "f": f,
+        "phi": "cos(x1)" if d == 1 else "cos(x1)*cos(x2)",
+        "U": {"points": [[-1.0], [1.0]]}, "V": {"points": [[-1.0], [1.0]]},
+        "domain": {"min": [lo] * d, "max": [-lo] * d, "boundary": boundary},
+        "condition41_mode": "f_linear_in_z",
+        "bounds": {"sup_b": 2.0, "sup_sigma": 1.1, "lip_y_f": 0.2, "sup_f": 2.0,
+                   "lip_phi": 1.0, "sup_phi": 1.0, "value_lip": 1.0},
+        **over,
+    })
+
+
+SIGMA_NEG = [["1", "-0.2"], ["0.1", "0.8"]]  # a01 = -0.06 everywhere
+SIGMA_X_SIGN = [["1", "0.3*sin(x1)"], ["0", "1"]]  # a01 changes sign across nodes
+SIGMA_U_SIGN = [["1", "0.3*u1"], ["0.1", "0.8"]]  # a01 changes sign across controls
+YZ_F = {1: "u1*v1 + 0.3*z1 - 0.2*y", 2: "u1*v1 + 0.3*z1 - 0.1*z2 - 0.2*y"}
+
+STENCIL_CASES = {
+    "2d_negative_a01": dict(d=2, sigma=SIGMA_NEG),
+    "2d_a01_sign_across_nodes": dict(d=2, sigma=SIGMA_X_SIGN),
+    "2d_a01_sign_across_controls": dict(d=2, sigma=SIGMA_U_SIGN),
+    "2d_periodic": dict(d=2, sigma=SIGMA_X_SIGN, boundary="periodic"),
+    "2d_periodic_negative_a01": dict(d=2, sigma=SIGMA_NEG, boundary="periodic"),
+    "1d_periodic": dict(d=1, sigma=[["0.8 + 0.1*cos(x1)"]], boundary="periodic"),
+    "1d_yz": dict(d=1, sigma=[["0.8 + 0.1*cos(x1)"]], f=YZ_F[1]),
+    "1d_periodic_yz": dict(d=1, sigma=[["0.9"]], boundary="periodic", f=YZ_F[1]),
+    "2d_yz_negative_a01": dict(d=2, sigma=SIGMA_NEG, f=YZ_F[2]),
+    "2d_periodic_yz": dict(d=2, sigma=SIGMA_X_SIGN, boundary="periodic", f=YZ_F[2]),
+}
+
+
+class TestStencilAgainstRollReference:
+    @pytest.mark.parametrize("case", sorted(STENCIL_CASES))
+    def test_entries_bitwise_equal_reference(self, case):
+        prob = stencil_problem(**STENCIL_CASES[case])
+        grid = SpaceGrid.for_problem(prob, 17 if prob.d == 1 else 13)
+        stepper = Stepper(prob, grid)
+        rng = np.random.default_rng(11)
+        for t in (0.9, 0.3):  # the drift depends on t: coefficients re-evaluated
+            vals = rng.uniform(-1.0, 1.0, grid.shape)
+            ent = stepper.entries(vals, t)
+            ref = roll_reference_entries(prob, grid, vals, t)
+            assert ent.shape == ref.shape and ent.dtype == ref.dtype
+            # bitwise, signed zeros included
+            assert np.array_equal(ent.view(np.int64), np.ascontiguousarray(ref).view(np.int64))
+
+    def test_cases_reach_both_cross_signs(self):
+        x = np.linspace(-3.0, 3.0, 13)[:, None, None]
+        for sigma, idx in ((SIGMA_X_SIGN, 0), (SIGMA_U_SIGN, np.arange(2)[:, None, None])):
+            prob = stencil_problem(2, sigma)
+            _, sig = prob.coefficients(0.5, np.concatenate([x, x], axis=-1), idx, 0)
+            a01 = np.asarray(sig[0][0] * sig[1][0] + sig[0][1] * sig[1][1])
+            assert a01.min() < 0.0 < a01.max()
+
+
+class TestAliasing:
+    @pytest.mark.parametrize("boundary", ["clamp", "periodic"])
+    def test_entries_result_survives_later_calls(self, boundary):
+        prob = stencil_problem(2, SIGMA_X_SIGN, boundary=boundary)
+        grid = SpaceGrid.for_problem(prob, 13)
+        stepper = Stepper(prob, grid)
+        rng = np.random.default_rng(5)
+        v1, v2 = rng.uniform(-1.0, 1.0, (2,) + grid.shape)
+        first = stepper.entries(v1, 0.8)
+        kept = first.copy()
+        second = stepper.entries(v2, 0.4)
+        assert np.array_equal(first, kept)
+        assert not np.shares_memory(first, second)
+        for arr in stepper._scratch.values():
+            assert not np.shares_memory(first, arr) and not np.shares_memory(second, arr)
+
+    @pytest.mark.parametrize("d,boundary", [(1, "clamp"), (1, "periodic"),
+                                            (2, "clamp"), (2, "periodic")])
+    def test_levels_share_no_memory(self, d, boundary):
+        sigma = [["0.9"]] if d == 1 else SIGMA_X_SIGN
+        prob = stencil_problem(d, sigma, boundary=boundary, T=0.3)
+        grid = SpaceGrid.for_problem(prob, 17 if d == 1 else 11)
+        for mode in ("relaxed", "pure_lower"):
+            levels = [fld.values for fld in solve(prob, grid, SchemeParams(hamiltonian_mode=mode))]
+            assert len(levels) > 2
+            for i, a in enumerate(levels):
+                for b in levels[i + 1:]:
+                    assert not np.shares_memory(a, b)
+        # the arrays Stepper.step returns are new and never its scratch
+        stepper = Stepper(prob, grid)
+        values = terminal_field(prob, grid).values
+        dt = 0.5 * cfl_limit(prob, grid)
+        stepped = [values]
+        for j in range(4):
+            values, _, _ = stepper.step(values, prob.T - j * dt, dt, "relaxed")
+            stepped.append(values)
+        scratch = list(stepper._scratch.values())
+        assert scratch
+        for i, a in enumerate(stepped):
+            assert not any(np.shares_memory(a, s) for s in scratch)
+            for b in stepped[i + 1:]:
+                assert not np.shares_memory(a, b)
