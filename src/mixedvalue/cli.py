@@ -77,19 +77,26 @@ def _write_csv(path: str, header, rows) -> None:
         w.writerows(rows)
 
 
-def _field_rows(levels, grid):
-    axes = grid.axes
-    rows = []
-    for fld in levels:
-        vals = fld.values
-        if grid.d == 1:
-            for i, x in enumerate(axes[0]):
-                rows.append((fld.t, x, vals[i]))
-        else:
-            for i, x1 in enumerate(axes[0]):
-                for j, x2 in enumerate(axes[1]):
-                    rows.append((fld.t, x1, x2, vals[i, j]))
-    return rows
+def _write_level_csv(path: str, header, runs, grid) -> None:
+    """Write one row per grid node and level, formatted as ``csv`` would.
+
+    ``runs`` is a list of (lead, levels), ``lead`` being the text of the
+    columns before ``t``, each followed by a comma.  Floats are written as ``repr`` of the Python
+    float, which is how ``csv.writer`` formats them, so the bytes equal
+    those of ``csv.writer`` over per-node tuples.
+    """
+    if grid.d == 1:
+        nodes = [repr(x) for x in grid.axes[0].tolist()]
+    else:
+        nodes = [f"{x1!r},{x2!r}" for x1 in grid.axes[0].tolist()
+                 for x2 in grid.axes[1].tolist()]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(header)
+        for lead, levels in runs:
+            for fld in levels:
+                row = f"{lead}{float(fld.t)!r},"
+                fh.write("".join(f"{row}{node},{v!r}\r\n"
+                                 for node, v in zip(nodes, fld.values.ravel().tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +156,7 @@ def _cmd_solve_pde(args, argv, started):
     params = pde.SchemeParams(hamiltonian_mode=args.mode, cfl_safety=args.dt_safety)
     levels = pde.solve(prob, grid, params)
     header = ["t", "x1", "value"] if grid.d == 1 else ["t", "x1", "x2", "value"]
-    _write_csv(args.out, header, _field_rows(levels, grid))
+    _write_level_csv(args.out, header, [("", levels)], grid)
     _write_manifest(args.out, "solve-pde", argv, {
         "problem": args.problem, "nx": args.nx, "mode": args.mode,
         "dt_safety": args.dt_safety, "n_steps": len(levels) - 1,
@@ -168,11 +175,9 @@ def _cmd_solve_partition(args, argv, started):
     orientations = ["lower", "upper"] if args.orientation == "both" else [args.orientation]
     header = (["orientation", "t", "x1", "value"] if grid.d == 1
               else ["orientation", "t", "x1", "x2", "value"])
-    rows = []
-    for orientation in orientations:
-        res = dpp_sweep(prob, grid, pi, params, orientation)
-        rows.extend((orientation,) + r for r in _field_rows(res.levels, grid))
-    _write_csv(args.out, header, rows)
+    runs = [(f"{orientation},", dpp_sweep(prob, grid, pi, params, orientation).levels)
+            for orientation in orientations]
+    _write_level_csv(args.out, header, runs, grid)
     _write_manifest(args.out, "solve-partition", argv, {
         "problem": args.problem, "nx": args.nx, "n_steps": args.n_steps,
         "orientation": args.orientation, "dt_safety": args.dt_safety,

@@ -4,13 +4,18 @@ Controls are piecewise constant along the partition: at the left endpoint
 of every subinterval each player draws a control from their mixed strategy
 using a private randomization stream, the two draws being independent of
 each other and of the driving Brownian increments.  The state then follows
-Euler-Maruyama substeps with the frozen control pair.
+Euler-Maruyama substeps with the frozen control pair.  Only the states
+at the partition times are kept, since a player's draw on [t_{j-1}, t_j)
+sees nothing but the state at t_{j-1}.
 
 Streams come from a counter-based generator (Philox) keyed by the master
 seed with the counter encoding (role, subinterval); within a stream, path
 ``i`` owns a fixed-size block at offset ``i``, so any slice of paths can be
 regenerated bitwise by advancing the counter, independently of how work is
-scheduled.  Normals are produced from uniforms by Box-Muller so every path
+scheduled.  ``simulate`` uses this to run paths in fixed-size chunks, each
+at its own path offset: its results equal those of one chunk bitwise, and
+its memory is O(paths x subintervals) whatever the number of Euler
+substeps.  Normals are produced from uniforms by Box-Muller so every path
 consumes a deterministic number of raw draws (ziggurat sampling would not).
 """
 
@@ -42,6 +47,9 @@ _ROLE_BROWNIAN = 0
 _ROLE_PLAYER1 = 1
 _ROLE_PLAYER2 = 2
 _ROLE_EXPLORE = 3
+
+# paths simulated together; bounds the per-substep work arrays
+_CHUNK_PATHS = 1 << 14
 
 
 class RandomizationDevice:
@@ -194,20 +202,23 @@ class StrategyProfile:
         work_axis = axis[1:-1] if result.mu.shape[1] == axis.size - 2 else axis[:-1]
         return cls("feedback", result.mu, result.nu, cell_axis=work_axis)
 
+    def cells_at(self, x: np.ndarray) -> np.ndarray:
+        """Nearest-node cell of ``cell_axis`` for every state (feedback only)."""
+        if self.mode != "feedback":
+            raise ValueError("only feedback profiles have cells")
+        axis = self.cell_axis
+        # searchsorted gives the right neighbor index
+        right = np.clip(np.searchsorted(axis, x[:, 0]), 0, axis.size - 1)
+        left = np.clip(right - 1, 0, axis.size - 1)
+        use_left = np.abs(axis[left] - x[:, 0]) <= np.abs(axis[right] - x[:, 0])
+        return np.where(use_left, left, right)
+
     def weights_at(self, subinterval: int, player: int, x: np.ndarray) -> np.ndarray:
         """Weights for every path given states at the left endpoint."""
         w = self.u_weights if player == 1 else self.v_weights
         if self.mode == "openloop":
             return np.broadcast_to(w[subinterval], (x.shape[0], w.shape[-1]))
-        cells = np.clip(
-            np.searchsorted(self.cell_axis, x[:, 0]),
-            0, self.cell_axis.size - 1,
-        )
-        # nearest-node cells: searchsorted gives the right neighbor index
-        left = np.clip(cells - 1, 0, self.cell_axis.size - 1)
-        use_left = np.abs(self.cell_axis[left] - x[:, 0]) <= np.abs(self.cell_axis[cells] - x[:, 0])
-        cells = np.where(use_left, left, cells)
-        return w[subinterval][cells]
+        return w[subinterval][self.cells_at(x)]
 
     def to_jsonable(self) -> dict:
         out = {
@@ -239,9 +250,11 @@ class StrategyProfile:
 class PathEnsemble:
     """Simulated forward paths with their control draws.
 
-    ``states`` has shape (n_paths, n_sub*substeps + 1, d); draws are grid
-    indices per subinterval; ``running_cost`` integrates f along each path
-    (left-endpoint rule, meaningful when f is free of (y, z)).
+    ``states`` has shape (n_paths, n_sub + 1, d): the state at each
+    partition time t_0, ..., t_n, the Euler substeps in between not being
+    kept; draws are grid indices per subinterval; ``running_cost``
+    integrates f along each path (left-endpoint rule on the substeps,
+    meaningful when f is free of (y, z)).
     """
 
     states: np.ndarray
@@ -258,10 +271,15 @@ class PathEnsemble:
         return self.states.shape[0]
 
 
-def _draw_indices(uniforms: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Inverse-CDF categorical draw, one per path (weights per path)."""
-    cum = np.cumsum(weights, axis=1)
-    cum[:, -1] = 1.0
+def _cumulative(weights: np.ndarray) -> np.ndarray:
+    """Cumulative weights along the control axis, the last one exactly 1."""
+    cum = np.cumsum(weights, axis=-1)
+    cum[..., -1] = 1.0
+    return cum
+
+
+def _draw_indices(uniforms: np.ndarray, cum: np.ndarray) -> np.ndarray:
+    """Inverse-CDF categorical draw, one per path (``cum`` broadcasts per path)."""
     return (uniforms[:, None] > cum).sum(axis=1)
 
 
@@ -273,6 +291,13 @@ def simulate(prob: Problem, pi: Partition, profile: StrategyProfile, x0,
     their private streams (conditionally independent given the past, and
     state-dependent in feedback mode), then the state advances with
     ``euler_substeps`` Euler-Maruyama steps under the frozen pair.
+
+    Paths run in chunks of ``_CHUNK_PATHS``, each drawing from the streams
+    at its own path offset, so the ensemble is bitwise that of one chunk and
+    memory beyond the returned ensemble is bounded by one chunk.  A
+    non-finite state raises ``ArithmeticError`` naming the earliest
+    (subinterval, substep) at which one occurs and the lowest path index
+    there, whatever the chunk size.
     """
     if n_paths < 1 or euler_substeps < 1:
         raise ValueError("need n_paths >= 1 and euler_substeps >= 1")
@@ -284,39 +309,23 @@ def simulate(prob: Problem, pi: Partition, profile: StrategyProfile, x0,
     if x0.size != prob.d:
         raise ValueError(f"x0 has dimension {x0.size}, expected {prob.d}")
 
-    states = np.empty((n_paths, pi.n * euler_substeps + 1, prob.d))
+    states = np.empty((n_paths, pi.n + 1, prob.d))
     states[:, 0] = x0
     u_idx = np.empty((n_paths, pi.n), dtype=np.int64)
     v_idx = np.empty((n_paths, pi.n), dtype=np.int64)
     cost = np.zeros(n_paths)
+    cums = (_cumulative(profile.u_weights), _cumulative(profile.v_weights))
 
-    x = np.tile(x0, (n_paths, 1))
-    col = 0
-    for j in range(pi.n):
-        t_left, t_right = pi.times[j], pi.times[j + 1]
-        delta = (t_right - t_left) / euler_substeps
-        uw = profile.weights_at(j, 1, x)
-        vw = profile.weights_at(j, 2, x)
-        du = _draw_indices(device.control_uniforms(j, 1, 0, n_paths), uw)
-        dv = _draw_indices(device.control_uniforms(j, 2, 0, n_paths), vw)
-        u_idx[:, j] = du
-        v_idx[:, j] = dv
-        normals = device.brownian_normals(j, 0, n_paths, euler_substeps, prob.d)
-        sqdt = math.sqrt(delta)
-        for s in range(euler_substeps):
-            t = t_left + s * delta
-            b, sig = prob.coefficients(t, x, du, dv)
-            b, sig = stack_entries(b, du.shape), stack_entries(sig, du.shape)
-            cost += delta * prob.running_cost(t, x, du, dv)
-            dw = normals[:, s, :] * sqdt
-            x = x + b * delta + np.einsum("nij,nj->ni", sig, dw)
-            col += 1
-            states[:, col] = x
-            if not np.all(np.isfinite(x)):
-                bad = np.argwhere(~np.isfinite(x))[0]
-                raise ArithmeticError(
-                    f"non-finite state at path {int(bad[0])}, subinterval {j}, substep {s}"
-                )
+    first_bad = None
+    for lo in range(0, n_paths, _CHUNK_PATHS):
+        rows = slice(lo, min(lo + _CHUNK_PATHS, n_paths))
+        bad = _simulate_chunk(prob, pi, profile, cums, euler_substeps, device, lo,
+                              states[rows], u_idx[rows], v_idx[rows], cost[rows])
+        if bad is not None and (first_bad is None or bad < first_bad):
+            first_bad = bad
+    if first_bad is not None:
+        j, s, path = first_bad
+        raise ArithmeticError(f"non-finite state at path {path}, subinterval {j}, substep {s}")
     return PathEnsemble(
         states=states,
         u_indices=u_idx,
@@ -327,6 +336,41 @@ def simulate(prob: Problem, pi: Partition, profile: StrategyProfile, x0,
         x0=x0,
         seed=device.seed,
     )
+
+
+def _simulate_chunk(prob, pi, profile, cums, euler_substeps, device, lo,
+                    states, u_idx, v_idx, cost):
+    """Simulate the paths ``lo, lo + 1, ...`` into the given row slices.
+
+    Returns None, or (subinterval, substep, global path) of the first
+    non-finite state, at which the chunk stops.
+    """
+    n = states.shape[0]
+    x = states[:, 0].copy()
+    for j in range(pi.n):
+        t_left, t_right = pi.times[j], pi.times[j + 1]
+        delta = (t_right - t_left) / euler_substeps
+        cum_u, cum_v = cums[0][j], cums[1][j]
+        if profile.mode == "feedback":
+            cells = profile.cells_at(x)
+            cum_u, cum_v = cum_u[cells], cum_v[cells]
+        du = _draw_indices(device.control_uniforms(j, 1, lo, n), cum_u)
+        dv = _draw_indices(device.control_uniforms(j, 2, lo, n), cum_v)
+        u_idx[:, j] = du
+        v_idx[:, j] = dv
+        normals = device.brownian_normals(j, lo, n, euler_substeps, prob.d)
+        sqdt = math.sqrt(delta)
+        for s in range(euler_substeps):
+            t = t_left + s * delta
+            b, sig = prob.coefficients(t, x, du, dv)
+            b, sig = stack_entries(b, du.shape), stack_entries(sig, du.shape)
+            cost += delta * prob.running_cost(t, x, du, dv)
+            dw = normals[:, s, :] * sqdt
+            x = x + b * delta + np.einsum("nij,nj->ni", sig, dw)
+            if not np.all(np.isfinite(x)):
+                return j, s, lo + int(np.argwhere(~np.isfinite(x))[0, 0])
+        states[:, j + 1] = x
+    return None
 
 
 # ---------------------------------------------------------------------------

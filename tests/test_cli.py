@@ -1,7 +1,25 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 
-from mixedvalue import cli
+from mixedvalue import cli, pde
+from mixedvalue.partition import Partition, dpp_sweep
+from mixedvalue.problem import load_problem
+
+# d=2 with a t-dependent drift and mixed games; kept tiny for the CSV tests
+BILINEAR_2D = {
+    "name": "bilinear_2d", "d": 2, "T": 0.5,
+    "b": ["u1*v1", "0.5*(u1-v1)*cos(t)"],
+    "sigma": [["1", "0"], ["0", "0.8"]],
+    "f": "u1*v1 - 0.1*u1", "phi": "cos(x1)*cos(x2)",
+    "U": {"points": [[-1.0], [0.0], [1.0]]}, "V": {"points": [[-1.0], [1.0]]},
+    "domain": {"min": [-2.0, -2.0], "max": [2.0, 2.0]},
+    "condition41_mode": "sigma_uncontrolled",
+    "bounds": {"sup_b": 1.0, "sup_sigma": 1.0, "lip_y_f": 0.0, "sup_f": 1.1,
+               "lip_phi": 1.5, "sup_phi": 1.0, "value_lip": 1.5},
+}
 
 
 def commands(tmp_path):
@@ -34,3 +52,64 @@ def test_threads_flag_is_gone(tmp_path, capsys):
                         + ["--out", str(out)]) == 2
     assert "error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def problem_source(tmp_path, name):
+    if name != "bilinear_2d":
+        return name
+    path = tmp_path / "bilinear_2d.json"
+    path.write_text(json.dumps(BILINEAR_2D), encoding="utf-8")
+    return str(path)
+
+
+def csv_writer_bytes(path, header, levels_by_lead, grid):
+    """Level CSV as csv.writer writes it over one tuple of numpy scalars per node."""
+    rows = []
+    for lead, levels in levels_by_lead:
+        for fld in levels:
+            vals = fld.values
+            if grid.d == 1:
+                for i, x in enumerate(grid.axes[0]):
+                    rows.append(lead + (fld.t, x, vals[i]))
+            else:
+                for i, x1 in enumerate(grid.axes[0]):
+                    for j, x2 in enumerate(grid.axes[1]):
+                        rows.append(lead + (fld.t, x1, x2, vals[i, j]))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+    return path.read_bytes()
+
+
+class TestLevelCsv:
+    @pytest.mark.parametrize("name,nx", [("uv_drift", 21), ("heat_cosine", 17),
+                                         ("bilinear_2d", 11)])
+    def test_solve_pde_bytes_match_csv_writer(self, tmp_path, name, nx):
+        source = problem_source(tmp_path, name)
+        out = tmp_path / "v.csv"
+        assert cli.dispatch(["solve-pde", "--problem", source, "--nx", str(nx),
+                             "--out", str(out)]) == 0
+        prob = load_problem(source)
+        grid = pde.SpaceGrid.for_problem(prob, nx)
+        levels = pde.solve(prob, grid, pde.SchemeParams())
+        header = ["t", "x1", "value"] if grid.d == 1 else ["t", "x1", "x2", "value"]
+        want = csv_writer_bytes(tmp_path / "ref.csv", header, [((), levels)], grid)
+        assert out.read_bytes() == want
+        assert want.count(b"\r\n") == 1 + len(levels) * int(np.prod(grid.shape))
+
+    @pytest.mark.parametrize("name,nx", [("uv_running_cost", 21), ("bilinear_2d", 9)])
+    def test_solve_partition_bytes_match_csv_writer(self, tmp_path, name, nx):
+        source = problem_source(tmp_path, name)
+        out = tmp_path / "w.csv"
+        assert cli.dispatch(["solve-partition", "--problem", source, "--nx", str(nx),
+                             "--n-steps", "3", "--orientation", "both",
+                             "--out", str(out)]) == 0
+        prob = load_problem(source)
+        grid = pde.SpaceGrid.for_problem(prob, nx)
+        pi = Partition.uniform(prob.T, 3)
+        runs = [((o,), dpp_sweep(prob, grid, pi, pde.SchemeParams(), o).levels)
+                for o in ("lower", "upper")]
+        header = (["orientation", "t", "x1", "value"] if grid.d == 1
+                  else ["orientation", "t", "x1", "x2", "value"])
+        assert out.read_bytes() == csv_writer_bytes(tmp_path / "ref.csv", header, runs, grid)

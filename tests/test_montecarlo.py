@@ -1,5 +1,6 @@
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,21 @@ def heat():
 
 
 PI8 = Partition.uniform(1.0, 8)
+
+
+def skew_2d():
+    """d=2 with state- and control-dependent skew sigma and t-dependent drift."""
+    return load_problem({
+        "name": "skew_controlled_2d", "d": 2, "T": 1.0,
+        "b": ["u1*v1 - 0.1*x1", "0.5*(u1-v1)*cos(t)"],
+        "sigma": [["1 + 0.1*u1*cos(x2)", "0.2"], ["0.1*v1", "0.8"]],
+        "f": "u1*v1 + 0.05*x2", "phi": "cos(x1)*cos(x2)",
+        "U": {"points": [[-1.0], [0.0], [1.0]]}, "V": {"points": [[-1.0], [1.0]]},
+        "domain": {"min": [-2.0, -2.0], "max": [2.0, 2.0]},
+        "condition41_mode": "f_linear_in_z",
+        "bounds": {"sup_b": 1.2, "sup_sigma": 1.1, "lip_y_f": 0.0, "sup_f": 1.1,
+                   "lip_phi": 1.5, "sup_phi": 1.0, "value_lip": 1.5},
+    })
 
 
 class TestRandomizationDevice:
@@ -94,6 +110,20 @@ class TestStrategyProfile:
         x = np.array([[-0.9], [0.1], [2.0]])
         got = prof.weights_at(0, 1, x)
         assert np.array_equal(got, [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
+
+    def test_cells_at_shared_by_both_players(self):
+        axis = np.array([-1.0, 0.0, 1.0])
+        uw = np.array([[[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]])
+        vw = np.array([[[0.0, 1.0], [0.25, 0.75], [1.0, 0.0]]])
+        prof = mc.StrategyProfile("feedback", uw, vw, cell_axis=axis)
+        x = np.array([[-0.9], [-0.5], [0.1], [0.5], [2.0], [-3.0]])
+        cells = prof.cells_at(x)
+        # ties go to the left node
+        assert np.array_equal(cells, [0, 0, 1, 1, 2, 0])
+        assert np.array_equal(prof.weights_at(0, 1, x), uw[0][cells])
+        assert np.array_equal(prof.weights_at(0, 2, x), vw[0][cells])
+        with pytest.raises(ValueError, match="feedback"):
+            mc.StrategyProfile("openloop", uw[0], vw[0]).cells_at(x)
 
     def test_json_round_trip(self, uv_cost):
         prof = mc.StrategyProfile.uniform(uv_cost, 3)
@@ -165,34 +195,144 @@ class TestSimulate:
         assert np.max(np.abs(ens.states[:, -1, 0] - x)) <= 1e-12
 
     def test_first_substep_matches_freeze_2d(self):
-        # d=2, state- and control-dependent skew sigma, mixed open-loop play
-        prob = load_problem({
-            "name": "skew_controlled_2d", "d": 2, "T": 1.0,
-            "b": ["u1*v1 - 0.1*x1", "0.5*(u1-v1)*cos(t)"],
-            "sigma": [["1 + 0.1*u1*cos(x2)", "0.2"], ["0.1*v1", "0.8"]],
-            "f": "u1*v1 + 0.05*x2", "phi": "cos(x1)*cos(x2)",
-            "U": {"points": [[-1.0], [0.0], [1.0]]}, "V": {"points": [[-1.0], [1.0]]},
-            "domain": {"min": [-2.0, -2.0], "max": [2.0, 2.0]},
-            "condition41_mode": "f_linear_in_z",
-            "bounds": {"sup_b": 1.2, "sup_sigma": 1.1, "lip_y_f": 0.0, "sup_f": 1.1,
-                       "lip_phi": 1.5, "sup_phi": 1.0, "value_lip": 1.5},
-        })
+        # d=2, state- and control-dependent skew sigma, mixed open-loop play;
+        # one substep per subinterval, so states[:, 1] is the first Euler step
+        prob = skew_2d()
         pi = Partition.uniform(1.0, 2)
         prof = mc.StrategyProfile("openloop", [[0.2, 0.3, 0.5]] * 2, [[0.6, 0.4]] * 2)
         x0 = np.array([0.3, -0.4])
-        ens = mc.simulate(prob, pi, prof, x0, 300, 3, mc.RandomizationDevice(8))
+        ens = mc.simulate(prob, pi, prof, x0, 300, 1, mc.RandomizationDevice(8))
         assert len(set(zip(ens.u_indices[:, 0], ens.v_indices[:, 0]))) == 6
-        delta = (pi.times[1] - pi.times[0]) / 3
-        dw = mc.RandomizationDevice(8).brownian_normals(0, 0, 300, 3, 2)[:, 0] * math.sqrt(delta)
+        delta = (pi.times[1] - pi.times[0]) / 1
+        dw = mc.RandomizationDevice(8).brownian_normals(0, 0, 300, 1, 2)[:, 0] * math.sqrt(delta)
         for i in range(300):
             fr = freeze(prob, 0.0, x0, ens.u_indices[i, 0], ens.v_indices[i, 0])
             sig_dw = fr.sigma[:, 0] * dw[i, 0] + fr.sigma[:, 1] * dw[i, 1]
             assert np.array_equal(ens.states[i, 1], x0 + fr.b * delta + sig_dw)
 
+    def test_feedback_draws_follow_partition_time_states(self):
+        # each player's point mass depends on the cell of the state kept at
+        # t_j, differently for u and v; a direct Euler loop with those draws
+        # reproduces every kept state
+        prob = load_problem("uv_drift")
+        axis = np.array([-0.5, 0.0, 0.5])
+        uw = np.zeros((4, 3, 2))
+        vw = np.zeros((4, 3, 2))
+        for c in range(3):
+            uw[:, c, c % 2] = 1.0
+            vw[:, c, int(c == 0)] = 1.0
+        prof = mc.StrategyProfile("feedback", uw, vw, cell_axis=axis)
+        pi = Partition.uniform(1.0, 4)
+        ens = mc.simulate(prob, pi, prof, [0.1], 300, 2, mc.RandomizationDevice(6))
+        assert ens.states.shape == (300, 5, 1)
+        x = np.full(300, 0.1)
+        delta = 1.0 / 8.0
+        for j in range(4):
+            assert np.array_equal(ens.states[:, j, 0], x)
+            cells = np.abs(axis[None, :] - x[:, None]).argmin(axis=1)
+            assert np.array_equal(ens.u_indices[:, j], cells % 2)
+            assert np.array_equal(ens.v_indices[:, j], (cells == 0).astype(int))
+            uv = prob.u_grid.points[cells % 2, 0] * prob.v_grid.points[(cells == 0) * 1, 0]
+            z = mc.RandomizationDevice(6).brownian_normals(j, 0, 300, 2, 1)
+            for s in range(2):
+                x = x + uv * delta + z[:, s, 0] * math.sqrt(delta)
+        assert np.array_equal(ens.states[:, 4, 0], x)
+        assert len(set(ens.u_indices[:, 2])) == 2 and len(set(ens.v_indices[:, 2])) == 2
+
     def test_profile_partition_mismatch(self, uv_cost):
         with pytest.raises(ValueError, match="subintervals"):
             mc.simulate(uv_cost, PI8, mc.StrategyProfile.uniform(uv_cost, 4),
                         [0.0], 10, 1, mc.RandomizationDevice(0))
+
+
+def ensemble_bytes(ens):
+    """Every PathEnsemble field, arrays by their raw bytes."""
+    out = {}
+    for name in ("states", "u_indices", "v_indices", "running_cost", "x0"):
+        a = getattr(ens, name)
+        out[name] = (a.dtype.str, a.shape, a.tobytes())
+    out["partition"] = tuple(ens.partition.times)
+    out["rest"] = (ens.euler_substeps, ens.seed, ens.n_paths)
+    return out
+
+
+class SpikedDevice(mc.RandomizationDevice):
+    """Brownian normals with +inf planted at (subinterval, substep, global path)."""
+
+    def __init__(self, seed, spikes):
+        super().__init__(seed)
+        self.spikes = spikes
+
+    def brownian_normals(self, subinterval, path_start, n_paths, substeps, d):
+        z = super().brownian_normals(subinterval, path_start, n_paths, substeps, d)
+        for j, s, path in self.spikes:
+            if j == subinterval and path_start <= path < path_start + n_paths:
+                z[path - path_start, s, 0] = np.inf
+        return z
+
+
+class TestChunking:
+    """Paths run in chunks at their own Philox offsets; nothing may show it."""
+
+    SIZES = (1, 7, mc._CHUNK_PATHS)
+
+    def feedback_1d(self):
+        prob = load_problem("uv_drift")
+        pi = Partition.uniform(prob.T, 4)
+        grid = SpaceGrid.for_problem(prob, 31)
+        res = dpp_sweep(prob, grid, pi, SchemeParams(), "lower", record_strategies=True)
+        return prob, pi, mc.StrategyProfile.from_sweep(res, grid), [0.3], 3
+
+    def openloop_2d(self):
+        prob = skew_2d()
+        pi = Partition.uniform(1.0, 3)
+        prof = mc.StrategyProfile("openloop", [[0.2, 0.3, 0.5], [0.1, 0.1, 0.8], [0.5, 0.0, 0.5]],
+                                  [[0.6, 0.4], [0.5, 0.5], [0.9, 0.1]])
+        return prob, pi, prof, [0.3, -0.4], 2
+
+    @pytest.mark.parametrize("case", ["feedback_1d", "openloop_2d"])
+    def test_results_independent_of_chunk_size(self, monkeypatch, case):
+        prob, pi, prof, x0, substeps = getattr(self, case)()
+        runs = []
+        for size in self.SIZES:
+            monkeypatch.setattr(mc, "_CHUNK_PATHS", size)
+            ens = mc.simulate(prob, pi, prof, x0, 100, substeps, mc.RandomizationDevice(17))
+            est = mc.estimate_payoff(ens, prob)
+            runs.append((ensemble_bytes(ens), est.mean.hex(), est.std_error.hex(), est.n_paths))
+        assert runs[0][0]["states"][1] == (100, pi.n + 1, prob.d)
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
+
+    def test_error_names_global_path(self, heat, monkeypatch):
+        # path 9 is the first to go non-finite, at (1, 2); path 3, in the
+        # first chunk of 7, only at (2, 0), and path 20 at (1, 2) too
+        spikes = [(2, 0, 3), (1, 2, 20), (1, 2, 9)]
+        messages = []
+        for size in self.SIZES:
+            monkeypatch.setattr(mc, "_CHUNK_PATHS", size)
+            with pytest.raises(ArithmeticError) as err:
+                mc.simulate(heat, Partition.uniform(1.0, 4), mc.StrategyProfile.uniform(heat, 4),
+                            [0.0], 30, 3, SpikedDevice(4, spikes))
+            messages.append(str(err.value))
+        assert messages == ["non-finite state at path 9, subinterval 1, substep 2"] * 3
+
+    def test_memory_bounded_by_kept_ensemble(self):
+        prob = load_problem("uv_drift")
+        pi = Partition.uniform(prob.T, 8)
+        grid = SpaceGrid.for_problem(prob, 41)
+        res = dpp_sweep(prob, grid, pi, SchemeParams(), "lower", record_strategies=True)
+        prof = mc.StrategyProfile.from_sweep(res, grid)
+        tracemalloc.start()
+        try:
+            ens = mc.simulate(prob, pi, prof, [0.0], 200_000, 4, mc.RandomizationDevice(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ens.states.shape == (200_000, pi.n + 1, 1)
+        kept = sum(a.nbytes for a in (ens.states, ens.u_indices, ens.v_indices,
+                                      ens.running_cost))
+        # keeping every substep's state would need about 1.6x
+        assert peak <= 1.25 * kept
 
 
 class TestEstimatePayoff:
