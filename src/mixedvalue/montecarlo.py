@@ -17,6 +17,10 @@ at its own path offset: its results equal those of one chunk bitwise, and
 its memory is O(paths x subintervals) whatever the number of Euler
 substeps.  Normals are produced from uniforms by Box-Muller so every path
 consumes a deterministic number of raw draws (ziggurat sampling would not).
+
+Since both controls are frozen on a subinterval, the b, sigma and f entries
+are evaluated for the drawn pairs once per subinterval (and chunk), and
+again at every Euler substep only where they name t or a state component.
 """
 
 from __future__ import annotations
@@ -278,9 +282,18 @@ def _cumulative(weights: np.ndarray) -> np.ndarray:
     return cum
 
 
-def _draw_indices(uniforms: np.ndarray, cum: np.ndarray) -> np.ndarray:
-    """Inverse-CDF categorical draw, one per path (``cum`` broadcasts per path)."""
-    return (uniforms[:, None] > cum).sum(axis=1)
+def _draw_indices(uniforms: np.ndarray, cum: np.ndarray, cells=None) -> np.ndarray:
+    """Inverse-CDF categorical draw, one per path.
+
+    The index is the number of cumulative weights below the uniform; ``cum``
+    is one row of them, or one row per cell gathered by ``cells`` per path.
+    The last weight is exactly 1 and uniforms are below 1, so only the m - 1
+    leading columns are compared.
+    """
+    idx = np.zeros(uniforms.shape, dtype=np.int64)
+    for k in range(cum.shape[-1] - 1):
+        idx += uniforms > (cum[k] if cells is None else cum[cells, k])
+    return idx
 
 
 def simulate(prob: Problem, pi: Partition, profile: StrategyProfile, x0,
@@ -290,7 +303,10 @@ def simulate(prob: Problem, pi: Partition, profile: StrategyProfile, x0,
     Per subinterval: both players draw controls at the left endpoint from
     their private streams (conditionally independent given the past, and
     state-dependent in feedback mode), then the state advances with
-    ``euler_substeps`` Euler-Maruyama steps under the frozen pair.
+    ``euler_substeps`` Euler-Maruyama steps under the frozen pair.  A
+    b, sigma or f entry is evaluated at the first substep of a subinterval,
+    and at each later one only if it names t or x; the result is bitwise
+    that of evaluating every entry at every substep.
 
     Paths run in chunks of ``_CHUNK_PATHS``, each drawing from the streams
     at its own path offset, so the ensemble is bitwise that of one chunk and
@@ -346,27 +362,34 @@ def _simulate_chunk(prob, pi, profile, cums, euler_substeps, device, lo,
     non-finite state, at which the chunk stops.
     """
     n = states.shape[0]
+    moving = frozenset(("t", *prob.x_names()))
     x = states[:, 0].copy()
     for j in range(pi.n):
         t_left, t_right = pi.times[j], pi.times[j + 1]
         delta = (t_right - t_left) / euler_substeps
-        cum_u, cum_v = cums[0][j], cums[1][j]
-        if profile.mode == "feedback":
-            cells = profile.cells_at(x)
-            cum_u, cum_v = cum_u[cells], cum_v[cells]
-        du = _draw_indices(device.control_uniforms(j, 1, lo, n), cum_u)
-        dv = _draw_indices(device.control_uniforms(j, 2, lo, n), cum_v)
+        cells = profile.cells_at(x) if profile.mode == "feedback" else None
+        du = _draw_indices(device.control_uniforms(j, 1, lo, n), cums[0][j], cells)
+        dv = _draw_indices(device.control_uniforms(j, 2, lo, n), cums[1][j], cells)
         u_idx[:, j] = du
         v_idx[:, j] = dv
         normals = device.brownian_normals(j, lo, n, euler_substeps, prob.d)
         sqdt = math.sqrt(delta)
+        # the controls are frozen: after the first substep only the entries
+        # naming t or x are evaluated again, and stacked and scaled if they were
+        coef = None
         for s in range(euler_substeps):
             t = t_left + s * delta
-            b, sig = prob.coefficients(t, x, du, dv)
-            b, sig = stack_entries(b, du.shape), stack_entries(sig, du.shape)
-            cost += delta * prob.running_cost(t, x, du, dv)
+            prev, coef = coef, prob._evaluate_entries(t, x, du, dv, coef, moving)
+            b, sig, f = coef
+            if prev is None or b is not prev[0]:
+                b_delta = stack_entries(b, du.shape) * delta
+            if prev is None or sig is not prev[1]:
+                sig_stacked = stack_entries(sig, du.shape)
+            if prev is None or f is not prev[2]:
+                f_delta = delta * f
+            cost += f_delta
             dw = normals[:, s, :] * sqdt
-            x = x + b * delta + np.einsum("nij,nj->ni", sig, dw)
+            x = x + b_delta + np.einsum("nij,nj->ni", sig_stacked, dw)
             if not np.all(np.isfinite(x)):
                 return j, s, lo + int(np.argwhere(~np.isfinite(x))[0, 0])
         states[:, j + 1] = x

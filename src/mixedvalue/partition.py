@@ -230,7 +230,7 @@ def dpp_sweep(prob: Problem, grid: SpaceGrid, pi: Partition, params: SchemeParam
         for s in range(m_sub):
             values = stepper.step_frozen(values, t, delta, mu, nu)
             t = t_right - (s + 1) * delta
-        fld = ValueField(t=t_left, values=values, label=label)
+        fld = ValueField._adopt(t_left, values, label)
         fld.check_bound(prob)
         levels.append(fld)
     if record_strategies:

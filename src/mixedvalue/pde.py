@@ -28,7 +28,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import dsl
 from .games import GameError, solve_games
 from .problem import Problem, interior_window, value_bound
 
@@ -47,6 +46,8 @@ __all__ = [
     "window_mask",
     "discrete_lipschitz",
 ]
+
+_TIME = frozenset(("t",))
 
 _MODE_LABELS = {
     "relaxed": "V_mixed",
@@ -132,6 +133,19 @@ class ValueField:
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
+    @classmethod
+    def _adopt(cls, t: float, values: np.ndarray, label: str) -> "ValueField":
+        """A field owning ``values``, a fresh finite array from :meth:`Stepper._finish`.
+
+        It is made read-only in place, without the copy and the scan of the
+        constructor, which :meth:`Stepper._finish` has already done.
+        """
+        values.flags.writeable = False
+        field = object.__new__(cls)
+        for name, value in (("t", t), ("values", values), ("label", label)):
+            object.__setattr__(field, name, value)
+        return field
+
     def check_bound(self, prob: Problem) -> None:
         limit = 1.1 * value_bound(prob) + 1e-9
         sup = float(np.max(np.abs(self.values)))
@@ -205,12 +219,15 @@ class _StencilCoefficients:
 class Stepper:
     """Precomputed per-(grid, problem) stencil state.
 
-    Each call of :meth:`entries` evaluates b, sigma and f once for all
-    control pairs and work nodes together, every coefficient in its own
-    broadcast shape, and kept across calls while no coefficient depends on
-    t.  The stencil reads one padded level, the level itself under clamp
-    boundaries and its periodic cell wrapped by one node otherwise, so every
-    neighbour is a slice of it.  Differences, stencil fields and partial
+    b, sigma and f(y=0, z=0) are evaluated on the work region for every
+    control pair at once, each entry in its own broadcast shape.  An entry
+    that names t is evaluated once per level (each :meth:`entries` call),
+    any other once per Stepper; the stencil weights derived from an entry
+    (upwind drift parts, 0.5 (sigma sigma^T)_ii, the cross term) are redone
+    only when it is.  An f that names y or z is evaluated at every call,
+    with the level and its upwind gradient.  The stencil reads one padded
+    level, the level itself under clamp boundaries and its periodic cell
+    wrapped by one node otherwise, so every neighbour is a slice of it.  Differences, stencil fields and partial
     sums are computed in place in work arrays the Stepper allocates on first
     use and then reuses; the generator accumulates in a fresh array, which
     :meth:`entries` returns and callers may keep.  So a step allocates no
@@ -248,11 +265,7 @@ class Stepper:
         self._iu = np.arange(self.m).reshape((self.m, 1) + ones)
         self._iv = np.arange(self.k).reshape((1, self.k) + ones)
         self._f_needs_yz = prob.f_needs_yz
-        # b, sigma and f(y=0, z=0) on the work region, kept across calls
-        # while no coefficient depends on t
-        exprs = (*prob.b, *(e for row in prob.sigma for e in row), prob.f)
-        self._coef_needs_t = any("t" in dsl.free_variables(e) for e in exprs)
-        self._coef = None
+        self._coef = None  # the last _coefficients result, reused entry by entry
         self._kernels = None  # per-node kernel of the last relaxed game solve
         self._scratch = {}  # work arrays by name, reused across calls
 
@@ -266,26 +279,37 @@ class Stepper:
         return arr
 
     def _coefficients(self, t) -> _StencilCoefficients:
-        """Stencil coefficients at t, kept across calls while none depends on t."""
-        if self._coef is None or self._coef_needs_t:
-            prob, xw, iu, iv = self.prob, self._xw, self._iu, self._iv
-            b, sig = prob.coefficients(t, xw, iu, iv)
-            if self.d == 1:
-                half_a = (0.5 * (sig[0][0] * sig[0][0]),)
-                a01 = None
+        """Stencil coefficients at t: only what derives from entries naming t is redone."""
+        old = self._coef
+        b, sig, f = self.prob._evaluate_entries(
+            t, self._xw, self._iu, self._iv,
+            None if old is None else (old.b, old.sigma, old.f), _TIME,
+            with_f=not self._f_needs_yz,
+        )
+        if old is not None and b is old.b and sig is old.sigma and f is old.f:
+            return old
+        up, down, half_a = [], [], []
+        for i in range(self.d):
+            if old is not None and b[i] is old.b[i]:
+                up.append(old.up[i])
+                down.append(old.down[i])
             else:
-                half_a = (0.5 * (sig[0][0] * sig[0][0] + sig[0][1] * sig[0][1]),
-                          0.5 * (sig[1][0] * sig[1][0] + sig[1][1] * sig[1][1]))
-                a01 = sig[0][0] * sig[1][0] + sig[0][1] * sig[1][1]
-            self._coef = _StencilCoefficients(
-                b=b,
-                sigma=sig,
-                up=tuple(np.maximum(bi, 0.0) for bi in b),
-                down=tuple(np.maximum(-bi, 0.0) for bi in b),
-                half_a=half_a,
-                a01=a01,
-                f=None if self._f_needs_yz else prob.running_cost(t, xw, iu, iv),
-            )
+                up.append(np.maximum(b[i], 0.0))
+                down.append(np.maximum(-b[i], 0.0))
+            row = sig[i]
+            if old is not None and row is old.sigma[i]:
+                half_a.append(old.half_a[i])
+            else:
+                half_a.append(0.5 * (row[0] * row[0] if self.d == 1
+                                     else row[0] * row[0] + row[1] * row[1]))
+        if self.d == 1:
+            a01 = None
+        elif old is not None and sig is old.sigma:
+            a01 = old.a01
+        else:
+            a01 = sig[0][0] * sig[1][0] + sig[0][1] * sig[1][1]
+        self._coef = _StencilCoefficients(b=b, sigma=sig, up=tuple(up), down=tuple(down),
+                                          half_a=tuple(half_a), a01=a01, f=f)
         return self._coef
 
     def entries(self, values: np.ndarray, t: float) -> np.ndarray:
@@ -519,7 +543,7 @@ def solve(prob: Problem, grid: SpaceGrid, params: SchemeParams) -> list:
     for step_idx in range(n_steps):
         values, _, _ = stepper.step(values, t, dt, params.hamiltonian_mode)
         t = prob.T * (n_steps - step_idx - 1) / n_steps
-        fld = ValueField(t=t, values=values, label=label)
+        fld = ValueField._adopt(t, values, label)
         fld.check_bound(prob)
         levels.append(fld)
     return levels

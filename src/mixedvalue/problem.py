@@ -14,7 +14,10 @@ The solvers require one of two structural modes:
 :meth:`Problem.coefficients`, :meth:`Problem.running_cost` and
 :meth:`Problem.terminal_cost` are the one place where the expressions are
 evaluated; their arguments broadcast, so one call covers every control
-pair at every state.
+pair at every state.  Solvers that hold some arguments fixed across calls
+(the stencil its nodes and controls, a simulation its frozen controls)
+use ``Problem._evaluate_entries``, which evaluates again only the entries
+naming an argument that changed.
 
 Catalog problems carry exact finite control sets so no control
 discretization error enters the benchmarks.
@@ -27,6 +30,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -176,7 +180,7 @@ class Problem:
     @property
     def f_needs_yz(self) -> bool:
         """Whether the running cost names y or any z component."""
-        return bool(dsl.free_variables(self.f) & {"y", *self.z_names()})
+        return bool(self._entry_variables[2] & {"y", *self.z_names()})
 
     # -- coefficient evaluation ---------------------------------------------
     #
@@ -197,11 +201,44 @@ class Problem:
             out[name] = vp[..., i]
         return out
 
+    @cached_property
+    def _entry_variables(self) -> tuple:
+        """Free variables of the b, sigma and f entries, nested like (b, sigma, f)."""
+        names = dsl.free_variables
+        return (tuple(names(e) for e in self.b),
+                tuple(tuple(names(e) for e in row) for row in self.sigma),
+                names(self.f))
+
+    @cached_property
+    def _any_entry_variables(self) -> frozenset:
+        """Every variable that some b, sigma or f entry names."""
+        b, sigma, f = self._entry_variables
+        return f.union(*b, *(n for row in sigma for n in row))
+
+    def _evaluate_entries(self, t, x, iu, iv, previous=None, changed=frozenset(),
+                          with_f=True) -> tuple:
+        """(b, sigma, f), f at y = 0 and z = 0, or None unless ``with_f``.
+
+        Without ``previous`` every entry is evaluated.  Otherwise
+        ``previous`` is an earlier result at arguments that differ from
+        these only in the variables named in ``changed``, and only the
+        entries naming one of them are evaluated again.  Every other entry
+        is the object in ``previous``, and so is b, a row of sigma or sigma
+        when none of its entries was evaluated again: callers tell what
+        changed by identity.
+        """
+        if previous is not None and self._any_entry_variables.isdisjoint(changed):
+            return previous
+        bindings = self._bind(t, x, iu, iv)
+        bindings["y"] = 0.0
+        bindings.update((name, 0.0) for name in self.z_names())
+        exprs = (self.b, self.sigma, self.f if with_f else None)
+        return _renew(exprs, self._entry_variables, previous, changed,
+                      lambda expr: dsl.evaluate(expr, bindings))
+
     def coefficients(self, t, x, iu, iv) -> tuple:
         """(b, sigma): d drift entries and d x d diffusion entries."""
-        bnd = self._bind(t, x, iu, iv)
-        b = tuple(dsl.evaluate(e, bnd) for e in self.b)
-        sigma = tuple(tuple(dsl.evaluate(e, bnd) for e in row) for row in self.sigma)
+        b, sigma, _ = self._evaluate_entries(t, x, iu, iv, with_f=False)
         return b, sigma
 
     def running_cost(self, t, x, iu, iv, y=0.0, z=0.0):
@@ -216,6 +253,27 @@ class Problem:
         """phi(x) for x of shape (..., d)."""
         x = np.asarray(x, dtype=float)
         return dsl.evaluate(self.phi, {name: x[..., i] for i, name in enumerate(self.x_names())})
+
+
+def _renew(exprs, names, previous, changed, evaluate):
+    """``exprs`` (nested tuples of expressions) with their entries evaluated.
+
+    An entry is evaluated when there is no ``previous`` or when its
+    variables ``names`` meet ``changed``; otherwise it is taken from
+    ``previous``, and a tuple none of whose entries was evaluated is
+    ``previous`` itself.  A None expression stays None.
+    """
+    if exprs is None:
+        return None
+    if isinstance(exprs, tuple):
+        prevs = (None,) * len(exprs) if previous is None else previous
+        out = tuple(_renew(e, n, p, changed, evaluate) for e, n, p in zip(exprs, names, prevs))
+        if previous is not None and all(o is p for o, p in zip(out, previous)):
+            return previous
+        return out
+    if previous is None or not names.isdisjoint(changed):
+        return evaluate(exprs)
+    return previous
 
 
 # ---------------------------------------------------------------------------

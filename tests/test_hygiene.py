@@ -69,3 +69,60 @@ def test_checker_flags_only_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# dsl.py defines the expression evaluator; problem.py is the one place that
+# evaluates coefficients with it and inspects their variables
+EVALUATOR_NAMES = ("evaluate", "free_variables")
+EVALUATOR_OWNERS = ("dsl.py", "problem.py")
+
+
+def dsl_evaluator_uses(source: str) -> list:
+    """References to dsl.evaluate or dsl.free_variables, through any alias of dsl."""
+    tree = ast.parse(source)
+    aliases = {"dsl"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name == "dsl":
+                    aliases.add(alias.asname or "dsl")
+                elif (node.module or "").split(".")[-1] == "dsl" and alias.name in EVALUATOR_NAMES:
+                    found.append((node.lineno, alias.name))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[-1] == "dsl" and alias.asname:
+                    aliases.add(alias.asname)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in EVALUATOR_NAMES:
+            owner = node.value
+            if ((isinstance(owner, ast.Name) and owner.id in aliases)
+                    or (isinstance(owner, ast.Attribute) and owner.attr == "dsl")):
+                found.append((node.lineno, node.attr))
+    return [f"dsl.{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_evaluator_checker_finds_every_form():
+    source = (
+        "from . import dsl\n"
+        "from . import dsl as expr\n"
+        "from .dsl import free_variables, parse\n"
+        "import mixedvalue.dsl as md\n"
+        "import mixedvalue\n"
+        "def f(e):\n"
+        "    dsl.parse('x', ())\n"
+        "    raise dsl.ExpressionError(expr.evaluate(e, {}))\n"
+        "def g(e):\n"
+        "    return md.free_variables(e) | mixedvalue.dsl.evaluate(e, {}) | dsl.evaluate\n"
+    )
+    assert dsl_evaluator_uses(source) == [
+        "dsl.free_variables (line 3)", "dsl.evaluate (line 8)",
+        "dsl.evaluate (line 10)", "dsl.evaluate (line 10)", "dsl.free_variables (line 10)",
+    ]
+    assert dsl_evaluator_uses("from . import dsl\nE = dsl.ExpressionError\n") == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in EVALUATOR_OWNERS],
+                         ids=[p.name for p in MODULES if p.name not in EVALUATOR_OWNERS])
+def test_coefficients_evaluated_only_in_problem(path):
+    assert dsl_evaluator_uses(path.read_text(encoding="utf-8")) == []

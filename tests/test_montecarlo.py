@@ -1,10 +1,12 @@
 import copy
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from mixedvalue import dsl
 from mixedvalue import montecarlo as mc
 from mixedvalue.partition import Partition, dpp_sweep
 from mixedvalue.pde import SchemeParams, SpaceGrid
@@ -333,6 +335,152 @@ class TestChunking:
                                       ens.running_cost))
         # keeping every substep's state would need about 1.6x
         assert peak <= 1.25 * kept
+
+
+def moving_1d():
+    """d=1: b names t, sigma names neither t nor x, f names x."""
+    return variant("uv_running_cost", name="moving_1d", b=["u1*v1*cos(t)"],
+                   f="u1*v1 + 0.1*sin(x1)", bounds={"sup_b": 1.0, "sup_f": 1.1})
+
+
+def moving_2d():
+    """d=2: entries naming t, x, both or neither, in b, in both rows of sigma and in f."""
+    return load_problem({
+        "name": "moving_2d", "d": 2, "T": 1.0,
+        "b": ["u1*v1 - 0.1*x1 + 0.05*sin(t)", "0.5*(u1-v1)"],
+        "sigma": [["1 + 0.1*u1*cos(x2)", "0.2*cos(t)"], ["0.1*v1", "0.8"]],
+        "f": "u1*v1*cos(t) + 0.05*x2", "phi": "cos(x1)*cos(x2)",
+        "U": {"points": [[-1.0], [0.0], [1.0]]}, "V": {"points": [[-1.0], [1.0]]},
+        "domain": {"min": [-2.0, -2.0], "max": [2.0, 2.0]},
+        "condition41_mode": "f_linear_in_z",
+        "bounds": {"sup_b": 1.3, "sup_sigma": 1.1, "lip_y_f": 0.0, "sup_f": 1.1,
+                   "lip_phi": 1.5, "sup_phi": 1.0, "value_lip": 1.5},
+    })
+
+
+def per_substep_euler(prob, pi, profile, x0, n_paths, substeps, seed):
+    """Open-loop simulation evaluating every coefficient at every substep."""
+    dev = mc.RandomizationDevice(seed)
+    x = np.tile(np.asarray(x0, dtype=float), (n_paths, 1))
+    states, cost = [x], np.zeros(n_paths)
+    for j in range(pi.n):
+        delta = (pi.times[j + 1] - pi.times[j]) / substeps
+        draws = []
+        for player, w in ((1, profile.u_weights[j]), (2, profile.v_weights[j])):
+            cum = np.cumsum(w)
+            cum[-1] = 1.0
+            draws.append((dev.control_uniforms(j, player, 0, n_paths)[:, None] > cum).sum(axis=1))
+        du, dv = draws
+        z = dev.brownian_normals(j, 0, n_paths, substeps, prob.d)
+        for s in range(substeps):
+            t = pi.times[j] + s * delta
+            b, sig = prob.coefficients(t, x, du, dv)
+            b = np.stack([np.broadcast_to(e, (n_paths,)) for e in b], axis=-1)
+            sig = np.stack([np.stack([np.broadcast_to(e, (n_paths,)) for e in row], axis=-1)
+                            for row in sig], axis=1)
+            cost += delta * prob.running_cost(t, x, du, dv)
+            x = x + b * delta + np.einsum("nij,nj->ni", sig, z[:, s, :] * math.sqrt(delta))
+        states.append(x)
+    return np.stack(states, axis=1), cost
+
+
+class CountedEvaluate:
+    """dsl.evaluate wrapped to count calls per expression."""
+
+    def __init__(self, monkeypatch):
+        self.counts = Counter()
+        inner = dsl.evaluate
+
+        def evaluate(expr, bindings):
+            self.counts[expr] += 1
+            return inner(expr, bindings)
+
+        monkeypatch.setattr(dsl, "evaluate", evaluate)
+
+    def __getitem__(self, expr):
+        return self.counts[expr]
+
+    @property
+    def total(self):
+        return sum(self.counts.values())
+
+
+class TestCoefficientReuse:
+    """Only entries naming t or x are evaluated again within a subinterval."""
+
+    @pytest.mark.parametrize("case", ["moving_1d", "moving_2d"])
+    def test_states_equal_per_substep_euler(self, monkeypatch, case):
+        prob = globals()[case]()
+        pi = Partition.uniform(1.0, 3)
+        m, k = prob.u_grid.n, prob.v_grid.n
+        rng = np.random.default_rng(2)
+        prof = mc.StrategyProfile("openloop", rng.dirichlet(np.ones(m), size=3),
+                                  rng.dirichlet(np.ones(k), size=3))
+        x0 = [0.3, -0.4][:prob.d]
+        monkeypatch.setattr(mc, "_CHUNK_PATHS", 64)
+        ens = mc.simulate(prob, pi, prof, x0, 150, 4, mc.RandomizationDevice(12))
+        states, cost = per_substep_euler(prob, pi, prof, x0, 150, 4, 12)
+        assert len(set(zip(ens.u_indices[:, 0], ens.v_indices[:, 0]))) == m * k
+        assert ens.states.tobytes() == states.tobytes()
+        assert ens.running_cost.tobytes() == cost.tobytes()
+
+    def test_constant_entries_once_per_chunk_and_subinterval(self, monkeypatch):
+        prob = load_problem("uv_drift")
+        monkeypatch.setattr(mc, "_CHUNK_PATHS", 40)
+        counted = CountedEvaluate(monkeypatch)
+        mc.simulate(prob, Partition.uniform(1.0, 4), mc.StrategyProfile.uniform(prob, 4),
+                    [0.0], 100, 3, mc.RandomizationDevice(0))
+        per_entry = 3 * 4  # chunks x subintervals
+        assert counted[prob.b[0]] == counted[prob.sigma[0][0]] == counted[prob.f] == per_entry
+        assert counted.total == 3 * per_entry
+
+    def test_moving_entries_every_substep(self, monkeypatch):
+        prob = moving_1d()
+        monkeypatch.setattr(mc, "_CHUNK_PATHS", 40)
+        counted = CountedEvaluate(monkeypatch)
+        mc.simulate(prob, Partition.uniform(1.0, 4), mc.StrategyProfile.uniform(prob, 4),
+                    [0.0], 100, 3, mc.RandomizationDevice(0))
+        assert counted[prob.b[0]] == counted[prob.f] == 3 * 4 * 3  # names t, x
+        assert counted[prob.sigma[0][0]] == 3 * 4  # names neither
+        assert counted.total == 3 * 4 * 7
+
+
+def old_draw_indices(uniforms, cum):
+    """The inverse-CDF draw against the whole (n, m) table of cumulative weights."""
+    return (uniforms[:, None] > cum).sum(axis=1)
+
+
+class TestDrawIndices:
+    def uniforms(self, cum, n=400):
+        # random uniforms, every cumulative weight below 1 and its neighbours
+        edges = np.unique(cum[cum < 1.0])
+        near = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+                               [0.0, np.nextafter(1.0, 0.0)]])
+        u = np.concatenate([near, np.random.default_rng(3).random(n)])
+        return u[(u >= 0.0) & (u < 1.0)]
+
+    @pytest.mark.parametrize("weights", [[1.0], [0.5, 0.5], [0.25, 0.25, 0.5],
+                                         [0.5, 0.0, 0.5], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0],
+                                         [0.0, 1.0, 0.0], [0.1, 0.2, 0.3, 0.0, 0.4]])
+    def test_openloop_equals_whole_table(self, weights):
+        cum = mc._cumulative(np.array(weights))
+        u = self.uniforms(cum)
+        new, old = mc._draw_indices(u, cum), old_draw_indices(u, cum)
+        assert new.dtype == old.dtype and np.array_equal(new, old)
+        # a zero-weight control is drawn only by a uniform of exactly 0
+        assert set(new[u > 0.0]) <= {i for i, w in enumerate(weights) if w > 0}
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_feedback_cells_equal_gathered_table(self, m):
+        rng = np.random.default_rng(m)
+        w = rng.dirichlet(np.ones(m), size=6)
+        w[1] = np.eye(m)[-1]  # zero weights before the last control
+        w[2] = np.eye(m)[0]  # zero weights after the first
+        cum = mc._cumulative(w)
+        u = self.uniforms(cum)
+        cells = rng.integers(0, 6, size=u.size)
+        new, old = mc._draw_indices(u, cum, cells), old_draw_indices(u, cum[cells])
+        assert new.dtype == old.dtype and np.array_equal(new, old)
 
 
 class TestEstimatePayoff:

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from mixedvalue import dsl
 from mixedvalue.games import GameError, _solve_entries
 from mixedvalue.partition import Partition, dpp_sweep
 from mixedvalue.pde import (
@@ -469,6 +470,13 @@ class TestValueField:
         with pytest.raises(NonFiniteFieldError, match="node"):
             ValueField(t=0.0, values=np.array([1.0, np.nan, 0.0]))
 
+    def test_constructor_copies_the_callers_array(self):
+        vals = np.array([1.0, 2.0, 3.0])
+        fld = ValueField(t=0.0, values=vals)
+        vals[0] = 9.0
+        assert fld.values.tolist() == [1.0, 2.0, 3.0]
+        assert vals.flags.writeable and not fld.values.flags.writeable
+
     def test_bound_check(self, uv_cost):
         fld = ValueField(t=0.0, values=np.full(5, 5.0))
         with pytest.raises(NonFiniteFieldError, match="bound"):
@@ -642,3 +650,50 @@ class TestAliasing:
             assert not any(np.shares_memory(a, s) for s in scratch)
             for b in stepped[i + 1:]:
                 assert not np.shares_memory(a, b)
+
+    def test_kept_levels_are_read_only(self):
+        prob = stencil_problem(1, [["0.9"]], T=0.3)
+        grid = SpaceGrid.for_problem(prob, 17)
+        levels = solve(prob, grid, SchemeParams(hamiltonian_mode="pure_lower"))
+        sweep = dpp_sweep(prob, grid, Partition.uniform(0.3, 3), SchemeParams(), "lower")
+        for fld in (*levels, *sweep.levels):
+            assert not fld.values.flags.writeable
+            with pytest.raises(ValueError):
+                fld.values[0] = 0.0
+
+
+# only some entries name t: the second drift entry (in d=2), a row of
+# sigma, f, or f through y and z evaluated at every call
+SIGMA_T_ROW = [["1", "0.2*cos(t)"], ["0.1", "0.8"]]
+TIME_CASES = {
+    "2d_drift": dict(d=2, sigma=SIGMA_NEG),
+    "2d_sigma_row_and_f": dict(d=2, sigma=SIGMA_T_ROW, f="u1*v1*cos(t)"),
+    "2d_sigma_row_yz": dict(d=2, sigma=SIGMA_T_ROW, f=YZ_F[2]),
+    "1d_sigma": dict(d=1, sigma=[["0.8 + 0.1*cos(t)"]]),
+    "1d_f": dict(d=1, sigma=[["0.9"]], f="u1*v1*sin(t) + 0.1*x1"),
+    "1d_none": dict(d=1, sigma=[["0.9"]]),
+}
+
+
+class TestCoefficientReuse:
+    @pytest.mark.parametrize("case", sorted(TIME_CASES))
+    def test_entries_equal_a_fresh_stepper_at_every_level(self, monkeypatch, case):
+        prob = stencil_problem(**TIME_CASES[case])
+        grid = SpaceGrid.for_problem(prob, 17 if prob.d == 1 else 13)
+        entries = (*prob.b, *(e for row in prob.sigma for e in row), prob.f)
+        per_level = sum("t" in dsl.free_variables(e) for e in entries)
+        if prob.f_needs_yz:
+            per_level += "t" not in dsl.free_variables(prob.f)
+        calls = []
+        evaluate = dsl.evaluate
+        monkeypatch.setattr(dsl, "evaluate", lambda e, bnd: calls.append(e) or evaluate(e, bnd))
+        kept = Stepper(prob, grid)
+        rng = np.random.default_rng(7)
+        for level, t in enumerate((0.9, 0.7, 0.7, 0.4, 0.1, 0.0)):
+            vals = rng.uniform(-1.0, 1.0, grid.shape)
+            calls.clear()
+            ent = kept.entries(vals, t)
+            if level:
+                assert len(calls) == per_level
+            ref = Stepper(prob, grid).entries(vals, t)
+            assert ent.view(np.int64).tobytes() == ref.view(np.int64).tobytes()
