@@ -21,6 +21,10 @@ consumes a deterministic number of raw draws (ziggurat sampling would not).
 Since both controls are frozen on a subinterval, the b, sigma and f entries
 are evaluated for the drawn pairs once per subinterval (and chunk), and
 again at every Euler substep only where they name t or a state component.
+
+Exploitability is not sampled: ``exploit`` values a profile and a best
+response on the finite-difference scheme's own Markov chain, and only its
+``baseline`` payoff is a Monte Carlo estimate.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .games import MixedStrategy
-from .pde import SpaceGrid
-from .partition import Partition, SweepResult
+from .pde import SchemeParams, SpaceGrid, Stepper, terminal_field
+from .partition import Partition, SweepResult, _substep_counts
 from .problem import Problem, stack_entries
 
 __all__ = [
@@ -103,7 +107,12 @@ class RandomizationDevice:
 
     def exploration_normals(self, subinterval: int, n_samples: int,
                             substeps: int, d: int) -> np.ndarray:
-        """Common-random-number normals for exploitability estimation."""
+        """Common-random-number normals, shape (n_samples, substeps, d).
+
+        Nothing in the package draws them since :func:`exploit` moved to
+        the grid; the benchmark harness (``bench/tracing.py``) wraps this
+        method by name, so it stays.
+        """
         per = substeps * d
         blocks = (per + 3) // 4
         raw = self._raw_blocks(_ROLE_EXPLORE, subinterval, 0, n_samples, blocks)
@@ -285,14 +294,15 @@ def _cumulative(weights: np.ndarray) -> np.ndarray:
 def _draw_indices(uniforms: np.ndarray, cum: np.ndarray, cells=None) -> np.ndarray:
     """Inverse-CDF categorical draw, one per path.
 
-    The index is the number of cumulative weights below the uniform; ``cum``
-    is one row of them, or one row per cell gathered by ``cells`` per path.
-    The last weight is exactly 1 and uniforms are below 1, so only the m - 1
-    leading columns are compared.
+    The index is the number of cumulative weights at or below the uniform,
+    so control k owns [cum_{k-1}, cum_k) and a control of weight 0 is never
+    drawn; ``cum`` is one row of them, or one row per cell gathered by
+    ``cells`` per path.  The last weight is exactly 1 and uniforms are below
+    1, so only the m - 1 leading columns are compared.
     """
     idx = np.zeros(uniforms.shape, dtype=np.int64)
     for k in range(cum.shape[-1] - 1):
-        idx += uniforms > (cum[k] if cells is None else cum[cells, k])
+        idx += uniforms >= (cum[k] if cells is None else cum[cells, k])
     return idx
 
 
@@ -448,14 +458,14 @@ class ExploitResult:
     """Exploitability of a fixed profile.
 
     ``best_response_value`` and ``profile_value`` are values at ``x0`` of
-    the same backward-induction kernel (same paths, common random numbers,
-    same interpolation on the cell grid), with the free player deviating
-    optimally and following the profile respectively.  ``gain`` is the
-    free player's improvement between the two, so it is >= 0 up to
-    rounding and exactly 0 when the free player has no deviation.  Both
-    kernel values still carry the kernel's interpolation bias and the
-    sampling error of its paths, which cancel in ``gain``; ``baseline`` is
-    the independent Monte Carlo estimate of the profile's payoff.
+    one monotone Markov chain, the explicit Kushner-Dupuis scheme on a
+    grid, with the free player deviating optimally and following the
+    profile respectively.  Both carry only the scheme's O(h) grid error and
+    no sampling error, and are deterministic.  ``gain`` is the free
+    player's improvement between the two; the discrete comparison principle
+    makes it >= 0, and exactly 0 when the free player has no deviation.
+    ``baseline`` is the independent Monte Carlo estimate of the profile's
+    payoff.
     """
 
     gain: float
@@ -465,27 +475,39 @@ class ExploitResult:
     free_player: int
 
 
-def exploit(prob: Problem, pi: Partition, fixed_side: str, fixed_profile: StrategyProfile,
-            x0, n_paths: int, device: RandomizationDevice, n_cells: int = 41,
-            kernel_paths: int = 256, euler_substeps: int = 4) -> ExploitResult:
-    """Estimated gain of the best Markov deviation against a fixed profile.
+def _interpolate(grid: SpaceGrid, values: np.ndarray, x: np.ndarray) -> float:
+    """Multilinear interpolation of a level at x, one axis at a time.
 
-    ``fixed_side`` names the player held to the profile; the other player
-    optimizes over pure controls per (subinterval, state cell) by backward
-    induction on a Monte Carlo transition kernel built with common random
-    numbers (one noise batch per subinterval shared across cells and
-    controls).  The same kernel also values the profile itself, and
-    ``gain`` is best response minus profile on that one kernel, signed so
-    that it is the free player's improvement: >= 0 up to rounding, and
-    free of the kernel's interpolation bias that ``best_response_value``
-    still carries.
+    A coordinate outside the grid takes the value at the nearest end.
+    """
+    for axis, xi in zip(grid.axes, x):
+        k = min(max(int(np.searchsorted(axis, xi)), 1), axis.size - 1)
+        w = min(max((xi - axis[k - 1]) / (axis[k] - axis[k - 1]), 0.0), 1.0)
+        values = (1.0 - w) * values[k - 1] + w * values[k]
+    return float(values)
+
+
+def exploit(prob: Problem, pi: Partition, fixed_side: str, fixed_profile: StrategyProfile,
+            x0, n_paths: int, device: RandomizationDevice, nx=41,
+            euler_substeps: int = 4) -> ExploitResult:
+    """Gain of the best Markov deviation against a fixed profile.
+
+    ``fixed_side`` names the player held to the profile.  On the grid
+    ``SpaceGrid.for_problem(prob, nx)``, with the CFL substeps of
+    :func:`dpp_sweep`, two levels go backward through
+    :meth:`Stepper.step_frozen`: on one both players follow the profile's
+    weights at each node, on the other the free player re-optimizes over
+    pure controls at every node and substep.  Both are read at ``x0`` by
+    multilinear interpolation.  As the scheme is monotone the free player
+    cannot do worse by re-optimizing, so ``gain`` >= 0 is a property of
+    the chain, not of sampling.  Open-loop profiles work in any dimension;
+    feedback profiles exist for d = 1 only.
     ``baseline`` is the independent Monte Carlo payoff of both players
-    following the profile over ``n_paths`` paths.
+    following the profile over ``n_paths`` paths with ``euler_substeps``
+    Euler steps per subinterval.
     """
     if fixed_side not in ("player1", "player2"):
         raise ValueError("fixed_side must be 'player1' or 'player2'")
-    if prob.d != 1:
-        raise ValueError("exploitability estimation is implemented for d=1 only")
     _check_classical(prob)
     free = 2 if fixed_side == "player1" else 1
 
@@ -493,44 +515,24 @@ def exploit(prob: Problem, pi: Partition, fixed_side: str, fixed_profile: Strate
         simulate(prob, pi, fixed_profile, x0, n_paths, euler_substeps, device), prob
     )
 
-    cells = np.linspace(prob.domain.x_min[0], prob.domain.x_max[0], n_cells)
-    n_u, n_v = prob.u_grid.n, prob.v_grid.n
-    iu = np.arange(n_u)[:, None, None]
-    iv = np.arange(n_v)[:, None]
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-
-    # terminal values on the cell grid, for the best response and the profile
-    values = np.asarray(prob.terminal_cost(cells[:, None]), dtype=float)
-    values = np.broadcast_to(values, cells.shape).copy()
-    values_prof = values.copy()
-
+    grid = SpaceGrid.for_problem(prob, nx)
+    stepper = Stepper(prob, grid)
+    counts = _substep_counts(prob, grid, pi, SchemeParams(), None)
+    nodes = stepper._xw.reshape(-1, prob.d)
+    best = profile = terminal_field(prob, grid).values
     for j in range(pi.n - 1, -1, -1):
-        t_left, t_right = pi.times[j], pi.times[j + 1]
-        delta = (t_right - t_left) / euler_substeps
-        noise = device.exploration_normals(j, kernel_paths, euler_substeps, 1)[:, :, 0]
-        # kernel end states and rewards over cells x u x v x kernel paths,
-        # then both value functions at once
-        ends = np.broadcast_to(cells[:, None, None, None], (n_cells, n_u, n_v, kernel_paths))
-        rewards = np.zeros(ends.shape)
-        for s in range(euler_substeps):
-            t = t_left + s * delta
-            b, sig = prob.coefficients(t, ends[..., None], iu, iv)
-            rewards += delta * prob.running_cost(t, ends[..., None], iu, iv)
-            ends = ends + b[0] * delta + sig[0][0] * (noise[:, s] * math.sqrt(delta))
-        q = np.mean(rewards + np.interp(ends, cells, values), axis=-1)
-        q_prof = np.mean(rewards + np.interp(ends, cells, values_prof), axis=-1)
-        uw = fixed_profile.weights_at(j, 1, cells[:, None])
-        vw = fixed_profile.weights_at(j, 2, cells[:, None])
-        if free == 1:
-            expected = np.einsum("cuv,cv->cu", q, vw)
-            values = expected.max(axis=1)
-        else:
-            expected = np.einsum("cuv,cu->cv", q, uw)
-            values = expected.min(axis=1)
-        values_prof = np.einsum("cuv,cu,cv->c", q_prof, uw, vw)
+        mu, nu = (fixed_profile.weights_at(j, player, nodes).reshape(stepper.work_shape + (-1,))
+                  for player in (1, 2))
+        free_mu, free_nu = (None, nu) if free == 1 else (mu, None)
+        delta = (pi.times[j + 1] - pi.times[j]) / counts[j]
+        for s in range(counts[j]):
+            t = pi.times[j + 1] - s * delta
+            best = stepper.step_frozen(best, t, delta, free_mu, free_nu)
+            profile = stepper.step_frozen(profile, t, delta, mu, nu)
 
-    br_value = float(np.interp(x0[0], cells, values))
-    prof_value = float(np.interp(x0[0], cells, values_prof))
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    br_value = _interpolate(grid, best, x0)
+    prof_value = _interpolate(grid, profile, x0)
     gain = br_value - prof_value if free == 1 else prof_value - br_value
     return ExploitResult(
         gain=float(gain),

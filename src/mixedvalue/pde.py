@@ -235,7 +235,8 @@ class Stepper:
     games of a level are solved in one batch, each node starting from the
     kernel that certified it on the previous call.  Also used by the
     partition sweep, which freezes the per-node strategies over a
-    subinterval and advances with :meth:`step_frozen`.
+    subinterval and advances with :meth:`step_frozen`, and by
+    ``montecarlo.exploit``, which lets one player re-optimize in it.
     """
 
     def __init__(self, prob: Problem, grid: SpaceGrid, game_tol: float = 1e-9):
@@ -489,9 +490,21 @@ class Stepper:
         return (new, mu, nu) if collect_strategies else (new, None, None)
 
     def step_frozen(self, values, t, dt, mu, nu):
-        """One step under frozen per-node mixed strategies."""
+        """One step under frozen per-node mixed strategies.
+
+        One of ``mu`` and ``nu`` may be None: that player is free and plays
+        a pure best response at every node, the maximizing u against ``nu``
+        or the minimizing v against ``mu``.
+        """
+        if mu is None and nu is None:
+            raise ValueError("at most one player may be free")
         ent = self.entries(values, t)
-        vals = np.einsum("mk...,...m,...k->...", ent, mu, nu)
+        if mu is None:
+            vals = np.einsum("mk...,...k->m...", ent, nu).max(0)
+        elif nu is None:
+            vals = np.einsum("mk...,...m->k...", ent, mu).min(0)
+        else:
+            vals = np.einsum("mk...,...m,...k->...", ent, mu, nu)
         return self._finish(values, vals, dt, t - dt)
 
 

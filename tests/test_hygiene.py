@@ -1,11 +1,15 @@
 """Static checks over the package source, written with the standard library."""
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mixedvalue"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "mixedvalue"
+BENCH = ROOT / "bench"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -126,3 +130,41 @@ def test_evaluator_checker_finds_every_form():
                          ids=[p.name for p in MODULES if p.name not in EVALUATOR_OWNERS])
 def test_coefficients_evaluated_only_in_problem(path):
     assert dsl_evaluator_uses(path.read_text(encoding="utf-8")) == []
+
+
+# The benchmark harness reaches into the package by name: bench/run.py
+# imports every module in its MODULES, and bench/tracing.py patches every
+# ENTRY_POINTS attribute through its owner's __dict__ in every run.  A
+# rename or deletion there would crash every benchmark run, so it fails here.
+
+
+def bench_tracing() -> types.ModuleType:
+    """bench/tracing.py executed from its source, writing no bytecode cache."""
+    path = BENCH / "tracing.py"
+    module = types.ModuleType("bench_tracing")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
+def bench_modules() -> tuple:
+    """MODULES of bench/run.py, read with ast: importing run.py pins thread variables."""
+    tree = ast.parse((BENCH / "run.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "MODULES" for t in node.targets)):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/run.py assigns no MODULES")
+
+
+def test_bench_modules_import():
+    for name in bench_modules():
+        importlib.import_module(f"mixedvalue.{name}")
+
+
+def test_bench_entry_points_exist():
+    for mod_name, path, _, _ in bench_tracing().ENTRY_POINTS:
+        owner = importlib.import_module(f"mixedvalue.{mod_name}")
+        *outer, attr = path.split(".")
+        for part in outer:
+            owner = getattr(owner, part)
+        assert attr in owner.__dict__, f"bench traces mixedvalue.{mod_name}.{path}"

@@ -12,6 +12,8 @@ from mixedvalue.partition import Partition, dpp_sweep
 from mixedvalue.pde import SchemeParams, SpaceGrid
 from mixedvalue.problem import CATALOG, freeze, load_problem
 
+import games3
+
 
 def variant(base, **over):
     cfg = copy.deepcopy(CATALOG[base])
@@ -49,6 +51,20 @@ def skew_2d():
         "bounds": {"sup_b": 1.2, "sup_sigma": 1.1, "lip_y_f": 0.0, "sup_f": 1.1,
                    "lip_phi": 1.5, "sup_phi": 1.0, "value_lip": 1.5},
     })
+
+
+# the benchmark's d = 2 game: bilinear and t-dependent drift, constant skew sigma
+BILINEAR_DRIFT_2D = {
+    "name": "bilinear_drift_2d", "d": 2, "T": 1.0,
+    "b": ["u1*v1", "0.5*(u1-v1)*cos(t)"],
+    "sigma": [["1", "0.2"], ["0.1", "0.8"]],
+    "f": "0", "phi": "cos(x1)*cos(x2)",
+    "U": {"points": [[-1.0], [1.0]]}, "V": {"points": [[-1.0], [1.0]]},
+    "domain": {"min": [-6.0, -6.0], "max": [6.0, 6.0], "boundary": "clamp"},
+    "condition41_mode": "sigma_uncontrolled",
+    "bounds": {"sup_b": 1.0, "sup_sigma": 1.0, "lip_y_f": 0.0, "sup_f": 0.0,
+               "lip_phi": 1.0, "sup_phi": 1.0, "value_lip": 1.0},
+}
 
 
 class TestRandomizationDevice:
@@ -450,6 +466,20 @@ def old_draw_indices(uniforms, cum):
     return (uniforms[:, None] > cum).sum(axis=1)
 
 
+def check_draws(u, cum, new):
+    """``new`` equals the old draw off the edges and counts weights <= u on them."""
+    if cum.ndim == 1:
+        cum = np.broadcast_to(cum, (u.size, cum.size))
+    old = old_draw_indices(u, cum)
+    edge = (u[:, None] == cum).any(axis=1)
+    assert new.dtype == old.dtype and np.array_equal(new[~edge], old[~edge])
+    # control k owns [cum_{k-1}, cum_k): a uniform on an edge goes right
+    assert np.array_equal(new[edge], (u[edge, None] >= cum[edge]).sum(axis=1))
+    # so no control of weight 0 is drawn, not even by a uniform of exactly 0
+    weights = np.diff(cum, axis=1, prepend=0.0)
+    assert np.all(weights[np.arange(u.size), new] > 0.0)
+
+
 class TestDrawIndices:
     def uniforms(self, cum, n=400):
         # random uniforms, every cumulative weight below 1 and its neighbours
@@ -465,10 +495,7 @@ class TestDrawIndices:
     def test_openloop_equals_whole_table(self, weights):
         cum = mc._cumulative(np.array(weights))
         u = self.uniforms(cum)
-        new, old = mc._draw_indices(u, cum), old_draw_indices(u, cum)
-        assert new.dtype == old.dtype and np.array_equal(new, old)
-        # a zero-weight control is drawn only by a uniform of exactly 0
-        assert set(new[u > 0.0]) <= {i for i, w in enumerate(weights) if w > 0}
+        check_draws(u, cum, mc._draw_indices(u, cum))
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_feedback_cells_equal_gathered_table(self, m):
@@ -479,8 +506,7 @@ class TestDrawIndices:
         cum = mc._cumulative(w)
         u = self.uniforms(cum)
         cells = rng.integers(0, 6, size=u.size)
-        new, old = mc._draw_indices(u, cum, cells), old_draw_indices(u, cum[cells])
-        assert new.dtype == old.dtype and np.array_equal(new, old)
+        check_draws(u, cum[cells], mc._draw_indices(u, cum, cells))
 
 
 class TestEstimatePayoff:
@@ -564,8 +590,8 @@ class TestExploit:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_control_free_gain_exactly_zero(self, heat, seed):
-        # best response and profile share one kernel, so its interpolation
-        # bias (V(0,0) = exp(-1/2) reads ~0.58 on 41 cells) cancels exactly
+        # best response and profile are one chain: with no control to
+        # deviate in, both levels are the same scheme steps, bitwise
         prof = mc.StrategyProfile.uniform(heat, 8)
         res = mc.exploit(heat, PI8, "player1", prof, [0.0], 1_000,
                          mc.RandomizationDevice(seed))
@@ -591,3 +617,55 @@ class TestExploit:
                          mc.RandomizationDevice(13))
         assert res.gain == pytest.approx(1.0, abs=0.05)
         assert res.best_response_value == pytest.approx(-1.0, abs=0.05)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_saddle_profile_value_exact(self, seed):
+        # uv_drift under the 50/50 saddle keeps phi = x1 a martingale, and the
+        # chain values a linear level exactly away from the clamped boundary
+        prob = load_problem("uv_drift")
+        grid = SpaceGrid.for_problem(prob, 101)
+        sweep = dpp_sweep(prob, grid, PI8, SchemeParams(), "lower", record_strategies=True)
+        prof = mc.StrategyProfile.from_sweep(sweep, grid)
+        res = mc.exploit(prob, PI8, "player1", prof, [0.2], 2_000,
+                         mc.RandomizationDevice(seed))
+        assert res.profile_value == pytest.approx(0.2, abs=1e-9)
+        assert res.best_response_value == pytest.approx(0.2, abs=1e-9)
+
+    def test_gain_bitwise_across_seeds(self):
+        prob = games3.drift_cost3()
+        rng = np.random.default_rng(4)
+        prof = mc.StrategyProfile("openloop", rng.dirichlet(np.ones(3), size=8),
+                                  rng.dirichlet(np.ones(3), size=8))
+        results = [mc.exploit(prob, PI8, "player2", prof, [0.3], 500,
+                              mc.RandomizationDevice(seed)) for seed in (0, 1, 2)]
+        assert results[0].gain > 0.0
+        assert len({(r.gain, r.best_response_value, r.profile_value) for r in results}) == 1
+        assert len({r.baseline.mean for r in results}) == 3
+
+    @pytest.mark.parametrize("fixed_side", ["player1", "player2"])
+    def test_saddle_gain_first_order_in_mesh(self, fixed_side):
+        # against the sweep's own saddle the free player gains from the
+        # strategies being frozen over a subinterval: O(|pi|), halving with it
+        prob = games3.drift_cost3()
+        grid = SpaceGrid.for_problem(prob, 201)
+        gains = []
+        for n in (4, 8, 16):
+            pi = Partition.uniform(prob.T, n)
+            sweep = dpp_sweep(prob, grid, pi, SchemeParams(), "lower", record_strategies=True)
+            prof = mc.StrategyProfile.from_sweep(sweep, grid)
+            gains.append(mc.exploit(prob, pi, fixed_side, prof, [0.0], 200,
+                                    mc.RandomizationDevice(0), nx=201).gain)
+        assert all(g > 0.0 for g in gains)
+        ratios = [a / b for a, b in zip(gains, gains[1:])]
+        assert all(1.7 <= r <= 2.4 for r in ratios), ratios
+
+    @pytest.mark.parametrize("fixed_side", ["player1", "player2"])
+    @pytest.mark.parametrize("profile", ["uniform", "point_mass"])
+    def test_runs_in_two_dimensions(self, fixed_side, profile):
+        prob = load_problem(BILINEAR_DRIFT_2D)
+        pi = Partition.uniform(prob.T, 4)
+        prof = (mc.StrategyProfile.uniform(prob, 4) if profile == "uniform"
+                else mc.StrategyProfile.point_mass(prob, 4, 0, 1))
+        res = mc.exploit(prob, pi, fixed_side, prof, [0.3, -0.2], 200,
+                         mc.RandomizationDevice(1))
+        assert res.gain >= -1e-12

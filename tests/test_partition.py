@@ -5,12 +5,10 @@ import numpy as np
 import pytest
 
 from mixedvalue.partition import (
-    LocalGameSpec,
     MeshTooCoarseError,
     Partition,
     convergence_study,
     dpp_sweep,
-    local_ode_step,
 )
 from mixedvalue.pde import SchemeParams, SpaceGrid, cfl_limit, solve
 from mixedvalue.problem import CATALOG, load_problem
@@ -63,50 +61,55 @@ class TestPartition:
 
 
 class TestLocalOdeStep:
+    # a constant terminal cost and no drift keep every level flat, so p = A = 0
+    # and each node integrates dW/ds = -F0(s, x, W, 0) on its own
+
     def test_constant_rhs_is_exact_for_any_substeps(self, uv_cost):
-        # pure-lower game value is -1 regardless of y: result is -delta
+        # pure-lower game value is -1 regardless of y: W(t) = -(T - t)
+        grid = SpaceGrid.for_problem(uv_cost, 5)
+        pi = Partition.uniform(1.0, 4)
         for substeps in (1, 3, 10):
-            spec = LocalGameSpec(t_start=0.5, t_end=0.75, x=np.zeros(1),
-                                 p=np.zeros(1), A=np.zeros((1, 1)),
-                                 field_value=0.0, substeps=substeps)
-            y = local_ode_step(spec, uv_cost, SchemeParams(hamiltonian_mode="pure_lower"))
-            assert y == pytest.approx(-0.25, abs=1e-15)
+            res = dpp_sweep(uv_cost, grid, pi, SchemeParams(), "lower", pure=True,
+                            substeps=substeps)
+            assert res.levels[1].values == pytest.approx(-0.25, abs=1e-15)
+            for fld in res.levels:
+                assert fld.values == pytest.approx(fld.t - 1.0, abs=1e-14)
 
     def test_relaxed_value_zero(self, uv_cost):
-        spec = LocalGameSpec(t_start=0.0, t_end=0.25, x=np.zeros(1),
-                             p=np.zeros(1), A=np.zeros((1, 1)), field_value=0.0)
-        assert local_ode_step(spec, uv_cost, SchemeParams()) == pytest.approx(0.0, abs=1e-12)
+        grid = SpaceGrid.for_problem(uv_cost, 5)
+        res = dpp_sweep(uv_cost, grid, Partition.uniform(1.0, 4), SchemeParams(), "lower",
+                        substeps=1)
+        for fld in res.levels:
+            assert fld.values == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_solution_preserved_under_y_feedback(self):
-        # f(y) = -y with no game part: dY/ds = Y with Y(t_end)=0 stays 0
+        # f(y) = -y with no game part: dW/ds = W with W(T) = 0 stays 0
         prob = variant("uv_running_cost", name="pure_y", f="0-y",
                        bounds={"lip_y_f": 1.0, "sup_f": 0.0})
-        spec = LocalGameSpec(t_start=0.0, t_end=0.5, x=np.zeros(1),
-                             p=np.zeros(1), A=np.zeros((1, 1)),
-                             field_value=0.0, substeps=8)
-        assert local_ode_step(spec, prob, SchemeParams()) == 0.0
+        grid = SpaceGrid.for_problem(prob, 5)
+        res = dpp_sweep(prob, grid, Partition.uniform(1.0, 2), SchemeParams(), "lower",
+                        substeps=8)
+        for fld in res.levels:
+            assert np.all(fld.values == 0.0)
 
-    def test_substep_halving_first_order(self, uv_ydep):
+    def test_substep_halving_first_order(self):
+        # f = u v - y from W = 0.3 at T over one subinterval of length 0.5:
         # Euler refinement changes the result by O(delta^2 / substeps)
+        prob = variant("uv_running_cost", name="uv_ydep_flat", f="u1*v1 - y", phi="0.3",
+                       bounds={"lip_y_f": 1.0, "sup_f": 1.0, "sup_phi": 0.3})
+        grid = SpaceGrid.for_problem(prob, 5)
+        pi = Partition.uniform(1.0, 2)
         delta = 0.5
         results = {}
         for substeps in (1, 2, 4, 8, 16):
-            spec = LocalGameSpec(t_start=0.25, t_end=0.25 + delta, x=np.zeros(1),
-                                 p=np.zeros(1), A=np.zeros((1, 1)),
-                                 field_value=0.3, substeps=substeps)
-            results[substeps] = local_ode_step(spec, uv_ydep, SchemeParams())
+            level = dpp_sweep(prob, grid, pi, SchemeParams(), "lower",
+                              substeps=substeps).levels[1]
+            assert level.t == 0.5 and np.ptp(level.values) == 0.0
+            results[substeps] = level.values[0]
         c = 2.0  # generous constant for f with Lip_y = 1 and |f| <= 2
         for substeps in (1, 2, 4, 8):
             change = abs(results[2 * substeps] - results[substeps])
             assert change <= c * delta**2 / substeps
-
-    def test_validates_inputs(self):
-        with pytest.raises(ValueError):
-            LocalGameSpec(t_start=0.5, t_end=0.5, x=np.zeros(1), p=np.zeros(1),
-                          A=np.zeros((1, 1)), field_value=0.0)
-        with pytest.raises(ValueError):
-            LocalGameSpec(t_start=0.0, t_end=0.5, x=np.zeros(1), p=np.zeros(1),
-                          A=np.zeros((1, 1)), field_value=0.0, substeps=0)
 
 
 class TestDppSweep:
@@ -159,6 +162,13 @@ class TestDppSweep:
         pi = Partition.uniform(1.0, 2)
         with pytest.raises(MeshTooCoarseError):
             dpp_sweep(heat, grid, pi, SchemeParams(), "lower", substeps=1)
+
+    @pytest.mark.parametrize("substeps", [0, [1, 0]])
+    def test_rejects_substeps_below_one(self, heat, substeps):
+        grid = SpaceGrid.for_problem(heat, 5)
+        with pytest.raises(ValueError, match="substeps must be >= 1"):
+            dpp_sweep(heat, grid, Partition.uniform(1.0, 2), SchemeParams(), "lower",
+                      substeps=substeps)
 
     def test_horizon_mismatch(self, heat):
         grid = SpaceGrid.for_problem(heat, 51)
