@@ -219,8 +219,7 @@ def _cmd_simulate(args, argv, started):
         with open(args.profile, "r", encoding="utf-8") as fh:
             profile = mc.StrategyProfile.from_jsonable(json.load(fh))
     x0 = [float(s) for s in args.x0.split(",")] if args.x0 else [0.0] * prob.d
-    ens = mc.simulate(prob, pi, profile, x0, args.paths, args.euler_substeps, device)
-    est = mc.estimate_payoff(ens, prob)
+    est = mc.estimate(prob, pi, profile, x0, args.paths, args.euler_substeps, device)
     _write_csv(args.out, ["estimate", "std_error", "paths", "seed"],
                [[est.mean, est.std_error, est.n_paths, args.seed]])
     _write_manifest(args.out, "simulate", argv, {

@@ -13,10 +13,17 @@ seed with the counter encoding (role, subinterval); within a stream, path
 ``i`` owns a fixed-size block at offset ``i``, so any slice of paths can be
 regenerated bitwise by advancing the counter, independently of how work is
 scheduled.  ``simulate`` uses this to run paths in fixed-size chunks, each
-at its own path offset: its results equal those of one chunk bitwise, and
-its memory is O(paths x subintervals) whatever the number of Euler
-substeps.  Normals are produced from uniforms by Box-Muller so every path
-consumes a deterministic number of raw draws (ziggurat sampling would not).
+at its own path offset (``first_path`` is the offset of the first path):
+its results equal those of one chunk bitwise, and its memory is
+O(paths x subintervals) whatever the number of Euler substeps.  Normals are
+produced from uniforms by Box-Muller so every path consumes a deterministic
+number of raw draws (ziggurat sampling would not).
+
+``estimate`` gives the payoff estimate without keeping the ensemble: it
+passes one chunk of paths at a time through ``simulate`` and keeps one
+payoff per path, so its memory is O(paths) plus one chunk's ensemble.  Its
+mean and standard error are bitwise those of ``estimate_payoff`` on the
+whole ensemble.
 
 Since both controls are frozen on a subinterval, the b, sigma and f entries
 are evaluated for the drawn pairs once per subinterval (and chunk), and
@@ -47,6 +54,7 @@ __all__ = [
     "PayoffEstimate",
     "ExploitResult",
     "simulate",
+    "estimate",
     "estimate_payoff",
     "exploit",
 ]
@@ -60,15 +68,22 @@ _ROLE_EXPLORE = 3
 _CHUNK_PATHS = 1 << 14
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 class RandomizationDevice:
     """Reproducible independent randomization streams.
 
     Distinct (role, subinterval) indices select statistically independent
     Philox streams; distinct path indices address disjoint blocks within a
     stream.  Everything is reproducible from (master seed, indices) alone.
+    The seed is the Philox key, an int in [0, 2**128).
     """
 
     def __init__(self, seed: int):
+        if not (_is_int(seed) and 0 <= seed < 2**128):
+            raise ValueError(f"seed must be an int in [0, 2**128), got {seed!r}")
         self.seed = int(seed)
 
     def _raw_blocks(self, role: int, subinterval: int, block_start: int,
@@ -130,6 +145,26 @@ def _box_muller(u: np.ndarray) -> np.ndarray:
     out[..., 0::2] = r * np.cos(theta)
     out[..., 1::2] = r * np.sin(theta)
     return out
+
+
+def _right_neighbours(axis: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(axis, xs)``, guessed from the axis's mean spacing.
+
+    On a strictly increasing axis the index r with
+    ``axis[r-1] < x <= axis[r]`` is searchsorted's answer, so a guess that
+    passes this check exactly is kept; only the states whose guess fails
+    (ends of the axis, rounding at nodes, non-uniform spacing) are searched.
+    """
+    n = axis.size
+    if n < 2 or not np.all(axis[1:] > axis[:-1]):
+        return np.searchsorted(axis, xs)
+    step = (axis[-1] - axis[0]) / (n - 1)
+    # fmax/fmin map NaN to a valid index, whose check then fails
+    r = np.fmin(np.fmax(np.ceil((xs - axis[0]) / step), 1.0), n - 1).astype(np.intp)
+    miss = ~((axis[r - 1] < xs) & (xs <= axis[r]))
+    if miss.any():
+        r[miss] = np.searchsorted(axis, xs[miss])
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -216,14 +251,17 @@ class StrategyProfile:
         return cls("feedback", result.mu, result.nu, cell_axis=work_axis)
 
     def cells_at(self, x: np.ndarray) -> np.ndarray:
-        """Nearest-node cell of ``cell_axis`` for every state (feedback only)."""
+        """Nearest-node cell of ``cell_axis`` for every state (feedback only).
+
+        Of the two nodes around a state the nearer wins, the left one on a
+        tie; a state outside the axis takes the nearer end.
+        """
         if self.mode != "feedback":
             raise ValueError("only feedback profiles have cells")
-        axis = self.cell_axis
-        # searchsorted gives the right neighbor index
-        right = np.clip(np.searchsorted(axis, x[:, 0]), 0, axis.size - 1)
-        left = np.clip(right - 1, 0, axis.size - 1)
-        use_left = np.abs(axis[left] - x[:, 0]) <= np.abs(axis[right] - x[:, 0])
+        axis, xs = self.cell_axis, x[:, 0]
+        right = np.minimum(_right_neighbours(axis, xs), axis.size - 1)
+        left = np.maximum(right - 1, 0)
+        use_left = np.abs(axis[left] - xs) <= np.abs(axis[right] - xs)
         return np.where(use_left, left, right)
 
     def weights_at(self, subinterval: int, player: int, x: np.ndarray) -> np.ndarray:
@@ -267,7 +305,8 @@ class PathEnsemble:
     partition time t_0, ..., t_n, the Euler substeps in between not being
     kept; draws are grid indices per subinterval; ``running_cost``
     integrates f along each path (left-endpoint rule on the substeps,
-    meaningful when f is free of (y, z)).
+    meaningful when f is free of (y, z)).  Row ``i`` is path
+    ``first_path + i`` of the device's streams.
     """
 
     states: np.ndarray
@@ -278,6 +317,7 @@ class PathEnsemble:
     euler_substeps: int
     x0: np.ndarray
     seed: int
+    first_path: int = 0
 
     @property
     def n_paths(self) -> int:
@@ -306,8 +346,23 @@ def _draw_indices(uniforms: np.ndarray, cum: np.ndarray, cells=None) -> np.ndarr
     return idx
 
 
+class _NonFiniteState(ArithmeticError):
+    """A state went non-finite at ``where`` = (subinterval, substep, path)."""
+
+    def __init__(self, where):
+        j, s, path = where
+        super().__init__(f"non-finite state at path {path}, subinterval {j}, substep {s}")
+        self.where = where
+
+
+def _earliest(first_bad, bad):
+    """The earlier of two (subinterval, substep, path) triples, either may be None."""
+    return bad if first_bad is None or (bad is not None and bad < first_bad) else first_bad
+
+
 def simulate(prob: Problem, pi: Partition, profile: StrategyProfile, x0,
-             n_paths: int, euler_substeps: int, device: RandomizationDevice) -> PathEnsemble:
+             n_paths: int, euler_substeps: int, device: RandomizationDevice,
+             first_path: int = 0) -> PathEnsemble:
     """Simulate randomized-control paths along the partition.
 
     Per subinterval: both players draw controls at the left endpoint from
@@ -318,15 +373,21 @@ def simulate(prob: Problem, pi: Partition, profile: StrategyProfile, x0,
     and at each later one only if it names t or x; the result is bitwise
     that of evaluating every entry at every substep.
 
+    The paths simulated are ``first_path, ..., first_path + n_paths - 1``
+    of the device's streams, so consecutive calls that continue each
+    other's ``first_path`` give, row for row, the ensemble of one call.
     Paths run in chunks of ``_CHUNK_PATHS``, each drawing from the streams
     at its own path offset, so the ensemble is bitwise that of one chunk and
     memory beyond the returned ensemble is bounded by one chunk.  A
     non-finite state raises ``ArithmeticError`` naming the earliest
     (subinterval, substep) at which one occurs and the lowest path index
-    there, whatever the chunk size.
+    there, counted from path 0 of the streams, whatever the chunk size.
     """
     if n_paths < 1 or euler_substeps < 1:
         raise ValueError("need n_paths >= 1 and euler_substeps >= 1")
+    if not (_is_int(first_path) and first_path >= 0):
+        raise ValueError(f"first_path must be an int >= 0, got {first_path!r}")
+    first_path = int(first_path)  # Philox.advance rejects numpy integers
     if profile.n_subintervals != pi.n:
         raise ValueError(
             f"profile has {profile.n_subintervals} subintervals, partition has {pi.n}"
@@ -345,13 +406,11 @@ def simulate(prob: Problem, pi: Partition, profile: StrategyProfile, x0,
     first_bad = None
     for lo in range(0, n_paths, _CHUNK_PATHS):
         rows = slice(lo, min(lo + _CHUNK_PATHS, n_paths))
-        bad = _simulate_chunk(prob, pi, profile, cums, euler_substeps, device, lo,
-                              states[rows], u_idx[rows], v_idx[rows], cost[rows])
-        if bad is not None and (first_bad is None or bad < first_bad):
-            first_bad = bad
+        first_bad = _earliest(first_bad, _simulate_chunk(
+            prob, pi, profile, cums, euler_substeps, device, first_path + lo,
+            states[rows], u_idx[rows], v_idx[rows], cost[rows]))
     if first_bad is not None:
-        j, s, path = first_bad
-        raise ArithmeticError(f"non-finite state at path {path}, subinterval {j}, substep {s}")
+        raise _NonFiniteState(first_bad)
     return PathEnsemble(
         states=states,
         u_indices=u_idx,
@@ -361,6 +420,7 @@ def simulate(prob: Problem, pi: Partition, profile: StrategyProfile, x0,
         euler_substeps=euler_substeps,
         x0=x0,
         seed=device.seed,
+        first_path=first_path,
     )
 
 
@@ -430,6 +490,22 @@ def _check_classical(prob: Problem) -> None:
         )
 
 
+def _payoffs(ensemble: PathEnsemble, prob: Problem) -> np.ndarray:
+    """Terminal plus running cost of every path of the ensemble."""
+    payoff = np.asarray(prob.terminal_cost(ensemble.states[:, -1]), dtype=float)
+    return np.broadcast_to(payoff, (ensemble.n_paths,)) + ensemble.running_cost
+
+
+def _statistics(payoff: np.ndarray) -> PayoffEstimate:
+    """Sample mean and standard error; numpy pairwise summation, deterministic."""
+    mean = float(np.mean(payoff))
+    if payoff.size > 1:
+        se = float(np.std(payoff, ddof=1) / math.sqrt(payoff.size))
+    else:
+        se = 0.0
+    return PayoffEstimate(mean=mean, std_error=se, n_paths=payoff.size)
+
+
 def estimate_payoff(ensemble: PathEnsemble, prob: Problem) -> PayoffEstimate:
     """Sample mean and standard error of terminal plus running cost.
 
@@ -438,14 +514,39 @@ def estimate_payoff(ensemble: PathEnsemble, prob: Problem) -> PayoffEstimate:
     deterministic for a fixed ensemble.
     """
     _check_classical(prob)
-    payoff = np.asarray(prob.terminal_cost(ensemble.states[:, -1]), dtype=float)
-    payoff = np.broadcast_to(payoff, (ensemble.n_paths,)) + ensemble.running_cost
-    mean = float(np.mean(payoff))
-    if ensemble.n_paths > 1:
-        se = float(np.std(payoff, ddof=1) / math.sqrt(ensemble.n_paths))
-    else:
-        se = 0.0
-    return PayoffEstimate(mean=mean, std_error=se, n_paths=ensemble.n_paths)
+    return _statistics(_payoffs(ensemble, prob))
+
+
+def estimate(prob: Problem, pi: Partition, profile: StrategyProfile, x0, n_paths: int,
+             euler_substeps: int, device: RandomizationDevice) -> PayoffEstimate:
+    """``estimate_payoff(simulate(...), prob)`` bitwise, without the ensemble.
+
+    The paths go through :func:`simulate` one chunk of ``_CHUNK_PATHS`` at a
+    time, each at its own ``first_path``, and only the payoff of every path
+    is kept: memory is 8 bytes per path plus one chunk's ensemble, where the
+    ensemble of all paths holds O(paths x subintervals).  The statistics are
+    those of :func:`estimate_payoff` over the same payoff vector.  A
+    non-finite state raises the ``ArithmeticError`` that :func:`simulate`
+    would: the earliest (subinterval, substep) over all chunks and the
+    lowest path index there.
+    """
+    _check_classical(prob)
+    if n_paths < 1 or euler_substeps < 1:
+        raise ValueError("need n_paths >= 1 and euler_substeps >= 1")
+    payoff = np.empty(n_paths)
+    first_bad = None
+    for lo in range(0, n_paths, _CHUNK_PATHS):
+        hi = min(lo + _CHUNK_PATHS, n_paths)
+        # the chunk's ensemble is not bound to a name, so it is freed before
+        # the next chunk is simulated
+        try:
+            payoff[lo:hi] = _payoffs(simulate(prob, pi, profile, x0, hi - lo, euler_substeps,
+                                              device, first_path=lo), prob)
+        except _NonFiniteState as err:
+            first_bad = _earliest(first_bad, err.where)
+    if first_bad is not None:
+        raise _NonFiniteState(first_bad)
+    return _statistics(payoff)
 
 
 # ---------------------------------------------------------------------------
@@ -511,9 +612,7 @@ def exploit(prob: Problem, pi: Partition, fixed_side: str, fixed_profile: Strate
     _check_classical(prob)
     free = 2 if fixed_side == "player1" else 1
 
-    baseline = estimate_payoff(
-        simulate(prob, pi, fixed_profile, x0, n_paths, euler_substeps, device), prob
-    )
+    baseline = estimate(prob, pi, fixed_profile, x0, n_paths, euler_substeps, device)
 
     grid = SpaceGrid.for_problem(prob, nx)
     stepper = Stepper(prob, grid)

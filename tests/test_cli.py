@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mixedvalue import cli, pde
+from mixedvalue import montecarlo as mc
 from mixedvalue.partition import Partition, dpp_sweep
 from mixedvalue.problem import load_problem
 
@@ -44,6 +45,42 @@ def test_command_and_replay(tmp_path, capsys, name):
     manifest = f"{out}.manifest.json"
     assert cli.dispatch(["replay", manifest]) == 0
     assert "outputs reproduce bitwise" in capsys.readouterr().out
+
+
+def test_every_path_passes_through_simulate(tmp_path, monkeypatch):
+    # bench/tracing.py counts montecarlo.paths at montecarlo.simulate: estimates
+    # must keep calling it through the module, for every path they use
+    paths = []
+    inner = mc.simulate
+
+    def counted(*args, **kwargs):
+        ens = inner(*args, **kwargs)
+        paths.append(ens.n_paths)
+        return ens
+
+    monkeypatch.setattr(mc, "simulate", counted)
+    monkeypatch.setattr(mc, "_CHUNK_PATHS", 64)
+    assert cli.dispatch(commands(tmp_path)["simulate"] + ["--out", str(tmp_path / "s.csv")]) == 0
+    assert paths == [64, 64, 64, 8]  # --paths 200
+    paths.clear()
+    prob = load_problem("uv_drift")
+    pi = Partition.uniform(prob.T, 2)
+    mc.exploit(prob, pi, "player1", mc.StrategyProfile.uniform(prob, 2), [0.0], 150,
+               mc.RandomizationDevice(0), nx=21)
+    assert sum(paths) == 150
+
+
+def test_simulate_rejects_bad_seed_before_the_sweep(tmp_path, capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("dpp_sweep ran")
+
+    monkeypatch.setattr(cli, "dpp_sweep", no_sweep)
+    argv = commands(tmp_path)["simulate"]
+    argv[argv.index("--seed") + 1] = "-1"
+    out = tmp_path / "s.csv"
+    assert cli.dispatch(argv + ["--out", str(out)]) == 2
+    assert "error: seed must be an int in [0, 2**128), got -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_threads_flag_is_gone(tmp_path, capsys):

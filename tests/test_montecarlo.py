@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 import tracemalloc
 from collections import Counter
 
@@ -107,6 +108,26 @@ class TestRandomizationDevice:
         assert abs(z.mean()) <= 0.02
         assert abs(z.std() - 1.0) <= 0.02
 
+    @pytest.mark.parametrize("seed", [-1, 2**128, 1.5, True, "3", None])
+    def test_rejects_seed_outside_key_range(self, seed):
+        with pytest.raises(ValueError, match=r"seed must be an int in \[0, 2\*\*128\), got "
+                           + re.escape(repr(seed))):
+            mc.RandomizationDevice(seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**128 - 1, np.int64(5), np.uint64(2**64 - 1)])
+    def test_accepts_every_key(self, seed):
+        dev = mc.RandomizationDevice(seed)
+        assert type(dev.seed) is int and dev.seed == seed
+        assert dev.control_uniforms(0, 1, 0, 3).shape == (3,)
+
+
+def searchsorted_cells(axis, xs):
+    """Nearest-node cells by a binary search of every state, the reference."""
+    right = np.clip(np.searchsorted(axis, xs), 0, axis.size - 1)
+    left = np.clip(right - 1, 0, axis.size - 1)
+    use_left = np.abs(axis[left] - xs) <= np.abs(axis[right] - xs)
+    return np.where(use_left, left, right)
+
 
 class TestStrategyProfile:
     def test_uniform(self, uv_cost):
@@ -142,6 +163,37 @@ class TestStrategyProfile:
         assert np.array_equal(prof.weights_at(0, 2, x), vw[0][cells])
         with pytest.raises(ValueError, match="feedback"):
             mc.StrategyProfile("openloop", uw[0], vw[0]).cells_at(x)
+
+    AXES = {
+        "sweep": SpaceGrid.for_problem(load_problem("uv_drift"), 101).axes[0][1:-1],
+        "linspace": np.linspace(-2.0, 3.0, 17),
+        "nonuniform": np.cumsum(np.random.default_rng(3).uniform(0.01, 1.0, 40)) - 5.0,
+        "two_nodes": np.array([0.25, 0.75]),
+        "one_node": np.array([0.5]),
+        "repeated_node": np.array([-1.0, 0.0, 0.0, 2.0]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(AXES))
+    def test_cells_at_equals_searchsorted_reference(self, name):
+        axis = self.AXES[name]
+        mids = (axis[:-1] + axis[1:]) / 2
+        below, above = np.nextafter(mids, -np.inf), np.nextafter(mids, np.inf)
+        outside = [axis[0] - 1.0, axis[-1] + 1.0, np.nextafter(axis[0], -np.inf),
+                   np.nextafter(axis[-1], np.inf), -1e300, 1e300, -np.inf, np.inf, np.nan]
+        rng = np.random.default_rng(5)
+        inside = rng.uniform(axis[0], axis[-1], 1000)
+        xs = np.concatenate([axis, np.nextafter(axis, -np.inf), np.nextafter(axis, np.inf),
+                             mids, below, above, outside, inside])
+        w = np.full((1, axis.size, 1), 1.0)
+        # from_jsonable: the axis as a caller may write it, any spacing
+        prof = mc.StrategyProfile.from_jsonable(
+            {"mode": "feedback", "u_weights": w.tolist(), "v_weights": w.tolist(),
+             "cell_axis": axis.tolist()})
+        got = prof.cells_at(xs[:, None])
+        want = searchsorted_cells(axis, xs)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert np.array_equal(mc._right_neighbours(axis, xs), np.searchsorted(axis, xs))
 
     def test_json_round_trip(self, uv_cost):
         prof = mc.StrategyProfile.uniform(uv_cost, 3)
@@ -562,6 +614,114 @@ class TestEstimatePayoff:
         dt = 1.0 / (8 * 2)
         assert abs(e1.mean - e2.mean) <= max(3 * math.hypot(e1.std_error, e2.std_error),
                                              1.0 * dt)
+
+
+def feedback_moving_phi_1d():
+    """moving_1d's b (names t) and f (names x), a sin/exp terminal cost, feedback play."""
+    prob = variant("uv_running_cost", name="moving_phi_1d", b=["u1*v1*cos(t)"],
+                   f="u1*v1 + 0.1*sin(x1)", phi="sin(x1) + exp(-x1*x1)",
+                   bounds={"sup_b": 1.0, "sup_f": 1.1, "lip_phi": 2.0, "sup_phi": 2.0,
+                           "value_lip": 3.0})
+    pi = Partition.uniform(prob.T, 3)
+    grid = SpaceGrid.for_problem(prob, 31)
+    res = dpp_sweep(prob, grid, pi, SchemeParams(), "lower", record_strategies=True)
+    return prob, pi, mc.StrategyProfile.from_sweep(res, grid), [0.2], 2
+
+
+def openloop_moving_2d():
+    prob = moving_2d()
+    rng = np.random.default_rng(4)
+    prof = mc.StrategyProfile("openloop", rng.dirichlet(np.ones(prob.u_grid.n), size=3),
+                              rng.dirichlet(np.ones(prob.v_grid.n), size=3))
+    return prob, Partition.uniform(1.0, 3), prof, [0.3, -0.4], 2
+
+
+ESTIMATE_CASES = {
+    "feedback_1d": lambda: TestChunking().feedback_1d(),
+    "openloop_2d": lambda: TestChunking().openloop_2d(),
+    "feedback_moving_phi_1d": feedback_moving_phi_1d,
+    "openloop_moving_2d": openloop_moving_2d,
+}
+
+
+class TestEstimate:
+    """``estimate`` is ``estimate_payoff(simulate(...))`` with one payoff kept per path."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, mc._CHUNK_PATHS])
+    @pytest.mark.parametrize("case", sorted(ESTIMATE_CASES))
+    def test_bitwise_equal_to_estimate_payoff(self, monkeypatch, case, chunk):
+        prob, pi, prof, x0, substeps = ESTIMATE_CASES[case]()
+        monkeypatch.setattr(mc, "_CHUNK_PATHS", chunk)
+        sizes = sorted({n for n in (1, 7, chunk - 1, chunk, chunk + 1, 2 * chunk + 5) if n >= 1})
+        for n in sizes:
+            dev = mc.RandomizationDevice(23)
+            got = mc.estimate(prob, pi, prof, x0, n, substeps, dev)
+            want = mc.estimate_payoff(mc.simulate(prob, pi, prof, x0, n, substeps, dev), prob)
+            assert (got.mean.hex(), got.std_error.hex(), got.n_paths) == \
+                (want.mean.hex(), want.std_error.hex(), want.n_paths), n
+
+    def test_first_path_continues_the_streams(self, monkeypatch):
+        prob, pi, prof, x0, substeps = TestChunking().feedback_1d()
+        monkeypatch.setattr(mc, "_CHUNK_PATHS", 7)
+        dev = mc.RandomizationDevice(17)
+        whole = mc.simulate(prob, pi, prof, x0, 40, substeps, dev)
+        parts = [mc.simulate(prob, pi, prof, x0, hi - lo, substeps, dev, first_path=lo)
+                 for lo, hi in ((0, 13), (13, 14), (np.int64(14), 40))]
+        assert whole.first_path == 0
+        assert [p.first_path for p in parts] == [0, 13, 14]
+        for name in ("states", "u_indices", "v_indices", "running_cost"):
+            joined = np.concatenate([getattr(p, name) for p in parts])
+            assert joined.tobytes() == getattr(whole, name).tobytes(), name
+
+    @pytest.mark.parametrize("first_path", [-1, 1.5, True, "2", None])
+    def test_rejects_bad_first_path(self, uv_cost, first_path):
+        with pytest.raises(ValueError, match=r"first_path must be an int >= 0, got "
+                           + re.escape(repr(first_path))):
+            mc.simulate(uv_cost, PI8, mc.StrategyProfile.uniform(uv_cost, 8), [0.0], 5, 1,
+                        mc.RandomizationDevice(0), first_path=first_path)
+
+    def test_error_names_global_path(self, heat, monkeypatch):
+        # the spikes of TestChunking: path 9 is the first to go non-finite
+        spikes = [(2, 0, 3), (1, 2, 20), (1, 2, 9)]
+        pi, prof = Partition.uniform(1.0, 4), mc.StrategyProfile.uniform(heat, 4)
+        for size in TestChunking.SIZES:
+            monkeypatch.setattr(mc, "_CHUNK_PATHS", size)
+            with pytest.raises(ArithmeticError) as err:
+                mc.estimate(heat, pi, prof, [0.0], 30, 3, SpikedDevice(4, spikes))
+            assert str(err.value) == "non-finite state at path 9, subinterval 1, substep 2"
+        # a slice of the streams names paths by their global index
+        for first, n, where in ((5, 25, "path 9, subinterval 1, substep 2"),
+                                (10, 20, "path 20, subinterval 1, substep 2"),
+                                (0, 6, "path 3, subinterval 2, substep 0")):
+            with pytest.raises(ArithmeticError) as err:
+                mc.simulate(heat, pi, prof, [0.0], n, 3, SpikedDevice(4, spikes),
+                            first_path=first)
+            assert str(err.value) == f"non-finite state at {where}"
+
+    def test_memory_grows_by_one_payoff_per_path(self):
+        prob = load_problem("uv_drift")
+        pi = Partition.uniform(prob.T, 8)
+        grid = SpaceGrid.for_problem(prob, 41)
+        res = dpp_sweep(prob, grid, pi, SchemeParams(), "lower", record_strategies=True)
+        prof = mc.StrategyProfile.from_sweep(res, grid)
+        peaks = []
+        for n in (200_000, 400_000):
+            tracemalloc.start()
+            try:
+                est = mc.estimate(prob, pi, prof, [0.0], n, 1, mc.RandomizationDevice(1))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert est.n_paths == n
+        # 8 bytes of payoff per path; keeping the ensemble would add 208
+        assert peaks[1] - peaks[0] <= 1.25 * 8 * 200_000
+
+    def test_rejects_y_dependent_f_before_simulating(self, monkeypatch):
+        ydep = variant("uv_running_cost", name="ydep", f="u1*v1 - y", bounds={"lip_y_f": 1.0})
+        monkeypatch.setattr(mc, "simulate", None)
+        with pytest.raises(mc.ClassicalCaseError, match="PDE"):
+            mc.estimate(ydep, PI8, mc.StrategyProfile.uniform(ydep, 8), [0.0], 50, 1,
+                        mc.RandomizationDevice(0))
 
 
 class TestExploit:
