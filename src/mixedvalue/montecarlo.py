@@ -147,26 +147,6 @@ def _box_muller(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _right_neighbours(axis: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(axis, xs)``, guessed from the axis's mean spacing.
-
-    On a strictly increasing axis the index r with
-    ``axis[r-1] < x <= axis[r]`` is searchsorted's answer, so a guess that
-    passes this check exactly is kept; only the states whose guess fails
-    (ends of the axis, rounding at nodes, non-uniform spacing) are searched.
-    """
-    n = axis.size
-    if n < 2 or not np.all(axis[1:] > axis[:-1]):
-        return np.searchsorted(axis, xs)
-    step = (axis[-1] - axis[0]) / (n - 1)
-    # fmax/fmin map NaN to a valid index, whose check then fails
-    r = np.fmin(np.fmax(np.ceil((xs - axis[0]) / step), 1.0), n - 1).astype(np.intp)
-    miss = ~((axis[r - 1] < xs) & (xs <= axis[r]))
-    if miss.any():
-        r[miss] = np.searchsorted(axis, xs[miss])
-    return r
-
-
 # ---------------------------------------------------------------------------
 # Strategy profiles
 # ---------------------------------------------------------------------------
@@ -251,17 +231,14 @@ class StrategyProfile:
         return cls("feedback", result.mu, result.nu, cell_axis=work_axis)
 
     def cells_at(self, x: np.ndarray) -> np.ndarray:
-        """Nearest-node cell of ``cell_axis`` for every state (feedback only).
-
-        Of the two nodes around a state the nearer wins, the left one on a
-        tie; a state outside the axis takes the nearer end.
-        """
+        """Nearest-node cell of ``cell_axis`` for every state (feedback only)."""
         if self.mode != "feedback":
             raise ValueError("only feedback profiles have cells")
-        axis, xs = self.cell_axis, x[:, 0]
-        right = np.minimum(_right_neighbours(axis, xs), axis.size - 1)
-        left = np.maximum(right - 1, 0)
-        use_left = np.abs(axis[left] - xs) <= np.abs(axis[right] - xs)
+        axis = self.cell_axis
+        # searchsorted gives the right neighbor index
+        right = np.clip(np.searchsorted(axis, x[:, 0]), 0, axis.size - 1)
+        left = np.clip(right - 1, 0, axis.size - 1)
+        use_left = np.abs(axis[left] - x[:, 0]) <= np.abs(axis[right] - x[:, 0])
         return np.where(use_left, left, right)
 
     def weights_at(self, subinterval: int, player: int, x: np.ndarray) -> np.ndarray:
@@ -497,13 +474,20 @@ def _payoffs(ensemble: PathEnsemble, prob: Problem) -> np.ndarray:
 
 
 def _statistics(payoff: np.ndarray) -> PayoffEstimate:
-    """Sample mean and standard error; numpy pairwise summation, deterministic."""
-    mean = float(np.mean(payoff))
-    if payoff.size > 1:
-        se = float(np.std(payoff, ddof=1) / math.sqrt(payoff.size))
-    else:
-        se = 0.0
-    return PayoffEstimate(mean=mean, std_error=se, n_paths=payoff.size)
+    """Sample mean and standard error; numpy pairwise summation, deterministic.
+
+    The standard error is ``np.std(payoff, ddof=1) / sqrt(n)`` bitwise: the
+    same subtraction, squaring and sum as ``np.std``, done in ``payoff``
+    itself (which is overwritten) where ``np.std`` allocates a temporary
+    as large as it.
+    """
+    n = payoff.size
+    mean = np.mean(payoff)
+    se = 0.0
+    if n > 1:
+        np.square(np.subtract(payoff, mean, out=payoff), out=payoff)
+        se = float(np.sqrt(np.add.reduce(payoff) / (n - 1)) / math.sqrt(n))
+    return PayoffEstimate(mean=float(mean), std_error=se, n_paths=n)
 
 
 def estimate_payoff(ensemble: PathEnsemble, prob: Problem) -> PayoffEstimate:
@@ -524,8 +508,9 @@ def estimate(prob: Problem, pi: Partition, profile: StrategyProfile, x0, n_paths
     The paths go through :func:`simulate` one chunk of ``_CHUNK_PATHS`` at a
     time, each at its own ``first_path``, and only the payoff of every path
     is kept: memory is 8 bytes per path plus one chunk's ensemble, where the
-    ensemble of all paths holds O(paths x subintervals).  The statistics are
-    those of :func:`estimate_payoff` over the same payoff vector.  A
+    ensemble of all paths holds O(paths x subintervals); the statistics
+    reduce the payoff vector in place.  They are those of
+    :func:`estimate_payoff` over the same payoff vector.  A
     non-finite state raises the ``ArithmeticError`` that :func:`simulate`
     would: the earliest (subinterval, substep) over all chunks and the
     lowest path index there.

@@ -121,14 +121,6 @@ class TestRandomizationDevice:
         assert dev.control_uniforms(0, 1, 0, 3).shape == (3,)
 
 
-def searchsorted_cells(axis, xs):
-    """Nearest-node cells by a binary search of every state, the reference."""
-    right = np.clip(np.searchsorted(axis, xs), 0, axis.size - 1)
-    left = np.clip(right - 1, 0, axis.size - 1)
-    use_left = np.abs(axis[left] - xs) <= np.abs(axis[right] - xs)
-    return np.where(use_left, left, right)
-
-
 class TestStrategyProfile:
     def test_uniform(self, uv_cost):
         prof = mc.StrategyProfile.uniform(uv_cost, 4)
@@ -163,37 +155,6 @@ class TestStrategyProfile:
         assert np.array_equal(prof.weights_at(0, 2, x), vw[0][cells])
         with pytest.raises(ValueError, match="feedback"):
             mc.StrategyProfile("openloop", uw[0], vw[0]).cells_at(x)
-
-    AXES = {
-        "sweep": SpaceGrid.for_problem(load_problem("uv_drift"), 101).axes[0][1:-1],
-        "linspace": np.linspace(-2.0, 3.0, 17),
-        "nonuniform": np.cumsum(np.random.default_rng(3).uniform(0.01, 1.0, 40)) - 5.0,
-        "two_nodes": np.array([0.25, 0.75]),
-        "one_node": np.array([0.5]),
-        "repeated_node": np.array([-1.0, 0.0, 0.0, 2.0]),
-    }
-
-    @pytest.mark.parametrize("name", sorted(AXES))
-    def test_cells_at_equals_searchsorted_reference(self, name):
-        axis = self.AXES[name]
-        mids = (axis[:-1] + axis[1:]) / 2
-        below, above = np.nextafter(mids, -np.inf), np.nextafter(mids, np.inf)
-        outside = [axis[0] - 1.0, axis[-1] + 1.0, np.nextafter(axis[0], -np.inf),
-                   np.nextafter(axis[-1], np.inf), -1e300, 1e300, -np.inf, np.inf, np.nan]
-        rng = np.random.default_rng(5)
-        inside = rng.uniform(axis[0], axis[-1], 1000)
-        xs = np.concatenate([axis, np.nextafter(axis, -np.inf), np.nextafter(axis, np.inf),
-                             mids, below, above, outside, inside])
-        w = np.full((1, axis.size, 1), 1.0)
-        # from_jsonable: the axis as a caller may write it, any spacing
-        prof = mc.StrategyProfile.from_jsonable(
-            {"mode": "feedback", "u_weights": w.tolist(), "v_weights": w.tolist(),
-             "cell_axis": axis.tolist()})
-        got = prof.cells_at(xs[:, None])
-        want = searchsorted_cells(axis, xs)
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
-        assert np.array_equal(mc._right_neighbours(axis, xs), np.searchsorted(axis, xs))
 
     def test_json_round_trip(self, uv_cost):
         prof = mc.StrategyProfile.uniform(uv_cost, 3)
@@ -405,10 +366,15 @@ class TestChunking:
         assert peak <= 1.25 * kept
 
 
-def moving_1d():
-    """d=1: b names t, sigma names neither t nor x, f names x."""
+def moving_1d(phi=None, **bounds):
+    """d=1: b names t, sigma names neither t nor x, f names x.
+
+    ``phi`` replaces the terminal cost; ``bounds`` add to or replace the bounds.
+    """
+    over = {} if phi is None else {"phi": phi}
     return variant("uv_running_cost", name="moving_1d", b=["u1*v1*cos(t)"],
-                   f="u1*v1 + 0.1*sin(x1)", bounds={"sup_b": 1.0, "sup_f": 1.1})
+                   f="u1*v1 + 0.1*sin(x1)", bounds={"sup_b": 1.0, "sup_f": 1.1, **bounds},
+                   **over)
 
 
 def moving_2d():
@@ -617,11 +583,8 @@ class TestEstimatePayoff:
 
 
 def feedback_moving_phi_1d():
-    """moving_1d's b (names t) and f (names x), a sin/exp terminal cost, feedback play."""
-    prob = variant("uv_running_cost", name="moving_phi_1d", b=["u1*v1*cos(t)"],
-                   f="u1*v1 + 0.1*sin(x1)", phi="sin(x1) + exp(-x1*x1)",
-                   bounds={"sup_b": 1.0, "sup_f": 1.1, "lip_phi": 2.0, "sup_phi": 2.0,
-                           "value_lip": 3.0})
+    """moving_1d with a sin/exp terminal cost, feedback play."""
+    prob = moving_1d(phi="sin(x1) + exp(-x1*x1)", lip_phi=2.0, sup_phi=2.0, value_lip=3.0)
     pi = Partition.uniform(prob.T, 3)
     grid = SpaceGrid.for_problem(prob, 31)
     res = dpp_sweep(prob, grid, pi, SchemeParams(), "lower", record_strategies=True)
@@ -713,8 +676,32 @@ class TestEstimate:
             finally:
                 tracemalloc.stop()
             assert est.n_paths == n
-        # 8 bytes of payoff per path; keeping the ensemble would add 208
+        # the peak is reached while a chunk runs: the payoff vector (8 bytes
+        # per path) plus one chunk's working set, the same at both counts.
+        # _statistics adds no path-sized array after the last chunk, so the
+        # peak grows by the payoff vector alone; the ensemble would add 208.
         assert peaks[1] - peaks[0] <= 1.25 * 8 * 200_000
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 127, 128, 129, 1000, 100_003])
+    def test_statistics_bitwise_np_std(self, n):
+        rng = np.random.default_rng(n)
+        for payoff in (rng.normal(3.0, 2.0, n), 1e8 + rng.standard_cauchy(n),
+                       np.full(n, 0.1), np.linspace(-1.0, 1.0, n) ** 3):
+            want_se = np.std(payoff, ddof=1) / math.sqrt(n) if n > 1 else 0.0
+            got = mc._statistics(payoff.copy())
+            assert (got.mean.hex(), got.std_error.hex(), got.n_paths) == \
+                (float(np.mean(payoff)).hex(), float(want_se).hex(), n)
+
+    def test_statistics_adds_no_path_sized_array(self):
+        payoff = np.random.default_rng(0).normal(size=1_000_000)
+        tracemalloc.start()
+        try:
+            mc._statistics(payoff)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # np.std alone would allocate the 8 MB of payoff - mean
+        assert peak < 0.01 * payoff.nbytes
 
     def test_rejects_y_dependent_f_before_simulating(self, monkeypatch):
         ydep = variant("uv_running_cost", name="ydep", f="u1*v1 - y", bounds={"lip_y_f": 1.0})
