@@ -186,6 +186,8 @@ class StrategyProfile:
             ax = np.asarray(self.cell_axis, dtype=float)
             if ax.ndim != 1 or ax.size != uw.shape[1]:
                 raise ValueError("cell_axis must match the cell dimension of the weights")
+            if not (np.all(np.isfinite(ax)) and np.all(np.diff(ax) > 0.0)):
+                raise ValueError("cell_axis must be finite and strictly increasing")
             object.__setattr__(self, "cell_axis", ax)
         object.__setattr__(self, "u_weights", uw)
         object.__setattr__(self, "v_weights", vw)

@@ -5,14 +5,18 @@ The scheme discretizes, backward in time from the terminal cost,
     dV/dt + value{ 0.5 tr(sigma sigma^T A) + b.p + f(t,x,y,p.sigma,u,v) } = 0
 
 where ``value`` is the mixed-strategy saddle value of the control matrix
-(relaxed mode) or the pure sup-inf / inf-sup envelope (pure modes).  At
-each node the per-(u,v) generator is applied to the current level with the
-Kushner-Dupuis stencil: upwind first differences chosen by the sign of the
-drift for that control pair, central second differences, and for d=2 the
-sign-adapted 7-point cross stencil (which requires the diagonal dominance
-that load_problem enforces).  Every matrix entry is then a monotone affine
-map of the level, so the game value preserves monotonicity and the scheme
-satisfies a discrete comparison principle under the CFL restriction
+(relaxed mode) or the pure sup-inf / inf-sup envelope (pure modes).  For
+each control pair the generator at a node is a fixed set of weights w_j on
+the node's 3^d neighbourhood, the Kushner-Dupuis stencil: upwind first
+differences chosen by the sign of each drift component, central second
+differences, and for d=2 the 7-point cross stencil following the sign of
+a01 = (sigma sigma^T)_01 (which needs the diagonal dominance that
+load_problem enforces).  The weights sum to zero and are >= 0 off the
+centre, so dt * w_j and, at the centre, 1 + dt * w_centre are the
+transition probabilities of a Markov chain on the grid; the CFL condition
+is that this centre weight is >= 0.  Every matrix entry is then a monotone
+affine map of the level and the scheme satisfies a discrete comparison
+principle.  The declared bounds give the CFL condition when
 
     dt * ( sum_i sup(sigma sigma^T)_ii / h_i^2
            + sum_i sup|b_i| / h_i + Lip_y(f) ) <= 1.
@@ -23,6 +27,7 @@ update (homogeneous Neumann), ``periodic`` wraps the stencil.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -203,40 +208,75 @@ def terminal_field(prob: Problem, grid: SpaceGrid, label: str = "V_mixed") -> Va
 # ---------------------------------------------------------------------------
 
 
+def _stencil_pattern(h) -> np.ndarray:
+    """The weight each unit feature puts on each node of the 3^d neighbourhood.
+
+    Rows are the features in :meth:`Stepper._features` order: max(b_i, 0)
+    and max(-b_i, 0) per axis (upwind differences), (sigma sigma^T)_ii per
+    axis (central second differences) and, for d = 2, max(a01, 0) and
+    max(-a01, 0) (the cross stencil on the diagonal or the anti-diagonal).
+    Columns are the offsets in {-1, 0, 1}^d, row-major.  Rows sum to zero.
+    """
+    d = len(h)
+    offsets = list(itertools.product((-1, 0, 1), repeat=d))
+    centre = (0,) * d
+
+    def unit(i, s):
+        return tuple(s if j == i else 0 for j in range(d))
+
+    rows = []
+    for i in range(d):
+        rows.append({unit(i, 1): 1.0 / h[i], centre: -1.0 / h[i]})
+        rows.append({unit(i, -1): 1.0 / h[i], centre: -1.0 / h[i]})
+    for i in range(d):
+        rows.append({unit(i, 1): 0.5 / h[i] ** 2, unit(i, -1): 0.5 / h[i] ** 2,
+                     centre: -1.0 / h[i] ** 2})
+    if d == 2:
+        den = 2.0 * h[0] * h[1]
+        axes = {centre: 2.0 / den, **{unit(i, s): -1.0 / den for i in range(2) for s in (1, -1)}}
+        rows.append({**axes, (1, 1): 1.0 / den, (-1, -1): 1.0 / den})
+        rows.append({**axes, (1, -1): 1.0 / den, (-1, 1): 1.0 / den})
+    pattern = np.zeros((len(rows), len(offsets)))
+    for r, row in enumerate(rows):
+        for off, w in row.items():
+            pattern[r, offsets.index(off)] = w
+    return pattern
+
+
 @dataclass(frozen=True)
 class _StencilCoefficients:
-    """Coefficients of one level's stencil, each in its own broadcast shape."""
+    """One level's coefficients, each entry in its own broadcast shape, and their weights."""
 
     b: tuple
     sigma: tuple
-    up: tuple  # max(b_i, 0), weight of the forward difference
-    down: tuple  # max(-b_i, 0), weight of the backward difference
-    half_a: tuple  # 0.5 (sigma sigma^T)_ii
-    a01: object  # (sigma sigma^T)_01 for d=2, else None
     f: object  # f(y=0, z=0), or None when f depends on y or z
+    features: np.ndarray  # (m, k, n_features, *nodes), nodes all 1 when b, sigma are free of x
+    weights: object  # (m*k, 3^d), the features times the pattern, when free of x; else None
 
 
 class Stepper:
     """Precomputed per-(grid, problem) stencil state.
 
+    A control pair's generator at a work node is its weights W on the
+    node's 3^d neighbourhood S, the :func:`_stencil_pattern` applied to the
+    features of b and sigma.  :meth:`entries` copies S, shifted views of
+    one padded level (the level itself under clamp boundaries, its
+    periodic cell wrapped by one node otherwise), into one reused array
+    and returns W @ S + f: one matrix product of (pairs, 3^d) by
+    (3^d, nodes) when b and sigma are free of x.  Otherwise the features
+    carry the node axes, and the same weights are applied as the features
+    times (pattern @ S), which never forms a (pairs, 3^d, nodes) array.
+
     b, sigma and f(y=0, z=0) are evaluated on the work region for every
-    control pair at once, each entry in its own broadcast shape.  An entry
-    that names t is evaluated once per level (each :meth:`entries` call),
-    any other once per Stepper; the stencil weights derived from an entry
-    (upwind drift parts, 0.5 (sigma sigma^T)_ii, the cross term) are redone
-    only when it is.  An f that names y or z is evaluated at every call,
-    with the level and its upwind gradient.  The stencil reads one padded
-    level, the level itself under clamp boundaries and its periodic cell
-    wrapped by one node otherwise, so every neighbour is a slice of it.  Differences, stencil fields and partial
-    sums are computed in place in work arrays the Stepper allocates on first
-    use and then reuses; the generator accumulates in a fresh array, which
-    :meth:`entries` returns and callers may keep.  So a step allocates no
-    large temporaries besides that array and the new level.  The local
-    games of a level are solved in one batch, each node starting from the
-    kernel that certified it on the previous call.  Also used by the
-    partition sweep, which freezes the per-node strategies over a
-    subinterval and advances with :meth:`step_frozen`, and by
-    ``montecarlo.exploit``, which lets one player re-optimize in it.
+    control pair at once.  An entry that names t is evaluated once per
+    level (each :meth:`entries` call), any other once per Stepper, and only
+    its features are rebuilt.  An f that names y or z is evaluated at every
+    call, with the level and its upwind gradient, the pattern's drift rows
+    applied to S.  The local games of a level are solved in one batch,
+    each node starting from the kernel that certified it on the previous
+    call.  Also used by the partition sweep, which freezes the per-node
+    strategies over a subinterval and advances with :meth:`step_frozen`,
+    and by ``montecarlo.exploit``, which lets one player re-optimize in it.
     """
 
     def __init__(self, prob: Problem, grid: SpaceGrid, game_tol: float = 1e-9):
@@ -266,6 +306,8 @@ class Stepper:
         self._iu = np.arange(self.m).reshape((self.m, 1) + ones)
         self._iv = np.arange(self.k).reshape((1, self.k) + ones)
         self._f_needs_yz = prob.f_needs_yz
+        self._offsets = tuple(itertools.product((-1, 0, 1), repeat=self.d))
+        self._pattern = _stencil_pattern(self.h)
         self._coef = None  # the last _coefficients result, reused entry by entry
         self._kernels = None  # per-node kernel of the last relaxed game solve
         self._scratch = {}  # work arrays by name, reused across calls
@@ -280,38 +322,51 @@ class Stepper:
         return arr
 
     def _coefficients(self, t) -> _StencilCoefficients:
-        """Stencil coefficients at t: only what derives from entries naming t is redone."""
+        """Stencil coefficients at t: only the features of re-evaluated entries are redone."""
         old = self._coef
         b, sig, f = self.prob._evaluate_entries(
             t, self._xw, self._iu, self._iv,
             None if old is None else (old.b, old.sigma, old.f), _TIME,
             with_f=not self._f_needs_yz,
         )
-        if old is not None and b is old.b and sig is old.sigma and f is old.f:
-            return old
-        up, down, half_a = [], [], []
-        for i in range(self.d):
-            if old is not None and b[i] is old.b[i]:
-                up.append(old.up[i])
-                down.append(old.down[i])
-            else:
-                up.append(np.maximum(b[i], 0.0))
-                down.append(np.maximum(-b[i], 0.0))
-            row = sig[i]
-            if old is not None and row is old.sigma[i]:
-                half_a.append(old.half_a[i])
-            else:
-                half_a.append(0.5 * (row[0] * row[0] if self.d == 1
-                                     else row[0] * row[0] + row[1] * row[1]))
-        if self.d == 1:
-            a01 = None
-        elif old is not None and sig is old.sigma:
-            a01 = old.a01
+        if old is not None and b is old.b and sig is old.sigma:
+            if f is old.f:
+                return old
+            feats, weights = old.features, old.weights
         else:
-            a01 = sig[0][0] * sig[1][0] + sig[0][1] * sig[1][1]
-        self._coef = _StencilCoefficients(b=b, sigma=sig, up=tuple(up), down=tuple(down),
-                                          half_a=tuple(half_a), a01=a01, f=f)
+            feats, weights = self._features(b, sig, old)
+        self._coef = _StencilCoefficients(b=b, sigma=sig, f=f, features=feats, weights=weights)
         return self._coef
+
+    def _features(self, b, sig, old) -> tuple:
+        """The features of b and sigma and, when they are free of x, the weights.
+
+        The features live in one array, in the broadcast shape of b and
+        sigma with full control axes, that is overwritten in place: only
+        the features of entries that are not those of ``old`` are written.
+        """
+        d = self.d
+        if old is None:
+            shape = np.broadcast_shapes((self.m, self.k) + (1,) * d, *(np.shape(e) for e in b),
+                                        *(np.shape(e) for row in sig for e in row))
+            feats = np.empty(shape[:2] + (len(self._pattern),) + shape[2:])
+        else:
+            feats = old.features
+        out = [feats[:, :, j] for j in range(len(self._pattern))]
+        for i, bi in enumerate(b):
+            if old is None or bi is not old.b[i]:
+                np.maximum(bi, 0.0, out=out[2 * i])
+                np.maximum(np.negative(bi, out=out[2 * i + 1]), 0.0, out=out[2 * i + 1])
+        if old is None or sig is not old.sigma:
+            for i, row in enumerate(sig):
+                out[2 * d + i][...] = (row[0] * row[0] if d == 1
+                                       else row[0] * row[0] + row[1] * row[1])
+            if d == 2:
+                a01 = sig[0][0] * sig[1][0] + sig[0][1] * sig[1][1]
+                np.maximum(a01, 0.0, out=out[-2])
+                np.maximum(np.negative(a01), 0.0, out=out[-1])
+        flat = feats.reshape(self.m * self.k, len(self._pattern), -1)
+        return feats, (flat[..., 0] @ self._pattern if flat.shape[-1] == 1 else None)
 
     def entries(self, values: np.ndarray, t: float) -> np.ndarray:
         """Per-(u,v) discrete generator applied to the level.
@@ -319,90 +374,31 @@ class Stepper:
         Returns a fresh (m, k, *work) array; every [iu, iv] slice is a
         monotone affine function of the level under the CFL restriction.
         """
-        d, h = self.d, self.h
+        d, n_hood = self.d, len(self._offsets)
         co = self._coefficients(t)
         pad = values if self.mode == "clamp" else np.pad(values[self._work], 1, mode="wrap")
-
-        def at(*offsets):  # the padded level shifted by offsets, on the work region
-            return pad[tuple(slice(1 + o, n - 1 + o) for o, n in zip(offsets, pad.shape))]
-
-        c = at(*(0,) * d)
-        two_c = np.multiply(2.0, c, out=self._array("two_c", c.shape))
-        fwd, bwd, sec, axis_nb = [], [], [], []
-        for i in range(d):
-            ax = (slice(None),) * i
-            # the work region extended by one node both ways along axis i
-            line = pad[tuple(slice(None) if j == i else slice(1, -1) for j in range(d))]
-            nxt, prv = line[ax + (slice(2, None),)], line[ax + (slice(None, -2),)]
-            # forward and backward differences are two views of one array
-            hi, lo = line[ax + (slice(1, None),)], line[ax + (slice(None, -1),)]
-            first = np.subtract(hi, lo, out=self._array(f"first{i}", hi.shape))
-            first /= h[i]
-            fwd.append(first[ax + (slice(1, None),)])
-            bwd.append(first[ax + (slice(None, -1),)])
-            second = self._array(f"second{i}", c.shape)
-            np.subtract(nxt, two_c, out=second)
-            second += prv
-            second /= h[i] ** 2
-            sec.append(second)
-            axis_nb += [nxt, prv]
-
-        terms = [(co.half_a[i], sec[i]) for i in range(d)]
-        if d == 2:
-            # the 7-point cross stencil follows the sign of a01; build only
-            # the variants whose sign occurs
-            den = 2.0 * h[0] * h[1]
-
-            def cross(name, diag, anti, negate):
-                out = self._array(name, c.shape)
-                np.add(two_c, diag, out=out)
-                out += anti
-                for nb in axis_nb:
-                    out -= nb
-                if negate:
-                    np.negative(out, out=out)
-                out /= den
-                return out
-
-            nonneg = np.asarray(co.a01) >= 0.0
-            if nonneg.all():
-                cr = cross("cross_pos", at(1, 1), at(-1, -1), False)
-            elif not nonneg.any():
-                cr = cross("cross_neg", at(1, -1), at(-1, 1), True)
-            else:
-                cr = self._array("cross", np.broadcast_shapes(nonneg.shape, c.shape))
-                np.copyto(cr, cross("cross_neg", at(1, -1), at(-1, 1), True))
-                np.copyto(cr, cross("cross_pos", at(1, 1), at(-1, -1), False), where=nonneg)
-            terms.append((co.a01, cr))
-        dshape = np.broadcast_shapes(*(s for a, x in terms for s in (np.shape(a), x.shape)))
-        diffusion = self._array("diffusion", dshape)
-        term = self._array("diffusion_term", dshape)
-        np.multiply(terms[0][0], terms[0][1], out=diffusion)
-        for a, x in terms[1:]:
-            np.multiply(a, x, out=term)
-            diffusion += term
+        hood = self._array("hood", (n_hood,) + self.work_shape)
+        for j, off in enumerate(self._offsets):
+            np.copyto(hood[j], pad[tuple(slice(1 + o, n - 1 + o) for o, n in zip(off, pad.shape))])
+        s = hood.reshape(n_hood, -1)
+        if co.weights is not None:
+            gen = co.weights @ s
+        else:
+            flat = co.features.reshape(self.m * self.k, len(self._pattern), -1)
+            gen = np.einsum("pfn,fn->pn", flat, self._pattern @ s)
+        gen = gen.reshape((self.m, self.k) + self.work_shape)
 
         f = co.f
         if f is None:  # y is the level, z the upwind gradient times sigma
-            p = [np.where(np.asarray(bi) >= 0.0, fw, bw) for bi, fw, bw in zip(co.b, fwd, bwd)]
+            # the drift rows give forward and negated backward differences
+            grad = (self._pattern[:2 * d] @ s).reshape((2 * d,) + self.work_shape)
+            p = [np.where(np.asarray(bi) >= 0.0, grad[2 * i], -grad[2 * i + 1])
+                 for i, bi in enumerate(co.b)]
             sig = co.sigma
             z = [p[0] * sig[0][j] if d == 1 else p[0] * sig[0][j] + p[1] * sig[1][j]
                  for j in range(d)]
-            f = self.prob.running_cost(t, self._xw, self._iu, self._iv, c,
+            f = self.prob.running_cost(t, self._xw, self._iu, self._iv, hood[n_hood // 2],
                                        np.stack(np.broadcast_arrays(*z), axis=-1))
-
-        # the generator accumulates in the returned array, in the order of
-        # ((up0 fwd0 - down0 bwd0) + up1 fwd1) - down1 bwd1, + diffusion, + f
-        gen = np.empty((self.m, self.k) + self.work_shape)
-        term = self._array("generator_term", gen.shape)
-        np.multiply(co.up[0], fwd[0], out=gen)
-        for i in range(d):
-            if i:
-                np.multiply(co.up[i], fwd[i], out=term)
-                gen += term
-            np.multiply(co.down[i], bwd[i], out=term)
-            gen -= term
-        gen += diffusion
         gen += f
         return gen
 

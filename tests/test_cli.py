@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,3 +154,28 @@ class TestLevelCsv:
         header = (["orientation", "t", "x1", "value"] if grid.d == 1
                   else ["orientation", "t", "x1", "x2", "value"])
         assert out.read_bytes() == csv_writer_bytes(tmp_path / "ref.csv", header, runs, grid)
+
+
+@pytest.mark.parametrize("b", [BILINEAR_2D["b"], ["u1*v1 - 0.1*x1", "0.5*(u1-v1)*cos(t) + 0.1*x2"]],
+                         ids=["x_free", "x_dependent"])
+def test_solve_pde_digest_independent_of_blas_threads(tmp_path, b):
+    # the stencil's matrix products run in BLAS: a replayed manifest must
+    # match whatever thread count the BLAS library is given.  At nx = 81 the
+    # products are large enough for OpenBLAS to split them across threads.
+    cfg = {**BILINEAR_2D, "T": 0.01, "b": b,
+           "bounds": {**BILINEAR_2D["bounds"], "sup_b": 1.2}}
+    source = tmp_path / "problem.json"
+    source.write_text(json.dumps(cfg), encoding="utf-8")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}" / "v.csv"
+        out.parent.mkdir()
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        subprocess.run([sys.executable, "-m", "mixedvalue.cli", "solve-pde", "--problem",
+                        str(source), "--nx", "81", "--out", str(out)],
+                       env=env, check=True, timeout=300)
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text(encoding="utf-8"))
+        digests.append(manifest["outputs"]["v.csv"])
+    assert digests[0] == digests[1]

@@ -170,6 +170,25 @@ class TestStrategyProfile:
         assert prof.n_subintervals == 4
         w = prof.weights_at(2, 1, np.array([[0.0], [3.0]]))
         assert np.allclose(w, 0.5, atol=1e-9)
+        # the cell axis is the sweep's work axis, kept as it is, and a
+        # profile survives its JSON round trip bitwise
+        assert np.array_equal(prof.cell_axis, grid.axes[0][1:-1])
+        assert np.array_equal(prof.u_weights, res.mu) and np.array_equal(prof.v_weights, res.nu)
+        back = mc.StrategyProfile.from_jsonable(prof.to_jsonable())
+        for name in ("cell_axis", "u_weights", "v_weights"):
+            assert getattr(back, name).tobytes() == getattr(prof, name).tobytes()
+
+    @pytest.mark.parametrize("axis", [[-1.0, 0.0, 0.0, 2.0], [2.0, 0.0, 1.0, -1.0],
+                                      [-1.0, 0.0, 1.0, math.inf], [-1.0, math.nan, 1.0, 2.0]])
+    def test_rejects_cell_axis_not_strictly_increasing(self, axis):
+        # nearest-node cells, and searchsorted in cells_at, need a sorted axis
+        uw = np.full((1, 4, 2), 0.5)
+        data = {"mode": "feedback", "u_weights": uw.tolist(), "v_weights": uw.tolist(),
+                "cell_axis": axis}
+        with pytest.raises(ValueError, match="cell_axis must be finite and strictly increasing"):
+            mc.StrategyProfile.from_jsonable(data)
+        data["cell_axis"] = [-1.0, 0.0, 1.0, 2.0]
+        assert mc.StrategyProfile.from_jsonable(data).cell_axis.tolist() == data["cell_axis"]
 
 
 class TestSimulate:

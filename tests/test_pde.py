@@ -1,6 +1,8 @@
 import copy
+import itertools
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,8 +63,13 @@ class TestStepBack:
         fld = terminal_field(heat, grid)
         out = step_back(fld, heat, grid, SchemeParams(dt=dt))
         v = fld.values
+        # b = 0 and a = sigma^2 = 1: the weights a/(2h^2), -a/h^2, a/(2h^2) on
+        # the neighbours x - h, x, x + h, applied by one matrix product, then f = 0
+        weights = np.array([[0.5 / h**2, -1.0 / h**2, 0.5 / h**2]])
+        gen = weights @ np.stack([v[:-2], v[1:-1], v[2:]])
+        gen += 0.0
         expected = v.copy()
-        expected[1:-1] = v[1:-1] + dt * (v[2:] - 2 * v[1:-1] + v[:-2]) / (2 * h * h)
+        expected[1:-1] = v[1:-1] + dt * gen[0]
         expected[0] = expected[1]
         expected[-1] = expected[-2]
         assert np.array_equal(out.values, expected)
@@ -469,14 +476,9 @@ class TestSpaceGrid:
             SpaceGrid(np.array([-1.0]), np.array([1.0]), (2,))
 
 
-def roll_reference_entries(prob, grid, values, t):
-    """The generator in whole-array form, neighbours taken with np.roll.
-
-    Same formulas and association order as the scheme: upwind first
-    differences, central second differences, the a01-sign-adapted cross
-    stencil and, when f names y or z, y = V and z = upwind p . sigma.
-    """
-    d, h = grid.d, grid.h
+def work_region(prob, grid, values):
+    """The level's work region, neighbours by np.roll, the work states and control indices."""
+    d = grid.d
     m, k = prob.u_grid.n, prob.v_grid.n
     if prob.domain.boundary_mode == "clamp":
         work, base, cut = (slice(1, -1),) * d, values, (slice(1, -1),) * d
@@ -489,8 +491,19 @@ def roll_reference_entries(prob, grid, values, t):
 
     x = np.stack([mesh[work] for mesh in grid.meshes()], axis=-1)
     ones = (1,) * d
-    iu = np.arange(m).reshape((m, 1) + ones)
-    iv = np.arange(k).reshape((1, k) + ones)
+    return nb, x, np.arange(m).reshape((m, 1) + ones), np.arange(k).reshape((1, k) + ones)
+
+
+def roll_reference_entries(prob, grid, values, t):
+    """The generator in difference form, neighbours taken with np.roll.
+
+    Upwind first differences, central second differences, the
+    a01-sign-adapted cross stencil and, when f names y or z, y = V and
+    z = upwind p . sigma, each computed as a difference of neighbours.
+    """
+    d, h = grid.d, grid.h
+    m, k = prob.u_grid.n, prob.v_grid.n
+    nb, x, iu, iv = work_region(prob, grid, values)
     b, sig = prob.coefficients(t, x, iu, iv)
     c = nb(*(0,) * d)
     if d == 1:
@@ -524,6 +537,74 @@ def roll_reference_entries(prob, grid, values, t):
     return np.broadcast_to(diff + drift + fval, (m, k) + c.shape)
 
 
+def difference_pattern(d, h):
+    """Each stencil feature's difference operator, as roll_reference_entries
+    writes it, applied to the unit neighbourhoods: rows are the features
+    max(b_i, 0), max(-b_i, 0) per axis, (sigma sigma^T)_ii per axis and, for
+    d = 2, max(a01, 0), max(-a01, 0); columns the offsets in {-1, 0, 1}^d.
+    """
+    offsets = list(itertools.product((-1, 0, 1), repeat=d))
+    unit = np.eye(len(offsets))
+
+    def nb(*off):
+        return unit[offsets.index(off)]
+
+    c = nb(*(0,) * d)
+    fwd = [nb(*(int(j == i) for j in range(d))) for i in range(d)]
+    bwd = [nb(*(-int(j == i) for j in range(d))) for i in range(d)]
+    rows = [r for i in range(d) for r in ((fwd[i] - c) / h[i], (bwd[i] - c) / h[i])]
+    rows += [0.5 * ((fwd[i] - 2.0 * c + bwd[i]) / h[i] ** 2) for i in range(d)]
+    if d == 2:
+        den = 2.0 * h[0] * h[1]
+        axes = fwd[0] + bwd[0] + fwd[1] + bwd[1]
+        rows += [(2.0 * c + nb(1, 1) + nb(-1, -1) - axes) / den,
+                 (2.0 * c + nb(1, -1) + nb(-1, 1) - axes) / den]
+    return np.array(rows) + 0.0  # no negative zeros
+
+
+def stencil_features(prob, x, iu, iv, t):
+    """(m*k, n_features, nodes) features of b and sigma; nodes is 1 when both are free of x."""
+    b, sig = prob.coefficients(t, x, iu, iv)
+    feats = [np.maximum(s, 0.0) for bi in b for s in (bi, -bi)]
+    feats += [row[0] * row[0] if prob.d == 1 else row[0] * row[0] + row[1] * row[1]
+              for row in sig]
+    if prob.d == 2:
+        a01 = sig[0][0] * sig[1][0] + sig[0][1] * sig[1][1]
+        feats += [np.maximum(a01, 0.0), np.maximum(-a01, 0.0)]
+    shape = np.broadcast_shapes(iu.shape, iv.shape, *(np.shape(f) for f in feats))
+    stack = np.stack([np.broadcast_to(f, shape) for f in feats], axis=2)
+    return stack.reshape(shape[0] * shape[1], len(feats), -1), b, sig
+
+
+def weights_reference_entries(prob, grid, values, t):
+    """The generator as the weights times the neighbourhood, from a fresh evaluation.
+
+    The pattern comes from difference_pattern and the neighbourhood from
+    np.roll; the reduction is the scheme's: one matrix product when b and
+    sigma are free of x, else the features times (pattern @ S) node by node.
+    """
+    d = grid.d
+    nb, x, iu, iv = work_region(prob, grid, values)
+    pattern = difference_pattern(d, grid.h)
+    hood = np.stack([nb(*off).ravel() for off in itertools.product((-1, 0, 1), repeat=d)])
+    feats, b, sig = stencil_features(prob, x, iu, iv, t)
+    if feats.shape[-1] == 1:
+        gen = (feats[..., 0] @ pattern) @ hood
+    else:
+        gen = np.einsum("pfn,fn->pn", feats, pattern @ hood)
+    c = nb(*(0,) * d)
+    gen = gen.reshape((iu.shape[0], iv.shape[1]) + c.shape)
+    if prob.f_needs_yz:
+        grad = (pattern[:2 * d] @ hood).reshape((2 * d,) + c.shape)
+        p = [np.where(np.asarray(b[i]) >= 0.0, grad[2 * i], -grad[2 * i + 1]) for i in range(d)]
+        z = [p[0] * sig[0][j] + p[1] * sig[1][j] if d == 2 else p[0] * sig[0][j]
+             for j in range(d)]
+        gen += prob.running_cost(t, x, iu, iv, c, np.stack(np.broadcast_arrays(*z), axis=-1))
+    else:
+        gen += prob.running_cost(t, x, iu, iv)
+    return gen
+
+
 def stencil_problem(d, sigma, boundary="clamp", f="u1*v1", **over):
     """A 2x2 game with x- and t-dependent drift on [-3, 3]^d or [-pi, pi]^d."""
     lo = -math.pi if boundary == "periodic" else -3.0
@@ -544,6 +625,7 @@ SIGMA_NEG = [["1", "-0.2"], ["0.1", "0.8"]]  # a01 = -0.06 everywhere
 SIGMA_X_SIGN = [["1", "0.3*sin(x1)"], ["0", "1"]]  # a01 changes sign across nodes
 SIGMA_U_SIGN = [["1", "0.3*u1"], ["0.1", "0.8"]]  # a01 changes sign across controls
 YZ_F = {1: "u1*v1 + 0.3*z1 - 0.2*y", 2: "u1*v1 + 0.3*z1 - 0.1*z2 - 0.2*y"}
+X_FREE_B = ["u1*v1 - 0.3", "0.5*(u1-v1)*cos(t)"]
 
 STENCIL_CASES = {
     "2d_negative_a01": dict(d=2, sigma=SIGMA_NEG),
@@ -556,6 +638,24 @@ STENCIL_CASES = {
     "1d_periodic_yz": dict(d=1, sigma=[["0.9"]], boundary="periodic", f=YZ_F[1]),
     "2d_yz_negative_a01": dict(d=2, sigma=SIGMA_NEG, f=YZ_F[2]),
     "2d_periodic_yz": dict(d=2, sigma=SIGMA_X_SIGN, boundary="periodic", f=YZ_F[2]),
+    # b and sigma free of x: the weights are one (pairs, 3^d) matrix
+    "2d_x_free": dict(d=2, sigma=SIGMA_NEG, b=X_FREE_B),
+    "2d_x_free_periodic_a01_sign_across_controls": dict(d=2, sigma=SIGMA_U_SIGN, b=X_FREE_B,
+                                                        boundary="periodic"),
+    "1d_x_free_yz": dict(d=1, sigma=[["0.9"]], b=X_FREE_B[:1], f=YZ_F[1]),
+}
+
+
+# only some entries name t: the second drift entry (in d=2), a row of
+# sigma, f, or f through y and z evaluated at every call
+SIGMA_T_ROW = [["1", "0.2*cos(t)"], ["0.1", "0.8"]]
+TIME_CASES = {
+    "2d_drift": dict(d=2, sigma=SIGMA_NEG),
+    "2d_sigma_row_and_f": dict(d=2, sigma=SIGMA_T_ROW, f="u1*v1*cos(t)"),
+    "2d_sigma_row_yz": dict(d=2, sigma=SIGMA_T_ROW, f=YZ_F[2]),
+    "1d_sigma": dict(d=1, sigma=[["0.8 + 0.1*cos(t)"]]),
+    "1d_f": dict(d=1, sigma=[["0.9"]], f="u1*v1*sin(t) + 0.1*x1"),
+    "1d_none": dict(d=1, sigma=[["0.9"]]),
 }
 
 
@@ -565,14 +665,46 @@ class TestStencilAgainstRollReference:
         prob = stencil_problem(**STENCIL_CASES[case])
         grid = SpaceGrid.for_problem(prob, 17 if prob.d == 1 else 13)
         stepper = Stepper(prob, grid)
+        assert stepper._pattern.tobytes() == difference_pattern(prob.d, grid.h).tobytes()
         rng = np.random.default_rng(11)
         for t in (0.9, 0.3):  # the drift depends on t: coefficients re-evaluated
             vals = rng.uniform(-1.0, 1.0, grid.shape)
             ent = stepper.entries(vals, t)
-            ref = roll_reference_entries(prob, grid, vals, t)
+            ref = weights_reference_entries(prob, grid, vals, t)
             assert ent.shape == ref.shape and ent.dtype == ref.dtype
             # bitwise, signed zeros included
             assert np.array_equal(ent.view(np.int64), np.ascontiguousarray(ref).view(np.int64))
+
+    @pytest.mark.parametrize("case", sorted(STENCIL_CASES.keys() | TIME_CASES.keys()))
+    def test_entries_match_difference_form(self, case):
+        # The weights form and the difference form round differently.  Each
+        # rounds at most 16 times along the path of any one term
+        # F_f * P_fj * S_j (features, pattern, neighbourhood), so per entry
+        # |difference| <= 32 eps (sum over f, j of |F_f| |P_fj| |S_j| + |entry|).
+        # A running cost that names z adds its gradient terms: every YZ_F
+        # has |df/dz_j| <= 1, and z_j = sum_i p_i sigma_ij.
+        prob = stencil_problem(**{**STENCIL_CASES, **TIME_CASES}[case])
+        grid = SpaceGrid.for_problem(prob, 17 if prob.d == 1 else 13)
+        d = prob.d
+        stepper = Stepper(prob, grid)
+        pattern = np.abs(difference_pattern(d, grid.h))
+        rng = np.random.default_rng(12)
+        for t in (0.9, 0.3):
+            vals = rng.uniform(-1.0, 1.0, grid.shape)
+            ent = stepper.entries(vals, t)
+            ref = roll_reference_entries(prob, grid, vals, t)
+            nb, x, iu, iv = work_region(prob, grid, vals)
+            hood = np.abs(np.stack([nb(*o).ravel()
+                                    for o in itertools.product((-1, 0, 1), repeat=d)]))
+            feats, _, sig = stencil_features(prob, x, iu, iv, t)
+            feats = np.abs(np.broadcast_to(feats, feats.shape[:2] + hood.shape[1:]))
+            mass = np.einsum("pfn,fn->pn", feats, pattern @ hood).reshape(ent.shape)
+            if prob.f_needs_yz:
+                for i in range(d):
+                    grad = ((pattern[2 * i] + pattern[2 * i + 1]) @ hood).reshape(ent.shape[2:])
+                    mass = mass + sum(np.abs(sig[i][j]) for j in range(d)) * grad
+            bound = 32 * np.finfo(float).eps * (mass + np.abs(ref))
+            assert np.all(np.abs(ent - ref) <= bound), case
 
     def test_cases_reach_both_cross_signs(self):
         x = np.linspace(-3.0, 3.0, 13)[:, None, None]
@@ -637,19 +769,6 @@ class TestAliasing:
                 fld.values[0] = 0.0
 
 
-# only some entries name t: the second drift entry (in d=2), a row of
-# sigma, f, or f through y and z evaluated at every call
-SIGMA_T_ROW = [["1", "0.2*cos(t)"], ["0.1", "0.8"]]
-TIME_CASES = {
-    "2d_drift": dict(d=2, sigma=SIGMA_NEG),
-    "2d_sigma_row_and_f": dict(d=2, sigma=SIGMA_T_ROW, f="u1*v1*cos(t)"),
-    "2d_sigma_row_yz": dict(d=2, sigma=SIGMA_T_ROW, f=YZ_F[2]),
-    "1d_sigma": dict(d=1, sigma=[["0.8 + 0.1*cos(t)"]]),
-    "1d_f": dict(d=1, sigma=[["0.9"]], f="u1*v1*sin(t) + 0.1*x1"),
-    "1d_none": dict(d=1, sigma=[["0.9"]]),
-}
-
-
 class TestCoefficientReuse:
     @pytest.mark.parametrize("case", sorted(TIME_CASES))
     def test_entries_equal_a_fresh_stepper_at_every_level(self, monkeypatch, case):
@@ -672,3 +791,45 @@ class TestCoefficientReuse:
                 assert len(calls) == per_level
             ref = Stepper(prob, grid).entries(vals, t)
             assert ent.view(np.int64).tobytes() == ref.view(np.int64).tobytes()
+
+
+def monotone_cases():
+    """Every catalog problem, the two benchmark problems, and every stencil and time case."""
+    bench = Path(__file__).resolve().parent.parent / "bench" / "problems"
+    cases = {name: (lambda name=name: load_problem(name), 41) for name in CATALOG}
+    cases["drift_cost3"] = (games3.drift_cost3, 41)
+    bilinear = str(bench / "bilinear_drift_2d.json")
+    cases["bilinear_drift_2d"] = (lambda: load_problem(bilinear), 21)
+    for name, kw in {**STENCIL_CASES, **TIME_CASES}.items():
+        cases[name] = (lambda kw=kw: stencil_problem(**kw), 17 if kw["d"] == 1 else 13)
+    return cases
+
+
+MONOTONE_CASES = monotone_cases()
+
+
+class TestMonotoneWeights:
+    @pytest.mark.parametrize("case", sorted(MONOTONE_CASES))
+    def test_weights_are_transition_probabilities(self, case):
+        # At the dt solve uses, dt w_j off the centre and 1 + dt w_centre are
+        # the Kushner-Dupuis transition probabilities: every off-centre
+        # weight is >= 0 and the centre one meets the CFL condition, for
+        # every control pair, work node and level.
+        make, nx = MONOTONE_CASES[case]
+        prob = make()
+        grid = SpaceGrid.for_problem(prob, nx)
+        levels = solve(prob, grid, SchemeParams(hamiltonian_mode="pure_lower"))
+        dt = prob.T / (len(levels) - 1)
+        stepper = Stepper(prob, grid)
+        centre = len(stepper._offsets) // 2
+        assert stepper._offsets[centre] == (0,) * prob.d
+        for fld in levels[:-1]:
+            co = stepper._coefficients(fld.t)
+            if co.weights is not None:  # what entries applies
+                w = co.weights[:, None, :]
+            else:  # the features times the pattern, with node axes
+                flat = co.features.reshape(stepper.m * stepper.k, len(stepper._pattern), -1)
+                w = np.moveaxis(flat, 1, 2) @ stepper._pattern
+            off_centre = np.delete(w, centre, axis=-1)
+            assert off_centre.min() >= 0.0, (fld.t, off_centre.min())
+            assert (1.0 + dt * w[..., centre]).min() >= 0.0, (fld.t, dt)
