@@ -17,6 +17,19 @@ kernel certifies -- one whose optimal kernels are larger, or a degenerate
 one with s = 0 -- falls back to a dense primal simplex on the shifted-game
 linear program.
 
+The closed forms read every kernel through index tables over one extended
+entry table per batch: the m*k entries of each game, then a row of -0.0
+and a row of ones.  A kernel of size r is padded to a size p >= r with the
+identity, block-diag(M_S, I): its padded diagonal reads the ones row, its
+other padded slots read the -0.0 row, and masks drop the padded weights.
+So kernels of different sizes are evaluated together, in one pass of a few
+dozen numpy calls.  For p <= 3 the padding changes no bit: the cofactors
+on the real slots are those of M_S, and every padded term of a sum (of
+cofactors, of det(M_S) along the first row, of a best response over the
+support) is -0.0, which leaves the sum as it was.  Every sum runs left to
+right and every operation is elementwise, so a game's bits are the same in
+any batch, alone or among others, padded or not.
+
 Conventions: rows belong to the maximizing player, columns to the
 minimizing player, entries are payoffs to the maximizer.
 """
@@ -228,9 +241,14 @@ _MAX_KERNEL = 3
 # a kernel size with more support pairs than this is not enumerated; games
 # that need it take the simplex
 _MAX_SUPPORTS = 4096
-# floats held at once by one chunk of the enumeration, candidates x nodes x
-# (r*r + m + k); bounds its memory on large batches
+# floats gathered by one chunk of the enumeration, candidates x nodes x the
+# table length; bounds its memory on large batches
 _CHUNK_ELEMENTS = 1 << 20
+# a pass evaluates its candidates as one group padded to the largest size
+# while candidates x nodes stay within this, and one unpadded group per size
+# beyond: there the padded arithmetic costs more than the numpy calls that
+# one group saves.  Either way gives the same bits.
+_PAD_PAIRS = 1024
 _WEIGHT_FLOOR = -1e-12
 
 
@@ -239,7 +257,11 @@ class GameBatch(NamedTuple):
 
     ``kernel`` holds each game's certified support pair as an index into
     the enumeration of :func:`solve_games` (-1 where the simplex solved it);
-    passing it back as ``hint`` tries those supports first.
+    passing it back as ``hint`` tries those supports first.  The kernels
+    are evaluated padded with the identity to a common size (see the
+    module docstring), which changes no bit.  Every field of game j is the
+    same, bit for bit, as when ent[:, :, j] and its hint are solved alone:
+    no game's arithmetic depends on the other games in its batch.
     """
 
     value: np.ndarray
@@ -251,81 +273,166 @@ class GameBatch(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _supports(m: int, k: int) -> tuple:
-    """(first kernel index, rows (C, r), cols (C, r)) per enumerated size r.
+    """Kernel size (K,) of every enumerated support pair, and (size, first
+    kernel index, count) per enumerated size.
 
-    The C square support pairs of size r, rows and then columns in
-    lexicographic order; kernel indices number them across sizes.
+    The square support pairs of each size r are numbered rows and then
+    columns in lexicographic order, sizes in increasing order.
     """
-    out = []
-    offset = 0
+    sizes, groups = [], []
     for r in range(1, min(m, k, _MAX_KERNEL) + 1):
-        if math.comb(m, r) * math.comb(k, r) > _MAX_SUPPORTS:
-            continue
-        pairs = list(product(combinations(range(m), r), combinations(range(k), r)))
-        rows = np.array([p[0] for p in pairs])
-        cols = np.array([p[1] for p in pairs])
-        for arr in (rows, cols):
-            arr.flags.writeable = False
-        out.append((offset, rows, cols))
-        offset += len(pairs)
-    return tuple(out)
+        count = math.comb(m, r) * math.comb(k, r)
+        if count <= _MAX_SUPPORTS:
+            groups.append((r, len(sizes), count))
+            sizes += [r] * count
+    sizes = np.array(sizes, dtype=np.int64)
+    sizes.flags.writeable = False
+    return sizes, tuple(groups)
 
 
-_SIGN2 = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None, None]
 _NEXT, _AFTER = [1, 2, 0], [2, 0, 1]
 
 
-def _cofactors(sub: np.ndarray) -> np.ndarray:
-    """Signed cofactors of the r x r kernels sub[i, j, ...], r <= 3."""
-    r = sub.shape[0]
-    if r == 1:
-        return np.ones_like(sub)
-    if r == 2:
-        return sub[::-1, ::-1] * _SIGN2
+def _cofactor_operands(sub: np.ndarray) -> list:
+    """Index blocks of the operands of the signed cofactors of ``sub``, p x p.
+
+    -1 stands for the ones row of the extended entry table;
+    :func:`_cofactors` turns the gathered blocks into cofactors.
+    """
+    p = sub.shape[0]
+    if p == 1:
+        return [np.full_like(sub, -1)]
+    if p == 2:
+        return [sub[::-1, ::-1]]
     # 3 x 3: C_ij = s[i+1, j+1] s[i+2, j+2] - s[i+1, j+2] s[i+2, j+1], mod 3
     a, b = sub[_NEXT], sub[_AFTER]
-    return a[:, _NEXT] * b[:, _AFTER] - a[:, _AFTER] * b[:, _NEXT]
+    return [a[:, _NEXT], b[:, _AFTER], a[:, _AFTER], b[:, _NEXT]]
 
 
-def _try_kernels(ent, nodes, rows, cols, tol, out):
-    """Evaluate candidate kernels on ``nodes``; accept the first certified one.
+# 2 x 2: C = [[d, 0 - c], [0 - b, a]], rounded as the 3 x 3 formula rounds a
+# 2 x 2 kernel padded with the identity (d*1 + -0 is d, and -c + 0 is 0 - c)
+_SIGN2 = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None, None]
+_ZERO2 = np.array([[-0.0, 0.0], [0.0, -0.0]])[:, :, None, None]
 
-    ``rows`` and ``cols`` have shape (r, C, 1) for C candidates shared by
-    every node, or (r, 1, len(nodes)) for one candidate per node.  Fills
-    ``out`` at the accepted nodes except for ``kernel``; returns the
-    accepted mask over ``nodes`` and the accepted candidate of each.
+
+def _cofactors(ops: np.ndarray) -> np.ndarray:
+    """Signed cofactors (p, p, C, N) from the gathered operand blocks (q, p, p, C, N)."""
+    p = ops.shape[1]
+    if p == 3:
+        return ops[0] * ops[1] - ops[2] * ops[3]
+    if p == 2:
+        return ops[0] * _SIGN2 + _ZERO2
+    return ops[0]
+
+
+@lru_cache(maxsize=None)
+def _table(m: int, k: int, p: int) -> tuple:
+    """Index tables of every enumerated kernel of size <= p, padded to p.
+
+    The extended entry table of a batch has rows ent[i, j] at i*k + j, then
+    a row of -0.0 (the zeros row) and a row of ones.  A kernel of size
+    r < p is padded to size p with the identity: its padded diagonal slots
+    read the ones row and its other padded slots the zeros row.  Column c
+    of ``gather`` lists for kernel c, padded, the rows of the extended
+    table that hold
+      - the cofactor operands;
+      - the kernel's first row;
+      - a mask of its slots: ones for real slots, -0.0 for padded ones;
+      - ent[i, cols[s]] for each slot s and row i, then ent[rows[s], j]
+        for each slot s and column j.
+    ``rows`` and ``cols`` (p, K) place the weights in the strategies; a
+    padded slot names a row (column) outside the support, whose weight is
+    zero.
     """
-    m, k, _ = ent.shape
-    sub = ent[rows[:, None], cols[None, :], nodes]  # (r, r, C, n)
-    n_cand, n_nodes = sub.shape[2:]
-    cof = _cofactors(sub)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        nu_s = cof.sum(axis=0)  # adj(M_S) 1
-        mu_s = cof.sum(axis=1)  # 1^T adj(M_S)
-        total = nu_s.sum(axis=0)
-        v = (sub[0] * cof[0]).sum(axis=0) / total  # det(M_S) / s
-        nu_s /= total
-        mu_s /= total
-        ok = (nu_s.min(axis=0) >= _WEIGHT_FLOOR) & (mu_s.min(axis=0) >= _WEIGHT_FLOOR)
-        cand, node = np.arange(n_cand)[:, None], np.arange(n_nodes)
-        nu_f = np.zeros((n_cand, k, n_nodes))
-        mu_f = np.zeros((n_cand, m, n_nodes))
-        nu_f[cand, cols, node] = np.maximum(nu_s, 0.0)
-        mu_f[cand, rows, node] = np.maximum(mu_s, 0.0)
-        e = ent[:, :, nodes]
-        row_br = np.einsum("ijn,cjn->cin", e, nu_f).max(axis=1)
-        col_br = np.einsum("ijn,cin->cjn", e, mu_f).min(axis=1)
-        g = row_br - col_br
-        ok &= (g <= tol) & (total != 0)
+    zero = m * k
+    blocks, rows_out, cols_out = [], [], []
+    for r, _, _ in _supports(m, k)[1]:
+        if r > p:
+            break
+        pairs = list(product(combinations(range(m), r), combinations(range(k), r)))
+        rows = np.array([q[0] for q in pairs]).T  # (r, C)
+        cols = np.array([q[1] for q in pairs]).T
+        n_cand = rows.shape[1]
+        sub = np.full((p, p, n_cand), zero)
+        sub[:r, :r] = rows[:, None] * k + cols[None, :]
+        sub[range(r, p), range(r, p)] = -1
+        ops = np.stack(_cofactor_operands(sub))
+        mask = np.full((p, n_cand), zero)
+        mask[:r] = -1
+        pay_row = np.full((p, m, n_cand), zero)
+        pay_row[:r] = np.arange(m)[:, None] * k + cols[:, None]
+        pay_col = np.full((p, k, n_cand), zero)
+        pay_col[:r] = rows[:, None] * k + np.arange(k)[:, None]
+        blocks.append(np.concatenate([
+            ops.reshape(-1, n_cand), sub[0], mask,
+            pay_row.reshape(-1, n_cand), pay_col.reshape(-1, n_cand)]))
+        for taken, out in ((rows, rows_out), (cols, cols_out)):
+            # the first index outside the support: the count of leading
+            # slots that hold their own index
+            free = np.cumprod(taken == np.arange(r)[:, None], axis=0).sum(axis=0)
+            out.append(np.concatenate([taken, np.broadcast_to(free, (p - r, n_cand))]))
+    gather = np.concatenate(blocks, axis=1)
+    gather[gather == -1] = zero + 1
+    tables = (gather, np.concatenate(rows_out, axis=1), np.concatenate(cols_out, axis=1))
+    for arr in tables:
+        arr.flags.writeable = False
+    return tables
+
+
+def _fold(terms):
+    """terms[0] + terms[1] + ..., left to right."""
+    acc = terms[0]
+    for term in terms[1:]:
+        acc = acc + term
+    return acc
+
+
+def _certify(ext, nodes, kern, p, tol, out) -> np.ndarray:
+    """Evaluate kernels padded to size p on ``nodes``; accept the first certified one.
+
+    ``ext`` is the batch's extended entry table, (m*k + 2, n), and ``kern``
+    holds kernel indices of shape (C, 1), C candidates shared by every
+    node, or (1, len(nodes)), one candidate per node.  Fills ``out`` at the
+    accepted nodes and returns the accepted mask over ``nodes``.  Runs
+    under the caller's np.errstate: a candidate with s = 0 divides by zero
+    and is rejected.
+    """
+    n, m = out.mu.shape
+    k = out.nu.shape[1]
+    gather, rows_out, cols_out = _table(m, k, p)
+    if kern.shape[1] == 1:  # candidates shared by every node: gather whole rows
+        e = ext[:, nodes][gather[:, kern[:, 0]]]  # (L, C, N)
+    else:
+        e = ext.take(gather[:, kern] * n + nodes)
+    shape = e.shape[1:]
+    q = len(e) - p * (2 + m + k)
+    cof = _cofactors(e[:q].reshape((q // (p * p), p, p) + shape))
+    first_row, real = e[q:q + p], e[q + p:q + 2 * p]
+    pay_row = e[q + 2 * p:q + 2 * p + p * m].reshape((p, m) + shape)
+    pay_col = e[q + 2 * p + p * m:].reshape((p, k) + shape)
+    # padded slots contribute -0.0, which leaves every sum as it was
+    w = np.where(real, np.stack([_fold(cof), _fold(cof.swapaxes(0, 1))]), -0.0)
+    total = _fold(w[0])  # s; w holds adj(M_S) 1 and 1^T adj(M_S)
+    v = _fold(np.where(real, first_row * cof[0], -0.0)) / total  # det(M_S) / s
+    w /= total
+    ok = (w.min(axis=(0, 1)) >= _WEIGHT_FLOOR) & (total != 0)
+    nu, mu = np.maximum(w, 0.0, out=w)
+    row_br = _fold(pay_row * nu[:, None]).max(axis=0)
+    col_br = _fold(pay_col * mu[:, None]).min(axis=0)
+    g = row_br - col_br
+    ok &= g <= tol
+    value = np.minimum(np.maximum(v, col_br), row_br)
     hit = ok.any(axis=0)
-    at = np.flatnonzero(hit)
-    first = ok.argmax(axis=0)[at]
+    at = hit.nonzero()[0]
+    c = ok.argmax(axis=0)[at]
     dest = nodes[at]
-    out.value[dest] = np.minimum(np.maximum(v[first, at], col_br[first, at]), row_br[first, at])
-    out.mu[dest] = mu_f[first, :, at]
-    out.nu[dest] = nu_f[first, :, at]
-    out.gap[dest] = g[first, at]
-    return hit, first
+    chosen = kern[c, at] if kern.shape[1] > 1 else kern[c, 0]
+    out.value[dest] = value[c, at]
+    out.gap[dest] = g[c, at]
+    out.kernel[dest] = chosen
+    out.mu.reshape(-1)[dest * m + rows_out[:, chosen]] = mu[:, c, at]
+    out.nu.reshape(-1)[dest * k + cols_out[:, chosen]] = nu[:, c, at]
+    return hit
 
 
 def solve_games(ent: np.ndarray, tol: float = 1e-9, hint: np.ndarray | None = None) -> GameBatch:
@@ -335,9 +442,11 @@ def solve_games(ent: np.ndarray, tol: float = 1e-9, hint: np.ndarray | None = No
     takes the first one certified: nonnegative weights and duality gap
     <= ``tol``.  The value is kept inside its best-response bracket.  With
     ``hint`` (the ``kernel`` of an earlier batch of the same shape) each
-    game first tries its earlier kernel.  Games that no kernel certifies
-    are solved by the simplex, which raises :class:`GameError` (with
-    ``node`` set) if it cannot certify them either.
+    game first tries its earlier kernel; a hint that is not an integer
+    array of shape (n,) is ignored, and so is an entry that names no
+    kernel.  Games that no kernel certifies are solved by the simplex,
+    which raises :class:`GameError` (with ``node`` set) if it cannot
+    certify them either.
     """
     if tol <= 0:
         raise GameError("tol must be positive")
@@ -345,29 +454,37 @@ def solve_games(ent: np.ndarray, tol: float = 1e-9, hint: np.ndarray | None = No
     if ent.ndim != 3 or min(ent.shape[:2]) < 1:
         raise GameError(f"expected an (m, k, n) batch of payoff matrices, got shape {ent.shape}")
     m, k, n = ent.shape
-    out = GameBatch(np.empty(n), np.empty((n, m)), np.empty((n, k)), np.empty(n),
+    out = GameBatch(np.empty(n), np.zeros((n, m)), np.zeros((n, k)), np.empty(n),
                     np.full(n, -1))
+    ext = np.empty((m * k + 2, n))
+    ext[:m * k].reshape(m, k, n)[...] = ent
+    ext[m * k] = -0.0
+    ext[m * k + 1] = 1.0
     pending = np.ones(n, dtype=bool)
-    supports = _supports(m, k)
-    if hint is not None and hint.shape == (n,):
-        for offset, rows, cols in supports:
-            nodes = np.flatnonzero((hint >= offset) & (hint < offset + len(rows)))
-            if nodes.size:
-                c = hint[nodes] - offset
-                hit, _ = _try_kernels(ent, nodes, rows[c].T[:, None], cols[c].T[:, None], tol, out)
-                out.kernel[nodes[hit]] = hint[nodes[hit]]
-                pending[nodes[hit]] = False
-    for offset, rows, cols in supports:
-        nodes = np.flatnonzero(pending)
-        if not nodes.size:
-            break
-        r = rows.shape[1]
-        chunk = max(1, _CHUNK_ELEMENTS // (len(rows) * (r * r + m + k)))
-        for start in range(0, nodes.size, chunk):
-            part = nodes[start:start + chunk]
-            hit, first = _try_kernels(ent, part, rows.T[:, :, None], cols.T[:, :, None], tol, out)
-            out.kernel[part[hit]] = offset + first
-            pending[part[hit]] = False
+    sizes, groups = _supports(m, k)
+    hint = None if hint is None else np.asarray(hint)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if hint is not None and hint.shape == (n,) and hint.dtype.kind in "iu":
+            hinted = np.flatnonzero((hint >= 0) & (hint < sizes.size))
+            size = sizes[hint[hinted]]
+            if n <= _PAD_PAIRS:  # one group, padded to the largest hinted size
+                passes = [(int(size.max(initial=0)), hinted)]
+            else:
+                passes = [(r, hinted[size == r]) for r, _, _ in groups]
+            for p, nodes in passes:
+                if nodes.size:
+                    pending[nodes[_certify(ext, nodes, hint[nodes][None, :], p, tol, out)]] = False
+        if groups and np.count_nonzero(pending) * sizes.size <= _PAD_PAIRS:
+            groups = [(groups[-1][0], 0, sizes.size)]  # every kernel, padded to the largest
+        for p, offset, count in groups:
+            nodes = np.flatnonzero(pending)
+            if not nodes.size:
+                break
+            kern = np.arange(offset, offset + count)[:, None]
+            chunk = max(1, _CHUNK_ELEMENTS // (count * len(_table(m, k, p)[0])))
+            for start in range(0, nodes.size, chunk):
+                part = nodes[start:start + chunk]
+                pending[part[_certify(ext, part, kern, p, tol, out)]] = False
     for j in np.flatnonzero(pending):
         try:
             out.value[j], out.mu[j], out.nu[j], out.gap[j] = _solve_entries(ent[:, :, j], tol)

@@ -282,7 +282,8 @@ class PathEnsemble:
 
     ``states`` has shape (n_paths, n_sub + 1, d): the state at each
     partition time t_0, ..., t_n, the Euler substeps in between not being
-    kept; draws are grid indices per subinterval; ``running_cost``
+    kept; draws are grid indices per subinterval, in the smallest unsigned
+    dtype that holds them (uint8 up to 256 controls); ``running_cost``
     integrates f along each path (left-endpoint rule on the substeps,
     meaningful when f is free of (y, z)).  Row ``i`` is path
     ``first_path + i`` of the device's streams.
@@ -377,8 +378,9 @@ def simulate(prob: Problem, pi: Partition, profile: StrategyProfile, x0,
 
     states = np.empty((n_paths, pi.n + 1, prob.d))
     states[:, 0] = x0
-    u_idx = np.empty((n_paths, pi.n), dtype=np.int64)
-    v_idx = np.empty((n_paths, pi.n), dtype=np.int64)
+    # stored in the smallest dtype holding the grid indices; draws stay int64
+    u_idx = np.empty((n_paths, pi.n), dtype=np.min_scalar_type(profile.u_weights.shape[-1] - 1))
+    v_idx = np.empty((n_paths, pi.n), dtype=np.min_scalar_type(profile.v_weights.shape[-1] - 1))
     cost = np.zeros(n_paths)
     cums = (_cumulative(profile.u_weights), _cumulative(profile.v_weights))
 

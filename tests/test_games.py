@@ -1,9 +1,17 @@
+import tracemalloc
+from functools import reduce
+from itertools import combinations, product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.optimize import linprog
 
 from mixedvalue import games
 from mixedvalue.games import (
+    GameBatch,
     GameError,
     MixedStrategy,
     PayoffMatrix,
@@ -292,3 +300,250 @@ class TestSolveGames:
     def test_rejects_bad_tol(self):
         with pytest.raises(GameError):
             solve_games(np.zeros((2, 2, 1)), 0.0)
+
+
+class TestHints:
+    """A hint is only a warm start: an invalid one is ignored, node by node."""
+
+    @pytest.fixture
+    def batch(self):
+        rng = np.random.default_rng(47)
+        ent = rng.uniform(-1, 1, (3, 3, 40))
+        hint = solve_games(ent + 0.05 * rng.uniform(-1, 1, ent.shape), 1e-9).kernel
+        return ent, hint
+
+    @staticmethod
+    def assert_same(a, b):
+        for name in GameBatch._fields:
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+    @pytest.mark.parametrize("shape", [(39,), (41,), (40, 1), (1, 40), ()])
+    def test_wrong_shape_is_ignored(self, batch, shape):
+        ent, hint = batch
+        bad = np.resize(hint, shape)
+        self.assert_same(solve_games(ent, 1e-9, bad), solve_games(ent, 1e-9))
+
+    @pytest.mark.parametrize("dtype", [float, bool, complex, object])
+    def test_wrong_dtype_is_ignored(self, batch, dtype):
+        ent, hint = batch
+        bad = hint.astype(dtype)
+        self.assert_same(solve_games(ent, 1e-9, bad), solve_games(ent, 1e-9))
+
+    @pytest.mark.parametrize("entries", [[19, 20, 10**6, 2**62], [-2, -3, -10**6, -2**62]],
+                             ids=["out_of_range", "below_minus_one"])
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_entries_naming_no_kernel_are_ignored(self, batch, entries, dtype):
+        # 3 x 3 games have 19 kernels, numbered 0-18
+        ent, hint = batch
+        if dtype is np.int32:
+            entries = np.clip(entries, -2**31, 2**31 - 1)
+        bad = hint.astype(dtype)
+        bad[::10] = entries
+        cleaned = hint.copy()
+        cleaned[::10] = -1
+        self.assert_same(solve_games(ent, 1e-9, bad), solve_games(ent, 1e-9, cleaned))
+        cold = solve_games(ent[:, :, ::10], 1e-9)
+        self.assert_same(solve_games(ent[:, :, ::10], 1e-9, bad[::10]), cold)
+
+    def test_unsigned_hint_is_used(self, batch):
+        ent, hint = batch
+        valid = np.where(hint >= 0, hint, 2**40).astype(np.uint64)
+        self.assert_same(solve_games(ent, 1e-9, valid),
+                         solve_games(ent, 1e-9, np.where(hint >= 0, hint, -1)))
+
+    def test_no_kernel_enumerated(self):
+        # 1 x 4097 games have more 1 x 1 supports than are enumerated: the
+        # simplex solves every game and any hint names no kernel
+        ent = np.random.default_rng(53).uniform(-1, 1, (1, 4097, 2))
+        for hint in (None, np.array([0, 5])):
+            batch = solve_games(ent, 1e-9, hint)
+            assert batch.kernel.tolist() == [-1, -1]
+            assert batch.value.tolist() == ent.min(axis=1)[0].tolist()
+
+
+# ---------------------------------------------------------------------------
+# The kernel stage against a game-by-game scalar reference
+# ---------------------------------------------------------------------------
+
+
+def kernels_of(m, k):
+    """(rows, cols) of every kernel in the numbering of ``GameBatch.kernel``.
+
+    Square supports of size 1, 2, 3, rows and then columns in lexicographic
+    order; a size with more than 4096 support pairs is left out.
+    """
+    out = []
+    for r in range(1, min(m, k, 3) + 1):
+        pairs = list(product(combinations(range(m), r), combinations(range(k), r)))
+        if len(pairs) <= 4096:
+            out += pairs
+    return out
+
+
+def maximum(a, b):
+    """np.maximum on two floats: NaN propagates and a tie returns b."""
+    return a if a != a or a > b else b
+
+
+def minimum(a, b):
+    """np.minimum on two floats: NaN propagates and a tie returns b."""
+    return a if a != a or a < b else b
+
+
+def fold(terms):
+    """terms[0] + terms[1] + ..., left to right."""
+    acc = terms[0]
+    for term in terms[1:]:
+        acc = acc + term
+    return acc
+
+
+def cofactors(sub):
+    """Signed cofactors of an r x r list-of-lists matrix, r <= 3."""
+    r = len(sub)
+    if r == 1:
+        return [[1.0]]
+    if r == 2:
+        (a, b), (c, d) = sub
+        return [[d, 0.0 - c], [0.0 - b, a]]
+    s = lambda i, j: sub[i % 3][j % 3]  # noqa: E731
+    return [[s(i + 1, j + 1) * s(i + 2, j + 2) - s(i + 1, j + 2) * s(i + 2, j + 1)
+             for j in range(3)] for i in range(3)]
+
+
+def reference_game(ent, tol, hint=-1):
+    """(value, mu, nu, gap, kernel) of one m x k game, in scalar float arithmetic.
+
+    The hinted kernel is tried first, then every kernel in order, and the
+    first certified one wins: v = det / s, weights adj 1 / s and 1^T adj / s
+    with every sum taken left to right, pure best responses summed over the
+    support, the value clamped into their bracket.  Games no kernel
+    certifies go to the simplex.
+    """
+    m, k = ent.shape
+    e = ent.tolist()
+    kernels = kernels_of(m, k)
+    for c in ([hint] if 0 <= hint < len(kernels) else []) + list(range(len(kernels))):
+        rows, cols = kernels[c]
+        r = len(rows)
+        sub = [[e[i][j] for j in cols] for i in rows]
+        cof = cofactors(sub)
+        nu = [fold([cof[i][j] for i in range(r)]) for j in range(r)]
+        mu = [fold([cof[i][j] for j in range(r)]) for i in range(r)]
+        total = fold(nu)
+        if total == 0:
+            continue
+        v = fold([sub[0][j] * cof[0][j] for j in range(r)]) / total
+        nu = [x / total for x in nu]
+        mu = [x / total for x in mu]
+        if not all(x >= -1e-12 for x in nu + mu):
+            continue
+        nu = [maximum(x, 0.0) for x in nu]
+        mu = [maximum(x, 0.0) for x in mu]
+        row_br = reduce(maximum, [fold([e[i][cols[s]] * nu[s] for s in range(r)])
+                                  for i in range(m)])
+        col_br = reduce(minimum, [fold([e[rows[s]][j] * mu[s] for s in range(r)])
+                                  for j in range(k)])
+        gap = row_br - col_br
+        if not gap <= tol:
+            continue
+        mu_full, nu_full = np.zeros(m), np.zeros(k)
+        mu_full[list(rows)] = mu
+        nu_full[list(cols)] = nu
+        return minimum(maximum(v, col_br), row_br), mu_full, nu_full, gap, c
+    value, mu, nu, gap = games._solve_entries(ent, tol)
+    return value, mu, nu, gap, -1
+
+
+def game_bytes(batch, j):
+    """The fields of game j of a batch, as bytes."""
+    return tuple(np.asarray(getattr(batch, name)[j]).tobytes() for name in GameBatch._fields)
+
+
+@st.composite
+def game_batches(draw):
+    """A batch of 1 x 1 to 5 x 5 games, integer-valued (signed zeros included)
+    or not, with or without a hint."""
+    m, k, n = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    integers = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
+    elements = draw(st.sampled_from([integers, st.floats(-1.0, 1.0)]))
+    ent = draw(hnp.arrays(np.float64, (m, k, n), elements=elements))
+    hint = None
+    if draw(st.booleans()):
+        hint = draw(hnp.arrays(np.int64, n, elements=st.integers(-1, len(kernels_of(m, k)) - 1)))
+    return ent, hint
+
+
+@given(game_batches())
+@settings(max_examples=300, deadline=None)
+def test_each_game_solved_as_alone(case):
+    # every field of every game is bitwise that of the game solved alone and
+    # of the scalar reference, whether each pass evaluates its candidates in
+    # one padded group or in one group per kernel size
+    ent, hint = case
+    n = ent.shape[2]
+    one = [None] * n if hint is None else [hint[j:j + 1] for j in range(n)]
+    for pad_pairs in (0, 10**9):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(games, "_PAD_PAIRS", pad_pairs)
+            batch = solve_games(ent, 1e-9, hint)
+            alone = [solve_games(ent[:, :, j:j + 1], 1e-9, one[j]) for j in range(n)]
+        for j in range(n):
+            ref = reference_game(ent[:, :, j], 1e-9, -1 if hint is None else int(hint[j]))
+            want = tuple(np.asarray(f, dtype=np.int64 if i == 4 else float).tobytes()
+                         for i, f in enumerate(ref))
+            assert game_bytes(batch, j) == game_bytes(alone[j], 0) == want, (pad_pairs, j)
+
+
+def test_padding_changes_no_cofactor():
+    # every 2 x 2 kernel over {-1.5, -0.0, 0.0, 2} has, bit for bit and signed
+    # zeros included, the cofactors of its real slots padded to 3 x 3 with
+    # the identity (the padded slots reading -0.0)
+    sub2 = np.array(list(product([-1.5, -0.0, 0.0, 2.0], repeat=4))).T.reshape(2, 2, -1, 1)
+    sub3 = np.full((3, 3) + sub2.shape[2:], -0.0)
+    sub3[:2, :2] = sub2
+    sub3[2, 2] = 1.0
+    cof2 = games._cofactors(np.stack(games._cofactor_operands(sub2)))
+    cof3 = games._cofactors(np.stack(games._cofactor_operands(sub3)))
+    assert cof2.tobytes() == np.ascontiguousarray(cof3[:2, :2]).tobytes()
+
+
+def test_batch_path_matches_lone_games():
+    # the 6 000 games of one batch, each solved alone: at the parent of this
+    # check, einsum's shape-dependent rounding made 35 of them differ
+    rng = np.random.default_rng(59)
+    for m, k in ((2, 2), (3, 3), (3, 4), (5, 5)):
+        ent = rng.uniform(-1, 1, (m, k, 1500))
+        batch = solve_games(ent, 1e-9)
+        for j in range(ent.shape[2]):
+            assert game_bytes(batch, j) == game_bytes(solve_games(ent[:, :, j:j + 1], 1e-9), 0)
+
+
+def test_pending_pass_memory_bounded_by_chunk():
+    # 20 000 unhinted 5 x 5 games, each a random 3 x 3 game plus two rows
+    # that lose to every core row and two columns that lose to every core
+    # column, so the kernels certify every game and the simplex never runs.
+    # The pending pass evaluates each kernel size in chunks that gather at
+    # most _CHUNK_ELEMENTS floats, and their temporaries (cofactors,
+    # weights, products and partial sums) stay below twice that; so beyond
+    # the extended entry table and the outputs the peak is at most three
+    # chunk budgets of float64.
+    rng = np.random.default_rng(61)
+    n = 20_000
+    core = rng.uniform(-1, 1, (3, 3, n))
+    ent = np.empty((5, 5, n))
+    ent[:3, :3] = core
+    ent[3:, :3] = core.min(axis=0) - rng.uniform(0.1, 1, (2, 3, n))
+    ent[:, 3:] = ent[:, :3].max(axis=1, keepdims=True) + rng.uniform(0.1, 1, (5, 2, n))
+    solve_games(ent[:, :, :1], 1e-9)  # index tables built outside the measurement
+    tracemalloc.start()
+    try:
+        batch = solve_games(ent, 1e-9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(batch.kernel >= 0)
+    assert np.any(batch.kernel >= 125)  # some games take a 3 x 3 kernel
+    extended = 8 * (5 * 5 + 2) * n
+    outputs = sum(a.nbytes for a in batch)
+    assert peak <= extended + outputs + 3 * 8 * games._CHUNK_ELEMENTS

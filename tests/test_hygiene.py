@@ -168,3 +168,58 @@ def test_bench_entry_points_exist():
         for part in outer:
             owner = getattr(owner, part)
         assert attr in owner.__dict__, f"bench traces mixedvalue.{mod_name}.{path}"
+
+
+# Every private function, class or method in the package must be used
+# somewhere other than its own definition, so that code replaced by a new
+# path is deleted rather than kept beside it.
+
+
+def unreferenced_private(sources: dict) -> list:
+    """Private module-level functions and classes, and private methods, named
+    nowhere in ``sources`` (module name -> source) outside their own definition."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            members = [(f"{module}.", node)]
+            if isinstance(node, ast.ClassDef):
+                members += [(f"{module}.{node.name}.", sub) for sub in node.body]
+            for prefix, sub in members:
+                if (isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                        and sub.name.startswith("_") and not sub.name.endswith("__")):
+                    defined.append((prefix, sub))
+    missing = []
+    for prefix, definition in defined:
+        inside = {id(sub) for sub in ast.walk(definition)}
+        used = any(
+            id(sub) not in inside
+            and ((isinstance(sub, ast.Name) and sub.id == definition.name)
+                 or (isinstance(sub, ast.Attribute) and sub.attr == definition.name))
+            for tree in trees.values() for sub in ast.walk(tree))
+        if not used:
+            missing.append(f"{prefix}{definition.name} (line {definition.lineno})")
+    return sorted(missing)
+
+
+def test_private_checker_finds_unreferenced_names():
+    sources = {
+        "a": (
+            "def _used(): return 1\n"
+            "def _recursive(n): return _recursive(n - 1)\n"
+            "def _dead(): return _used()\n"
+            "class _Kept:\n"
+            "    def _method(self): return self._method()\n"
+            "    def _called(self): return 2\n"
+            "    def __init__(self): self._called()\n"
+            "def public(): return _Kept\n"
+        ),
+        "b": "from .a import _used\nx = _used\n",
+    }
+    assert unreferenced_private(sources) == ["a._Kept._method (line 5)", "a._dead (line 3)",
+                                             "a._recursive (line 2)"]
+
+
+def test_no_unreferenced_private_code():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert unreferenced_private(sources) == []

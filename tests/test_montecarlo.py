@@ -289,6 +289,19 @@ class TestSimulate:
         assert np.array_equal(ens.states[:, 4, 0], x)
         assert len(set(ens.u_indices[:, 2])) == 2 and len(set(ens.v_indices[:, 2])) == 2
 
+    @pytest.mark.parametrize("n_u, dtype", [(2, np.uint8), (256, np.uint8), (257, np.uint16)])
+    def test_control_indices_in_smallest_dtype(self, n_u, dtype):
+        # stored as the smallest unsigned dtype holding the grid indices: one
+        # byte per draw up to 256 controls, two beyond
+        grid = {"points": np.linspace(-1, 1, n_u)[:, None].tolist()}
+        prob = variant("uv_running_cost", U=grid, V=grid)
+        ens = mc.simulate(prob, PI8, mc.StrategyProfile.uniform(prob, 8), [0.0], 500, 1,
+                          mc.RandomizationDevice(5))
+        for idx in (ens.u_indices, ens.v_indices):
+            assert idx.dtype == dtype
+            assert idx.nbytes == 500 * 8 * np.dtype(dtype).itemsize
+            assert int(idx.max()) == n_u - 1
+
     def test_profile_partition_mismatch(self, uv_cost):
         with pytest.raises(ValueError, match="subintervals"):
             mc.simulate(uv_cost, PI8, mc.StrategyProfile.uniform(uv_cost, 4),
