@@ -446,7 +446,8 @@ def solve_games(ent: np.ndarray, tol: float = 1e-9, hint: np.ndarray | None = No
     array of shape (n,) is ignored, and so is an entry that names no
     kernel.  Games that no kernel certifies are solved by the simplex,
     which raises :class:`GameError` (with ``node`` set) if it cannot
-    certify them either.
+    certify them either.  A batch with a non-finite entry raises
+    :class:`GameError` naming the first such game and entry.
     """
     if tol <= 0:
         raise GameError("tol must be positive")
@@ -454,6 +455,12 @@ def solve_games(ent: np.ndarray, tol: float = 1e-9, hint: np.ndarray | None = No
     if ent.ndim != 3 or min(ent.shape[:2]) < 1:
         raise GameError(f"expected an (m, k, n) batch of payoff matrices, got shape {ent.shape}")
     m, k, n = ent.shape
+    finite = np.isfinite(ent)
+    if not finite.all():
+        node = int(np.argmin(finite.all(axis=(0, 1))))
+        i, j = (int(a) for a in np.argwhere(~finite[:, :, node])[0])
+        raise GameError(f"non-finite payoff {ent[i, j, node]} at entry ({i}, {j}) of game {node}",
+                        node=node)
     out = GameBatch(np.empty(n), np.zeros((n, m)), np.zeros((n, k)), np.empty(n),
                     np.full(n, -1))
     ext = np.empty((m * k + 2, n))

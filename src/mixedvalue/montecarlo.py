@@ -44,7 +44,7 @@ from numpy.random import Generator, Philox
 
 from .games import MixedStrategy
 from .pde import SchemeParams, SpaceGrid, Stepper, terminal_field
-from .partition import Partition, SweepResult, _substep_counts
+from .partition import Partition, SweepResult, _substep_counts, _substep_times
 from .problem import Problem, stack_entries
 
 __all__ = [
@@ -605,16 +605,16 @@ def exploit(prob: Problem, pi: Partition, fixed_side: str, fixed_profile: Strate
 
     grid = SpaceGrid.for_problem(prob, nx)
     stepper = Stepper(prob, grid)
-    counts = _substep_counts(prob, grid, pi, SchemeParams(), None)
+    substeps = _substep_times(pi, _substep_counts(prob, grid, pi, SchemeParams(), None))
+    stepper.schedule([t for _, times in reversed(substeps) for t in times])
     nodes = stepper._xw.reshape(-1, prob.d)
     best = profile = terminal_field(prob, grid).values
     for j in range(pi.n - 1, -1, -1):
         mu, nu = (fixed_profile.weights_at(j, player, nodes).reshape(stepper.work_shape + (-1,))
                   for player in (1, 2))
         free_mu, free_nu = (None, nu) if free == 1 else (mu, None)
-        delta = (pi.times[j + 1] - pi.times[j]) / counts[j]
-        for s in range(counts[j]):
-            t = pi.times[j + 1] - s * delta
+        delta, times = substeps[j]
+        for t in times:
             best = stepper.step_frozen(best, t, delta, free_mu, free_nu)
             profile = stepper.step_frozen(profile, t, delta, mu, nu)
 

@@ -133,6 +133,15 @@ def _substep_counts(prob, grid, pi, params, substeps):
     return counts
 
 
+def _substep_times(pi, counts) -> list:
+    """Per subinterval j: its substep length and the times its substeps start at, t_{j+1} first."""
+    out = []
+    for j, count in enumerate(counts):
+        delta = (pi.times[j + 1] - pi.times[j]) / count
+        out.append((delta, [pi.times[j + 1] - s * delta for s in range(count)]))
+    return out
+
+
 def dpp_sweep(prob: Problem, grid: SpaceGrid, pi: Partition, params: SchemeParams,
               orientation: str = "lower", substeps=None, pure: bool = False,
               record_strategies: bool = False) -> SweepResult:
@@ -158,25 +167,22 @@ def dpp_sweep(prob: Problem, grid: SpaceGrid, pi: Partition, params: SchemeParam
     mode = "relaxed" if not pure else ("pure_lower" if orientation == "lower" else "pure_upper")
 
     stepper = Stepper(prob, grid, params.game_tol)
+    substeps = _substep_times(pi, counts)
+    stepper.schedule([t for _, times in reversed(substeps) for t in times])
     levels = [terminal_field(prob, grid, label)]
     values = levels[0].values
     mu_all = [] if record_strategies else None
     nu_all = [] if record_strategies else None
-    times = pi.times
-    for j in range(pi.n, 0, -1):
-        t_right, t_left = times[j], times[j - 1]
-        m_sub = counts[j - 1]
-        delta = (t_right - t_left) / m_sub
-        ent = stepper.entries(values, t_right)
-        _, mu, nu = stepper.game_values(ent, mode, t_right, collect_strategies=True)
+    for j in range(pi.n - 1, -1, -1):
+        delta, times = substeps[j]
+        ent = stepper.entries(values, times[0])
+        _, mu, nu = stepper.game_values(ent, mode, times[0], collect_strategies=True)
         if record_strategies:
             mu_all.append(mu)
             nu_all.append(nu)
-        t = t_right
-        for s in range(m_sub):
+        for t in times:
             values = stepper.step_frozen(values, t, delta, mu, nu)
-            t = t_right - (s + 1) * delta
-        fld = ValueField._adopt(t_left, values, label)
+        fld = ValueField._adopt(pi.times[j], values, label)
         fld.check_bound(prob)
         levels.append(fld)
     if record_strategies:

@@ -23,6 +23,11 @@ principle.  The declared bounds give the CFL condition when
 
 Boundary handling: ``clamp`` copies the nearest interior value after each
 update (homogeneous Neumann), ``periodic`` wraps the stencil.
+
+A solve names its step times to its :class:`Stepper` up front: coefficient
+entries that name t are evaluated once per block of those times, with t on
+a leading axis, the others once per solve.  Each step gathers the 3^d
+neighbourhoods with one copy from a (3,)*d window view of the padded level.
 """
 
 from __future__ import annotations
@@ -245,7 +250,12 @@ def _stencil_pattern(h) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _StencilCoefficients:
-    """One level's coefficients, each entry in its own broadcast shape, and their weights."""
+    """Coefficients, each entry in its own broadcast shape, and their weights.
+
+    In a schedule block the entries that name t, and the features and
+    weights when b or sigma name t, carry a leading axis of the block's
+    times; :meth:`Stepper._coefficients` returns one time's row.
+    """
 
     b: tuple
     sigma: tuple
@@ -254,29 +264,54 @@ class _StencilCoefficients:
     weights: object  # (m*k, 3^d), the features times the pattern, when free of x; else None
 
 
+# the most elements that the time-dependent coefficient tables of one
+# schedule block (entries, features) may hold
+_BLOCK_ELEMENTS = 1 << 20
+
+
+def _timed(names):
+    """Nested variable sets as nested flags of naming t; a subtree free of t is False."""
+    if isinstance(names, tuple):
+        flags = tuple([_timed(n) for n in names])
+        return flags if any(flags) else False
+    return names is not None and "t" in names
+
+
+def _row(entries, timed, i):
+    """``entries`` with row i taken of each entry that ``timed`` flags."""
+    if timed.__class__ is tuple:
+        return tuple([_row(e, flag, i) for e, flag in zip(entries, timed)])
+    return entries[i] if timed else entries
+
+
 class Stepper:
     """Precomputed per-(grid, problem) stencil state.
 
     A control pair's generator at a work node is its weights W on the
     node's 3^d neighbourhood S, the :func:`_stencil_pattern` applied to the
-    features of b and sigma.  :meth:`entries` copies S, shifted views of
-    one padded level (the level itself under clamp boundaries, its
-    periodic cell wrapped by one node otherwise), into one reused array
-    and returns W @ S + f: one matrix product of (pairs, 3^d) by
-    (3^d, nodes) when b and sigma are free of x.  Otherwise the features
-    carry the node axes, and the same weights are applied as the features
-    times (pattern @ S), which never forms a (pairs, 3^d, nodes) array.
+    features of b and sigma.  :meth:`entries` gathers S with one copy: the
+    level goes into a reused padded buffer (as it is under clamp
+    boundaries, its periodic cell wrapped by one node otherwise), and a
+    precomputed (3,)*d window view of that buffer fills S.  It returns
+    W @ S + f: one matrix product of (pairs, 3^d) by (3^d, nodes) when b
+    and sigma are free of x.  Otherwise the features carry the node axes,
+    and the same weights are applied as the features times (pattern @ S),
+    which never forms a (pairs, 3^d, nodes) array.
 
     b, sigma and f(y=0, z=0) are evaluated on the work region for every
-    control pair at once.  An entry that names t is evaluated once per
-    level (each :meth:`entries` call), any other once per Stepper, and only
-    its features are rebuilt.  An f that names y or z is evaluated at every
-    call, with the level and its upwind gradient, the pattern's drift rows
-    applied to S.  The local games of a level are solved in one batch,
-    each node starting from the kernel that certified it on the previous
-    call.  Also used by the partition sweep, which freezes the per-node
-    strategies over a subinterval and advances with :meth:`step_frozen`,
-    and by ``montecarlo.exploit``, which lets one player re-optimize in it.
+    control pair at once, an entry that is free of t once per Stepper.  A
+    caller names the times it will step through with :meth:`schedule`:
+    the entries that name t are then evaluated once per schedule block,
+    with t on a leading axis, and so are their features (and the weights
+    when b and sigma are free of x), so a level only looks up its row.  A
+    time that was not scheduled is a block of one, evaluated at each call.
+    An f that names y or z is evaluated at every call, with the level and
+    its upwind gradient, the pattern's drift rows applied to S.  The local
+    games of a level are solved in one batch, each node starting from the
+    kernel that certified it on the previous call.  Also used by the
+    partition sweep, which freezes the per-node strategies over a
+    subinterval and advances with :meth:`step_frozen`, and by
+    ``montecarlo.exploit``, which lets one player re-optimize in it.
     """
 
     def __init__(self, prob: Problem, grid: SpaceGrid, game_tol: float = 1e-9):
@@ -308,9 +343,30 @@ class Stepper:
         self._f_needs_yz = prob.f_needs_yz
         self._offsets = tuple(itertools.product((-1, 0, 1), repeat=self.d))
         self._pattern = _stencil_pattern(self.h)
-        self._coef = None  # the last _coefficients result, reused entry by entry
         self._kernels = None  # per-node kernel of the last relaxed game solve
         self._scratch = {}  # work arrays by name, reused across calls
+
+        # the neighbourhood gather: hood[j] is the level shifted by offset j,
+        # one copy from the (3,)*d window view of the padded level
+        pad = self._scratch["pad"] = np.empty(tuple(n + 2 for n in self.work_shape))
+        hood = self._scratch["hood"] = np.empty((len(self._offsets),) + self.work_shape)
+        window = np.lib.stride_tricks.as_strided(
+            pad, (3,) * self.d + self.work_shape, pad.strides * 2, writeable=False)
+        self._gather = (hood.reshape((3,) * self.d + self.work_shape), window)
+
+        # the entries evaluated here, which of them name t, and the size of
+        # one time's row of the tables they give
+        b_names, sigma_names, f_names = prob._entry_variables
+        f_names = None if self._f_needs_yz else f_names
+        self._timed = _timed((b_names, sigma_names, f_names))  # False if none names t
+        self._features_timed = bool(self._timed and (self._timed[0] or self._timed[1]))
+        named = frozenset().union(*b_names, *(n for row in sigma_names for n in row),
+                                  f_names or ())
+        self._row_elements = self.m * self.k * len(self._pattern) * (
+            math.prod(self.work_shape) if named.intersection(prob.x_names()) else 1)
+        self._block = None  # coefficients of the last evaluated block of times
+        self._rows = {}  # scheduled time -> its row in self._block
+        self._blocks = {}  # scheduled time -> the times of its block
 
     # -- stencil ------------------------------------------------------------
 
@@ -321,51 +377,82 @@ class Stepper:
             arr = self._scratch[name] = np.empty(shape)
         return arr
 
+    def schedule(self, times) -> None:
+        """Declare the times that the following steps are taken at.
+
+        The entries that name t are evaluated for consecutive times of
+        ``times`` in blocks, each holding at most ``_BLOCK_ELEMENTS``
+        elements of time-dependent tables (and at least one time).
+        """
+        times = list(dict.fromkeys(times))
+        size = max(1, _BLOCK_ELEMENTS // self._row_elements)
+        self._blocks = {}
+        for start in range(0, len(times), size):
+            block = tuple(times[start:start + size])
+            self._blocks.update(dict.fromkeys(block, block))
+        self._rows = {}
+
     def _coefficients(self, t) -> _StencilCoefficients:
-        """Stencil coefficients at t: only the features of re-evaluated entries are redone."""
-        old = self._coef
+        """Stencil coefficients at t: a row of the block that holds t."""
+        if self._block is not None and not self._timed:
+            return self._block
+        row = self._rows.get(t)
+        if row is None:
+            times = self._blocks.get(t, (t,))
+            self._evaluate_block(times)
+            # a time that was not scheduled is evaluated again at its next call
+            self._rows = {s: i for i, s in enumerate(times)} if t in self._blocks else {}
+            row = times.index(t)
+        co = self._block
+        b, sigma, f = _row((co.b, co.sigma, co.f), self._timed, row)
+        if not self._features_timed:
+            return _StencilCoefficients(b, sigma, f, co.features, co.weights)
+        return _StencilCoefficients(b, sigma, f, co.features[row],
+                                    None if co.weights is None else co.weights[row])
+
+    def _evaluate_block(self, times) -> None:
+        """Evaluate the entries that name t at ``times``, t on a leading axis.
+
+        Entries free of t, and their features, are those of the previous
+        block.
+        """
+        old = self._block
+        t = np.array(times, dtype=float).reshape((-1,) + (1,) * (2 + self.d))
         b, sig, f = self.prob._evaluate_entries(
             t, self._xw, self._iu, self._iv,
             None if old is None else (old.b, old.sigma, old.f), _TIME,
             with_f=not self._f_needs_yz,
         )
         if old is not None and b is old.b and sig is old.sigma:
-            if f is old.f:
-                return old
             feats, weights = old.features, old.weights
         else:
-            feats, weights = self._features(b, sig, old)
-        self._coef = _StencilCoefficients(b=b, sigma=sig, f=f, features=feats, weights=weights)
-        return self._coef
+            feats, weights = self._features(b, sig)
+        self._block = _StencilCoefficients(b=b, sigma=sig, f=f, features=feats, weights=weights)
 
-    def _features(self, b, sig, old) -> tuple:
+    def _features(self, b, sig) -> tuple:
         """The features of b and sigma and, when they are free of x, the weights.
 
         The features live in one array, in the broadcast shape of b and
-        sigma with full control axes, that is overwritten in place: only
-        the features of entries that are not those of ``old`` are written.
+        sigma with full control axes (and the block's time axis when b or
+        sigma name t), feature axis after the control axes.
         """
-        d = self.d
-        if old is None:
-            shape = np.broadcast_shapes((self.m, self.k) + (1,) * d, *(np.shape(e) for e in b),
-                                        *(np.shape(e) for row in sig for e in row))
-            feats = np.empty(shape[:2] + (len(self._pattern),) + shape[2:])
-        else:
-            feats = old.features
-        out = [feats[:, :, j] for j in range(len(self._pattern))]
+        d, n_feat = self.d, len(self._pattern)
+        shape = np.broadcast_shapes((self.m, self.k) + (1,) * d, *(np.shape(e) for e in b),
+                                    *(np.shape(e) for row in sig for e in row))
+        lead = shape[:-2 - d]
+        feats = np.empty(shape[:-d] + (n_feat,) + shape[-d:])
+        out = np.moveaxis(feats, -1 - d, 0)
         for i, bi in enumerate(b):
-            if old is None or bi is not old.b[i]:
-                np.maximum(bi, 0.0, out=out[2 * i])
-                np.maximum(np.negative(bi, out=out[2 * i + 1]), 0.0, out=out[2 * i + 1])
-        if old is None or sig is not old.sigma:
-            for i, row in enumerate(sig):
-                out[2 * d + i][...] = (row[0] * row[0] if d == 1
-                                       else row[0] * row[0] + row[1] * row[1])
-            if d == 2:
-                a01 = sig[0][0] * sig[1][0] + sig[0][1] * sig[1][1]
-                np.maximum(a01, 0.0, out=out[-2])
-                np.maximum(np.negative(a01), 0.0, out=out[-1])
-        flat = feats.reshape(self.m * self.k, len(self._pattern), -1)
+            np.maximum(bi, 0.0, out=out[2 * i])
+            np.maximum(np.negative(bi, out=out[2 * i + 1]), 0.0, out=out[2 * i + 1])
+        for i, row in enumerate(sig):
+            out[2 * d + i][...] = (row[0] * row[0] if d == 1
+                                   else row[0] * row[0] + row[1] * row[1])
+        if d == 2:
+            a01 = sig[0][0] * sig[1][0] + sig[0][1] * sig[1][1]
+            np.maximum(a01, 0.0, out=out[-2])
+            np.maximum(np.negative(a01), 0.0, out=out[-1])
+        flat = feats.reshape(lead + (self.m * self.k, n_feat, -1))
         return feats, (flat[..., 0] @ self._pattern if flat.shape[-1] == 1 else None)
 
     def entries(self, values: np.ndarray, t: float) -> np.ndarray:
@@ -376,10 +463,17 @@ class Stepper:
         """
         d, n_hood = self.d, len(self._offsets)
         co = self._coefficients(t)
-        pad = values if self.mode == "clamp" else np.pad(values[self._work], 1, mode="wrap")
-        hood = self._array("hood", (n_hood,) + self.work_shape)
-        for j, off in enumerate(self._offsets):
-            np.copyto(hood[j], pad[tuple(slice(1 + o, n - 1 + o) for o, n in zip(off, pad.shape))])
+        pad = self._scratch["pad"]
+        if self.mode == "clamp":
+            np.copyto(pad, values)
+        else:  # the periodic cell, wrapped by one node on each axis
+            np.copyto(pad[(slice(1, -1),) * d], values[self._work])
+            for axis in range(d):
+                lead = (slice(None),) * axis
+                pad[lead + (0,)] = pad[lead + (-2,)]
+                pad[lead + (-1,)] = pad[lead + (1,)]
+        np.copyto(*self._gather)
+        hood = self._scratch["hood"]
         s = hood.reshape(n_hood, -1)
         if co.weights is not None:
             gen = co.weights @ s
@@ -399,7 +493,7 @@ class Stepper:
                  for j in range(d)]
             f = self.prob.running_cost(t, self._xw, self._iu, self._iv, hood[n_hood // 2],
                                        np.stack(np.broadcast_arrays(*z), axis=-1))
-        gen += f
+        gen += f  # also when f is 0: it turns a -0.0 generator entry into +0.0
         return gen
 
     # -- local games ---------------------------------------------------------
@@ -424,10 +518,23 @@ class Stepper:
 
         if self.m == 1 and self.k == 1:
             vals = ent[0, 0]
-        elif mode == "pure_lower":
-            vals = np.min(ent, axis=1, out=self._array("envelope", (self.m,) + work)).max(axis=0)
-        else:  # pure_upper
-            vals = np.max(ent, axis=0, out=self._array("envelope", (self.k,) + work)).min(axis=0)
+        elif mode == "pure_lower":  # max over u of min over v, folded in index order
+            vals = np.empty(work)
+            row = self._array("envelope", work)
+            for iu in range(self.m):
+                acc = row if iu else vals
+                np.copyto(acc, ent[iu, 0])
+                for iv in range(1, self.k):
+                    np.minimum(acc, ent[iu, iv], out=acc)
+                if iu:
+                    np.maximum(vals, row, out=vals)
+        else:  # pure_upper: min over v of max over u
+            col = np.copy(ent[0])
+            for iu in range(1, self.m):
+                np.maximum(col, ent[iu], out=col)
+            vals = col[0]
+            for iv in range(1, self.k):
+                np.minimum(vals, col[iv], out=vals)
         if not collect_strategies:
             return vals, None, None
         # pure envelopes and singleton games select point-mass strategies;
@@ -453,7 +560,7 @@ class Stepper:
 
     def _finish(self, values, vals, dt, t_new):
         """The next level: values + dt * vals on the work region, then the boundary."""
-        new = np.array(values, dtype=float, copy=True)
+        new = np.empty(values.shape)
         inc = np.multiply(dt, vals, out=self._array("increment", self.work_shape))
         np.add(values[self._work], inc, out=new[self._work])
         if self.mode == "clamp":
@@ -472,9 +579,8 @@ class Stepper:
                 new[-1, :-1] = new[0, :-1]
                 new[:-1, -1] = new[:-1, 0]
                 new[-1, -1] = new[0, 0]
-        bad = ~np.isfinite(new)
-        if bad.any():
-            node = tuple(int(i) for i in np.argwhere(bad)[0])
+        if not np.isfinite(new).all():
+            node = tuple(int(i) for i in np.argwhere(~np.isfinite(new))[0])
             raise NonFiniteFieldError(f"non-finite value at node {node} (t={t_new})")
         return new
 
@@ -545,14 +651,14 @@ def solve(prob: Problem, grid: SpaceGrid, params: SchemeParams) -> list:
     n_steps = max(1, math.ceil(prob.T / dt_target - 1e-12))
     dt = prob.T / n_steps
     label = _MODE_LABELS[params.hamiltonian_mode]
+    times = [prob.T] + [prob.T * (n_steps - i - 1) / n_steps for i in range(n_steps)]
     stepper = Stepper(prob, grid, params.game_tol)
+    stepper.schedule(times[:-1])
     levels = [terminal_field(prob, grid, label)]
     values = levels[0].values
-    t = prob.T
-    for step_idx in range(n_steps):
+    for t, t_new in zip(times, times[1:]):
         values, _, _ = stepper.step(values, t, dt, params.hamiltonian_mode)
-        t = prob.T * (n_steps - step_idx - 1) / n_steps
-        fld = ValueField._adopt(t, values, label)
+        fld = ValueField._adopt(t_new, values, label)
         fld.check_bound(prob)
         levels.append(fld)
     return levels

@@ -599,8 +599,6 @@ def freeze(prob: Problem, t: float, x, u_idx: int, v_idx: int) -> FrozenCoeffici
 # Benchmark catalog
 # ---------------------------------------------------------------------------
 
-_PM_ONE = {"points": [[-1.0], [1.0]]}
-
 CATALOG = {
     # bilinear running cost u*v: the classic game with no pure-strategy
     # value; mixed value is identically 0, pure envelopes are -(T-t), +(T-t)
@@ -612,8 +610,8 @@ CATALOG = {
         "sigma": [["1"]],
         "f": "u1*v1",
         "phi": "0",
-        "U": _PM_ONE,
-        "V": _PM_ONE,
+        "U": {"points": [[-1.0], [1.0]]},
+        "V": {"points": [[-1.0], [1.0]]},
         "domain": {"min": [-6.0], "max": [6.0], "boundary": "clamp"},
         "condition41_mode": "sigma_uncontrolled",
         "bounds": {
@@ -661,8 +659,8 @@ CATALOG = {
         "sigma": [["1"]],
         "f": "0",
         "phi": "x1",
-        "U": _PM_ONE,
-        "V": _PM_ONE,
+        "U": {"points": [[-1.0], [1.0]]},
+        "V": {"points": [[-1.0], [1.0]]},
         "domain": {"min": [-7.0], "max": [7.0], "boundary": "clamp"},
         "condition41_mode": "sigma_uncontrolled",
         "bounds": {

@@ -30,6 +30,7 @@ BILINEAR_2D = {
 def commands(tmp_path):
     matrix = tmp_path / "m.csv"
     np.savetxt(matrix, [[1.0, -1.0], [-1.0, 1.0]], delimiter=",")
+    bilinear = problem_source(tmp_path, "bilinear_2d")
     return {
         "game": ["game", "--matrix", str(matrix)],
         "hamiltonian": ["hamiltonian", "--problem", "uv_drift", "--n-p", "3", "--n-a", "2"],
@@ -38,11 +39,18 @@ def commands(tmp_path):
                             "--n-steps", "2"],
         "simulate": ["simulate", "--problem", "uv_drift", "--n-steps", "2", "--paths", "200",
                      "--profile", "saddle", "--nx", "21", "--seed", "3"],
+        "converge": ["converge", "--problem", "uv_drift", "--nx", "21", "--meshes", "1,2"],
+        "gap-report": ["gap-report", "--problem", "uv_running_cost", "--nx", "21"],
+        # t-dependent drift in d = 2: the coefficients come from schedule blocks
+        "solve-pde-bilinear_2d": ["solve-pde", "--problem", bilinear, "--nx", "11"],
+        "solve-partition-bilinear_2d": ["solve-partition", "--problem", bilinear, "--nx", "9",
+                                        "--n-steps", "3"],
     }
 
 
 @pytest.mark.parametrize("name", ["game", "hamiltonian", "solve-pde", "solve-partition",
-                                  "simulate"])
+                                  "simulate", "converge", "gap-report", "solve-pde-bilinear_2d",
+                                  "solve-partition-bilinear_2d"])
 def test_command_and_replay(tmp_path, capsys, name):
     out = tmp_path / f"{name}.out"
     assert cli.dispatch(commands(tmp_path)[name] + ["--out", str(out)]) == 0

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from functools import reduce
 from itertools import combinations, product
 
@@ -231,6 +232,22 @@ def assert_certified(ent, batch, tol):
 
 class TestSolveGames:
     """The batched kernel solver against the HiGHS oracle and the simplex."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("hinted", [False, True])
+    def test_rejects_non_finite_entry(self, bad, hinted):
+        # the first game with a non-finite entry is named, with that entry,
+        # before any kernel or the simplex sees it (and without a warning)
+        ent = np.random.default_rng(3).uniform(-1.0, 1.0, (3, 2, 6))
+        ent[2, 1, 4] = bad
+        ent[0, 0, 5] = bad
+        hint = np.zeros(6, dtype=np.int64) if hinted else None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GameError, match=rf"non-finite payoff {bad} at entry \(2, 1\) "
+                                                r"of game 4$") as err:
+                solve_games(ent, 1e-9, hint)
+        assert err.value.node == 4
 
     def test_random_batches_match_oracle(self):
         rng = np.random.default_rng(37)

@@ -1,5 +1,6 @@
 import copy
 import itertools
+import json
 import math
 import re
 from pathlib import Path
@@ -7,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixedvalue import dsl
+from mixedvalue import dsl, pde
 from mixedvalue.games import GameError, _solve_entries
+from mixedvalue.montecarlo import RandomizationDevice, StrategyProfile, exploit
 from mixedvalue.partition import Partition, dpp_sweep
 from mixedvalue.pde import (
     CflViolationError,
@@ -202,6 +204,17 @@ class TestBatchedGames:
             solve(drift_cost3, grid, SchemeParams(game_tol=1e-300))
         node = int(re.search(r"grid node \((\d+),\)", str(err.value)).group(1))
         assert 1 <= node <= 39
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_generator_names_the_node(self, drift_cost3, bad):
+        grid = SpaceGrid.for_problem(drift_cost3, 41)
+        stepper = Stepper(drift_cost3, grid)
+        ent = stepper.entries(terminal_field(drift_cost3, grid).values, 0.5)
+        ent[1, 2, 7] = bad
+        with pytest.raises(GameError, match=rf"local game at grid node \(8,\) \(t=0\.5\): "
+                                            rf"non-finite payoff {bad} at entry \(1, 2\)") as err:
+            stepper.game_values(ent, "relaxed", 0.5)
+        assert err.value.node == 7
 
     def test_asymmetric_running_cost_value(self):
         # b = 0, phi = 0, f = M[u, v]: the field stays flat, every local game
@@ -715,6 +728,31 @@ class TestStencilAgainstRollReference:
             assert a01.min() < 0.0 < a01.max()
 
 
+class TestPureEnvelopes:
+    @pytest.mark.parametrize("m,k", [(1, 3), (2, 2), (3, 2), (3, 3)])
+    def test_envelopes_equal_axis_reductions(self, m, k):
+        # every m x k game over {-1, -0.0, 0.0, 1}: ties and signed zeros
+        prob = stencil_problem(1, [["0.9"]], U={"points": [[u] for u in np.linspace(-1, 1, m)]},
+                               V={"points": [[v] for v in np.linspace(-1, 1, k)]})
+        stepper = Stepper(prob, SpaceGrid.for_problem(prob, 17))
+        signs = np.array([-1.0, -0.0, 0.0, 1.0])
+        ent = np.array(list(itertools.product(signs, repeat=m * k))).T.reshape(m, k, -1)
+        want = {"pure_lower": np.min(ent, axis=1).max(axis=0),
+                "pure_upper": np.max(ent, axis=0).min(axis=0)}
+        for mode, ref in want.items():
+            vals, mu, nu = stepper.game_values(ent, mode, 0.0, collect_strategies=True)
+            assert vals.tobytes() == ref.tobytes()
+            assert stepper.game_values(ent, mode, 0.0)[0].tobytes() == ref.tobytes()
+            # point masses on the lowest index that attains the envelope
+            if mode == "pure_lower":
+                iu = np.argmax(ent.min(axis=1) == vals, axis=0)
+                iv = np.argmax(ent[iu, :, np.arange(ent.shape[-1])].T == vals, axis=0)
+            else:
+                iv = np.argmax(ent.max(axis=0) == vals, axis=0)
+                iu = np.argmax(ent[:, iv, np.arange(ent.shape[-1])] == vals, axis=0)
+            assert np.array_equal(mu, np.eye(m)[iu]) and np.array_equal(nu, np.eye(k)[iv])
+
+
 class TestAliasing:
     @pytest.mark.parametrize("boundary", ["clamp", "periodic"])
     def test_entries_result_survives_later_calls(self, boundary):
@@ -791,6 +829,126 @@ class TestCoefficientReuse:
                 assert len(calls) == per_level
             ref = Stepper(prob, grid).entries(vals, t)
             assert ent.view(np.int64).tobytes() == ref.view(np.int64).tobytes()
+
+
+BENCH_PROBLEMS = Path(__file__).resolve().parent.parent / "bench" / "problems"
+SCHEDULE_CASES = sorted(TIME_CASES) + ["bilinear_drift_2d"]
+
+
+def schedule_case(case, boundary):
+    """A TIME_CASES problem, or the bench's bilinear_drift_2d, under ``boundary``, and a grid."""
+    if case == "bilinear_drift_2d":
+        cfg = json.loads((BENCH_PROBLEMS / "bilinear_drift_2d.json").read_text(encoding="utf-8"))
+        cfg["domain"]["boundary"] = boundary
+        prob = load_problem(cfg)
+    else:
+        prob = stencil_problem(**{**TIME_CASES[case], "boundary": boundary})
+    return prob, SpaceGrid.for_problem(prob, 17 if prob.d == 1 else 13)
+
+
+def level_bytes(arrays):
+    return b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
+
+
+class TestSchedule:
+    @pytest.mark.parametrize("boundary", ["clamp", "periodic"])
+    @pytest.mark.parametrize("case", SCHEDULE_CASES)
+    def test_scheduled_entries_equal_a_fresh_stepper(self, monkeypatch, case, boundary):
+        prob, grid = schedule_case(case, boundary)
+        evaluated = (*prob.b, *(e for row in prob.sigma for e in row),
+                     *(() if prob.f_needs_yz else (prob.f,)))
+        n_timed = sum("t" in dsl.free_variables(e) for e in evaluated)
+        per_call = int(prob.f_needs_yz)  # f with the level's y and z, at every call
+        calls = []
+        evaluate = dsl.evaluate
+        monkeypatch.setattr(dsl, "evaluate", lambda e, bnd: calls.append(e) or evaluate(e, bnd))
+        times = [0.9, 0.7, 0.55, 0.4, 0.1, 0.05]
+        rng = np.random.default_rng(8)
+        for size in (1, 4, len(times)):  # times per schedule block
+            kept = Stepper(prob, grid)
+            monkeypatch.setattr(pde, "_BLOCK_ELEMENTS", size * kept._row_elements)
+            kept.schedule(times)
+            blocks = set()
+            # the first time twice, as the partition sweep asks for it
+            for t in [times[0], *times]:
+                vals = rng.uniform(-1.0, 1.0, grid.shape)
+                calls.clear()
+                ent = kept.entries(vals, t)
+                block = times.index(t) // size
+                want = per_call
+                if block not in blocks:  # once per block, every entry in the first
+                    want += n_timed if blocks else len(evaluated)
+                    blocks.add(block)
+                assert len(calls) == want, (size, t)
+                ref = Stepper(prob, grid).entries(vals, t)
+                assert ent.view(np.int64).tobytes() == ref.view(np.int64).tobytes()
+            # a time that was not scheduled is evaluated at each call
+            for _ in range(2):
+                calls.clear()
+                kept.entries(vals, 0.33)
+                assert len(calls) == n_timed + per_call
+
+    @pytest.mark.parametrize("boundary", ["clamp", "periodic"])
+    @pytest.mark.parametrize("case", SCHEDULE_CASES)
+    def test_solvers_independent_of_block_size(self, monkeypatch, case, boundary):
+        prob, grid = schedule_case(case, boundary)
+        pi = Partition.uniform(prob.T, 3)
+        params = SchemeParams(hamiltonian_mode="pure_upper")
+
+        sizes = []
+        evaluate = Stepper._evaluate_block
+        monkeypatch.setattr(Stepper, "_evaluate_block",
+                            lambda self, block: sizes.append(len(block)) or evaluate(self, block))
+
+        def run():
+            sizes.clear()
+            levels = [fld.values for mode in ("relaxed", "pure_upper")
+                      for fld in solve(prob, grid, SchemeParams(hamiltonian_mode=mode))]
+            sweep = dpp_sweep(prob, grid, pi, SchemeParams(), "lower", record_strategies=True)
+            levels += [*(fld.values for fld in sweep.levels), sweep.mu, sweep.nu]
+            if not prob.f_needs_yz:  # exploit covers the classical case only
+                res = exploit(prob, pi, "player1", StrategyProfile.uniform(prob, pi.n),
+                              [0.2] * prob.d, 64, RandomizationDevice(4), nx=grid.counts[0])
+                levels.append(np.array([res.best_response_value, res.profile_value]))
+            return level_bytes(levels)
+
+        monkeypatch.setattr(pde, "_BLOCK_ELEMENTS", 1)  # one time per block
+        one = run()
+        solvers = 3 + (not prob.f_needs_yz)
+        assert set(sizes) == {1}
+        assert len(sizes) > 10 if Stepper(prob, grid)._timed else len(sizes) == solvers
+        monkeypatch.setattr(pde, "_BLOCK_ELEMENTS", 2**62)  # the whole schedule
+        assert run() == one
+        # every solver schedules its times: one block per Stepper
+        assert len(sizes) == solvers and min(sizes) > 1
+        # and solve equals unscheduled steps, each evaluated on its own
+        levels = solve(prob, grid, params)
+        stepper = Stepper(prob, grid)
+        dt = prob.T / (len(levels) - 1)
+        values = levels[0].values
+        for fld, nxt in zip(levels, levels[1:]):
+            values, _, _ = stepper.step(values, fld.t, dt, params.hamiltonian_mode)
+            assert values.tobytes() == nxt.values.tobytes()
+
+    def test_block_respects_the_element_budget(self, monkeypatch):
+        # t and x named together: a block holds as many times as fit the budget
+        prob = stencil_problem(2, SIGMA_T_ROW, f="u1*v1*cos(t) + 0.1*x1")
+        grid = SpaceGrid.for_problem(prob, 13)
+        stepper = Stepper(prob, grid)
+        row = stepper._row_elements
+        assert row == 2 * 2 * len(stepper._pattern) * 11 * 11
+        monkeypatch.setattr(pde, "_BLOCK_ELEMENTS", 3 * row + row // 2)
+        times = [0.9 - 0.1 * i for i in range(8)]
+        stepper.schedule(times)
+        sizes = []
+        evaluate = stepper._evaluate_block
+        monkeypatch.setattr(stepper, "_evaluate_block",
+                            lambda block: sizes.append(len(block)) or evaluate(block))
+        for t in times:
+            stepper.entries(np.zeros(grid.shape), t)
+            assert stepper._block.features.size <= pde._BLOCK_ELEMENTS
+            assert np.size(stepper._block.f) <= pde._BLOCK_ELEMENTS
+        assert sizes == [3, 3, 2]
 
 
 def monotone_cases():

@@ -50,6 +50,31 @@ class TestCatalog:
         assert prob.f_src == "u1*v1"
         assert prob.phi_src == "0"
 
+    def test_entries_share_no_mutable_parts(self):
+        # a dict or list used twice would stay aliased in a deep copy, so
+        # editing a copied entry's U would also edit its V
+        seen = {}
+
+        def walk(obj, path):
+            if isinstance(obj, (dict, list)):
+                assert id(obj) not in seen, f"{path} is {seen[id(obj)]}"
+                seen[id(obj)] = path
+                for key, val in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
+                    walk(val, f"{path}[{key!r}]")
+
+        walk(CATALOG, "CATALOG")
+        for name in CATALOG:
+            cfg = copy.deepcopy(CATALOG[name])
+            assert cfg["U"] is not cfg["V"]
+            assert cfg["U"]["points"] is not cfg["V"]["points"]
+
+    @pytest.mark.parametrize("name", ["uv_running_cost", "uv_drift"])
+    def test_variant_of_u_leaves_v(self, name):
+        points = [[-1.0], [0.0], [1.0]]
+        prob = load_problem(cfg_variant(name, U={"points": points}))
+        assert prob.u_grid.points.tolist() == points
+        assert prob.v_grid.points.tolist() == CATALOG[name]["V"]["points"] == [[-1.0], [1.0]]
+
     def test_heat_cosine_is_control_free(self):
         prob = load_problem("heat_cosine")
         assert prob.u_grid.n == 1 and prob.v_grid.n == 1
