@@ -16,6 +16,7 @@ import argparse
 import csv
 import datetime
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -85,11 +86,8 @@ def _write_level_csv(path: str, header, runs, grid) -> None:
     float, which is how ``csv.writer`` formats them, so the bytes equal
     those of ``csv.writer`` over per-node tuples.
     """
-    if grid.d == 1:
-        nodes = [repr(x) for x in grid.axes[0].tolist()]
-    else:
-        nodes = [f"{x1!r},{x2!r}" for x1 in grid.axes[0].tolist()
-                 for x2 in grid.axes[1].tolist()]
+    nodes = [",".join(map(repr, node))
+             for node in itertools.product(*(ax.tolist() for ax in grid.axes))]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
         for lead, levels in runs:
@@ -155,8 +153,7 @@ def _cmd_solve_pde(args, argv, started):
     grid = pde.SpaceGrid.for_problem(prob, args.nx)
     params = pde.SchemeParams(hamiltonian_mode=args.mode, cfl_safety=args.dt_safety)
     levels = pde.solve(prob, grid, params)
-    header = ["t", "x1", "value"] if grid.d == 1 else ["t", "x1", "x2", "value"]
-    _write_level_csv(args.out, header, [("", levels)], grid)
+    _write_level_csv(args.out, ["t", *prob.x_names(), "value"], [("", levels)], grid)
     _write_manifest(args.out, "solve-pde", argv, {
         "problem": args.problem, "nx": args.nx, "mode": args.mode,
         "dt_safety": args.dt_safety, "n_steps": len(levels) - 1,
@@ -173,8 +170,7 @@ def _cmd_solve_partition(args, argv, started):
     params = pde.SchemeParams(cfl_safety=args.dt_safety)
     pi = Partition.uniform(prob.T, args.n_steps)
     orientations = ["lower", "upper"] if args.orientation == "both" else [args.orientation]
-    header = (["orientation", "t", "x1", "value"] if grid.d == 1
-              else ["orientation", "t", "x1", "x2", "value"])
+    header = ["orientation", "t", *prob.x_names(), "value"]
     runs = [(f"{orientation},", dpp_sweep(prob, grid, pi, params, orientation).levels)
             for orientation in orientations]
     _write_level_csv(args.out, header, runs, grid)

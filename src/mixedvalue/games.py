@@ -209,10 +209,6 @@ def _solve_entries(ent: np.ndarray, tol: float):
     The fallback of :func:`solve_games` for games no small kernel
     certifies; raises :class:`GameError` when the gap exceeds ``tol``.
     """
-    m, k = ent.shape
-    if m == 1 and k == 1:
-        one = np.array([1.0])
-        return float(ent[0, 0]), one, one, 0.0
     shift = 1.0 - ent.min()
     q, p = _simplex_game(ent + shift)
     q = np.maximum(q, 0.0)

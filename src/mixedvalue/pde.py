@@ -32,6 +32,7 @@ neighbourhoods with one copy from a (3,)*d window view of the padded level.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -123,7 +124,7 @@ class SpaceGrid:
         return self.counts
 
     def meshes(self) -> tuple:
-        return tuple(np.meshgrid(*self.axes, indexing="ij")) if self.d > 1 else (self.axes[0],)
+        return tuple(np.meshgrid(*self.axes, indexing="ij"))
 
 
 @dataclass(frozen=True)
@@ -171,7 +172,11 @@ class SchemeParams:
     """Parameters of the explicit scheme.
 
     ``dt=None`` derives the step from the CFL limit.  ``game_tol`` bounds
-    the certified duality gap of every relaxed local game.
+    the certified duality gap of every relaxed local game.  :func:`solve`
+    and :func:`step_back` read every field (``step_back`` needs ``dt``);
+    :func:`gap_report` all but ``hamiltonian_mode``, which it sets itself;
+    ``partition.dpp_sweep`` and ``partition.convergence_study`` only
+    ``game_tol`` and ``cfl_safety`` (the sweep rejects the other two).
     """
 
     dt: float | None = None
@@ -308,7 +313,8 @@ class Stepper:
     An f that names y or z is evaluated at every call, with the level and
     its upwind gradient, the pattern's drift rows applied to S.  The local
     games of a level are solved in one batch, each node starting from the
-    kernel that certified it on the previous call.  Also used by the
+    kernel that certified it on the previous call; a 1x1 game, whose value
+    is its entry, is valued by the envelope fold instead.  Also used by the
     partition sweep, which freezes the per-node strategies over a
     subinterval and advances with :meth:`step_frozen`, and by
     ``montecarlo.exploit``, which lets one player re-optimize in it.
@@ -446,8 +452,7 @@ class Stepper:
             np.maximum(bi, 0.0, out=out[2 * i])
             np.maximum(np.negative(bi, out=out[2 * i + 1]), 0.0, out=out[2 * i + 1])
         for i, row in enumerate(sig):
-            out[2 * d + i][...] = (row[0] * row[0] if d == 1
-                                   else row[0] * row[0] + row[1] * row[1])
+            out[2 * d + i][...] = sum((e * e for e in row[1:]), row[0] * row[0])
         if d == 2:
             a01 = sig[0][0] * sig[1][0] + sig[0][1] * sig[1][1]
             np.maximum(a01, 0.0, out=out[-2])
@@ -489,7 +494,7 @@ class Stepper:
             p = [np.where(np.asarray(bi) >= 0.0, grad[2 * i], -grad[2 * i + 1])
                  for i, bi in enumerate(co.b)]
             sig = co.sigma
-            z = [p[0] * sig[0][j] if d == 1 else p[0] * sig[0][j] + p[1] * sig[1][j]
+            z = [sum((p[i] * sig[i][j] for i in range(1, d)), p[0] * sig[0][j])
                  for j in range(d)]
             f = self.prob.running_cost(t, self._xw, self._iu, self._iv, hood[n_hood // 2],
                                        np.stack(np.broadcast_arrays(*z), axis=-1))
@@ -502,7 +507,7 @@ class Stepper:
                     collect_strategies: bool = False):
         """Per-node saddle/envelope values of the generator matrices at time t."""
         work = ent.shape[2:]
-        if mode == "relaxed" and not (self.m == 1 and self.k == 1):
+        if mode == "relaxed" and self.m * self.k > 1:
             try:
                 batch = solve_games(ent.reshape(self.m, self.k, -1), self.game_tol, self._kernels)
             except GameError as err:  # the simplex fallback gave up on one node
@@ -516,9 +521,7 @@ class Stepper:
                 return vals, batch.mu.reshape(work + (self.m,)), batch.nu.reshape(work + (self.k,))
             return vals, None, None
 
-        if self.m == 1 and self.k == 1:
-            vals = ent[0, 0]
-        elif mode == "pure_lower":  # max over u of min over v, folded in index order
+        if mode == "pure_lower":  # max over u of min over v, folded in index order
             vals = np.empty(work)
             row = self._array("envelope", work)
             for iu in range(self.m):
@@ -528,7 +531,7 @@ class Stepper:
                     np.minimum(acc, ent[iu, iv], out=acc)
                 if iu:
                     np.maximum(vals, row, out=vals)
-        else:  # pure_upper: min over v of max over u
+        else:  # pure_upper, or a relaxed 1x1 game: min over v of max over u
             col = np.copy(ent[0])
             for iu in range(1, self.m):
                 np.maximum(col, ent[iu], out=col)
@@ -537,14 +540,11 @@ class Stepper:
                 np.minimum(vals, col[iv], out=vals)
         if not collect_strategies:
             return vals, None, None
-        # pure envelopes and singleton games select point-mass strategies;
-        # ties break toward the lowest grid index
+        # the envelopes select point-mass strategies; ties break toward the
+        # lowest grid index
         mu = np.zeros(work + (self.m,))
         nu = np.zeros(work + (self.k,))
-        if self.m == 1 and self.k == 1:
-            mu[..., 0] = 1.0
-            nu[..., 0] = 1.0
-        elif mode == "pure_lower":
+        if mode == "pure_lower":
             iu = ent.min(axis=1).argmax(axis=0)
             iv = np.take_along_axis(ent, iu[None, None], axis=0)[0].argmin(axis=0)
             np.put_along_axis(mu, iu[..., None], 1.0, axis=-1)
@@ -563,33 +563,22 @@ class Stepper:
         new = np.empty(values.shape)
         inc = np.multiply(dt, vals, out=self._array("increment", self.work_shape))
         np.add(values[self._work], inc, out=new[self._work])
-        if self.mode == "clamp":
-            if self.d == 1:
-                new[0] = new[1]
-                new[-1] = new[-2]
-            else:
-                new[0, :] = new[1, :]
-                new[-1, :] = new[-2, :]
-                new[:, 0] = new[:, 1]
-                new[:, -1] = new[:, -2]
-        else:
-            if self.d == 1:
-                new[-1] = new[0]
-            else:
-                new[-1, :-1] = new[0, :-1]
-                new[:-1, -1] = new[:-1, 0]
-                new[-1, -1] = new[0, 0]
+        # axis by axis, clamp copies each end's neighbour, periodic copies
+        # node 0 to the last node (so a periodic corner is new[0, ..., 0])
+        edges = ((0, 1), (-1, -2)) if self.mode == "clamp" else ((-1, 0),)
+        for axis in range(self.d):
+            lead = (slice(None),) * axis
+            for end, source in edges:
+                new[lead + (end,)] = new[lead + (source,)]
         if not np.isfinite(new).all():
             node = tuple(int(i) for i in np.argwhere(~np.isfinite(new))[0])
             raise NonFiniteFieldError(f"non-finite value at node {node} (t={t_new})")
         return new
 
-    def step(self, values, t, dt, mode, collect_strategies=False):
-        """One explicit step from level t to t - dt."""
-        ent = self.entries(values, t)
-        vals, mu, nu = self.game_values(ent, mode, t, collect_strategies)
-        new = self._finish(values, vals, dt, t - dt)
-        return (new, mu, nu) if collect_strategies else (new, None, None)
+    def step(self, values, t, dt, mode):
+        """One explicit step from level t to t - dt; returns the new level."""
+        vals, _, _ = self.game_values(self.entries(values, t), mode, t)
+        return self._finish(values, vals, dt, t - dt)
 
     def step_frozen(self, values, t, dt, mu, nu):
         """One step under frozen per-node mixed strategies.
@@ -635,7 +624,7 @@ def step_back(field: ValueField, prob: Problem, grid: SpaceGrid,
         raise CflViolationError("step_back requires an explicit params.dt")
     dt = _resolve_dt(prob, grid, params)
     stepper = Stepper(prob, grid, params.game_tol)
-    new, _, _ = stepper.step(field.values, field.t, dt, params.hamiltonian_mode)
+    new = stepper.step(field.values, field.t, dt, params.hamiltonian_mode)
     return ValueField(t=field.t - dt, values=new, label=field.label)
 
 
@@ -657,7 +646,7 @@ def solve(prob: Problem, grid: SpaceGrid, params: SchemeParams) -> list:
     levels = [terminal_field(prob, grid, label)]
     values = levels[0].values
     for t, t_new in zip(times, times[1:]):
-        values, _, _ = stepper.step(values, t, dt, params.hamiltonian_mode)
+        values = stepper.step(values, t, dt, params.hamiltonian_mode)
         fld = ValueField._adopt(t_new, values, label)
         fld.check_bound(prob)
         levels.append(fld)
@@ -667,10 +656,9 @@ def solve(prob: Problem, grid: SpaceGrid, params: SchemeParams) -> list:
 def window_mask(prob: Problem, grid: SpaceGrid) -> np.ndarray:
     """Boolean mask of grid nodes inside the interior measurement window."""
     lo, hi = interior_window(prob)
-    masks = [(ax >= lo[i] - 1e-12) & (ax <= hi[i] + 1e-12) for i, ax in enumerate(grid.axes)]
-    if grid.d == 1:
-        return masks[0]
-    return masks[0][:, None] & masks[1][None, :]
+    meshes = np.meshgrid(*grid.axes, indexing="ij", sparse=True)
+    return functools.reduce(np.logical_and, [(x >= lo[i] - 1e-12) & (x <= hi[i] + 1e-12)
+                                             for i, x in enumerate(meshes)])
 
 
 def discrete_lipschitz(values: np.ndarray, grid: SpaceGrid) -> float:

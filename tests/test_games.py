@@ -309,6 +309,20 @@ class TestSolveGames:
             solve_games(ent, 1e-9)
         assert err.value.node == 2
 
+    def test_singleton_games_are_their_entries(self, monkeypatch):
+        # the 1 x 1 kernel certifies every 1 x 1 game: its value is the
+        # entry itself, signed zeros, subnormals and huge values included
+        def refuse(ent, tol):
+            raise AssertionError("a 1 x 1 game reached the simplex")
+
+        monkeypatch.setattr(games, "_solve_entries", refuse)
+        ent = np.array([[[-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 0.7]]])
+        for hint in (None, np.zeros(ent.shape[-1], dtype=int)):
+            batch = solve_games(ent, 1e-9, hint)
+            assert batch.value.tobytes() == ent[0, 0].tobytes()
+            assert np.all(batch.gap == 0.0)
+            assert np.all(batch.mu == 1.0) and np.all(batch.nu == 1.0)
+
     @pytest.mark.parametrize("ent", [np.zeros((2, 2)), np.zeros((0, 2, 3))])
     def test_rejects_bad_batches(self, ent):
         with pytest.raises(GameError):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from mixedvalue import partition
 from mixedvalue.partition import (
     MeshTooCoarseError,
     Partition,
@@ -170,6 +171,18 @@ class TestDppSweep:
             dpp_sweep(heat, grid, Partition.uniform(1.0, 2), SchemeParams(), "lower",
                       substeps=substeps)
 
+    @pytest.mark.parametrize("params,field", [
+        (SchemeParams(hamiltonian_mode="pure_lower"), "hamiltonian_mode.*pure="),
+        (SchemeParams(hamiltonian_mode="pure_upper"), "hamiltonian_mode.*orientation"),
+        (SchemeParams(dt=1e-4), "params.dt.*substeps"),
+    ])
+    def test_rejects_params_it_would_ignore(self, uv_cost, params, field):
+        # the sweep's local games come from pure= and orientation, its step
+        # from substeps: a mode or dt in params must not pass silently
+        grid = SpaceGrid.for_problem(uv_cost, 11)
+        with pytest.raises(ValueError, match=field):
+            dpp_sweep(uv_cost, grid, Partition.uniform(1.0, 2), params, "lower")
+
     def test_horizon_mismatch(self, heat):
         grid = SpaceGrid.for_problem(heat, 51)
         with pytest.raises(ValueError, match="horizon"):
@@ -222,6 +235,19 @@ class TestConvergenceStudy:
         full = np.array([r["sup_w_minus_v_full"] for r in rows])
         slope = np.polyfit(np.log(mesh), np.log(full), 1)[0]
         assert slope >= 0.45
+
+    def test_one_sweep_per_mesh(self, monkeypatch, uv_cost):
+        # the relaxed lower and upper sweeps are bitwise equal, so one serves both
+        calls = []
+        sweep = partition.dpp_sweep
+        monkeypatch.setattr(partition, "dpp_sweep",
+                            lambda *args, **kw: calls.append(args[3:]) or sweep(*args, **kw))
+        grid = SpaceGrid.for_problem(uv_cost, 21)
+        rows = convergence_study(uv_cost, grid, [1, 2, 4], SchemeParams())
+        assert len(calls) == 3
+        for r in rows:
+            assert r["sup_u_minus_v"] == r["sup_w_minus_v"]
+            assert r["sup_w_minus_u"] == 0.0
 
     def test_time_modulus_and_lipschitz_columns(self, heat):
         grid = SpaceGrid.for_problem(heat, 17)

@@ -379,6 +379,48 @@ class TestPeriodicBoundary:
         assert levels[-1].values[0] == levels[-1].values[-1]
 
 
+def hand_written_fill(new, mode):
+    """The boundary fills of a level in d = 1 and d = 2, written out per case."""
+    if mode == "clamp":
+        if new.ndim == 1:
+            new[0] = new[1]
+            new[-1] = new[-2]
+        else:
+            new[0, :] = new[1, :]
+            new[-1, :] = new[-2, :]
+            new[:, 0] = new[:, 1]
+            new[:, -1] = new[:, -2]
+    elif new.ndim == 1:
+        new[-1] = new[0]
+    else:
+        new[-1, :-1] = new[0, :-1]
+        new[:-1, -1] = new[:-1, 0]
+        new[-1, -1] = new[0, 0]
+
+
+class TestBoundaryFill:
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("boundary", ["clamp", "periodic"])
+    def test_finish_matches_hand_written_fill(self, monkeypatch, d, boundary):
+        prob = stencil_problem(d, [["0.9"]] if d == 1 else SIGMA_NEG, boundary=boundary)
+        grid = SpaceGrid.for_problem(prob, 9 if d == 1 else 7)
+        stepper = Stepper(prob, grid)
+        rng = np.random.default_rng(19 + d)
+        values = rng.uniform(-1.0, 1.0, grid.shape)
+        vals = rng.uniform(-1.0, 1.0, stepper.work_shape)
+        dt = 0.01
+        want = np.full(grid.shape, np.nan)
+        want[stepper._work] = values[stepper._work] + dt * vals
+        hand_written_fill(want, boundary)
+        assert np.isfinite(want).all()
+        # every new array starts as NaN, so a node the fill never writes
+        # shows up (as a NonFiniteFieldError or in the bytes)
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "empty", lambda shape, *a, **kw: np.full(shape, np.nan))
+            got = stepper._finish(values, vals, dt, 0.5)
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.fixture(scope="module")
 def heat2d():
     return load_problem({
@@ -752,6 +794,22 @@ class TestPureEnvelopes:
                 iu = np.argmax(ent[:, iv, np.arange(ent.shape[-1])] == vals, axis=0)
             assert np.array_equal(mu, np.eye(m)[iu]) and np.array_equal(nu, np.eye(k)[iv])
 
+    @pytest.mark.parametrize("mode", ["relaxed", "pure_lower", "pure_upper"])
+    def test_singleton_game_is_its_entry(self, monkeypatch, heat, mode):
+        # a 1x1 game takes the envelope fold in every mode, never the game solver
+        def refuse(*args):
+            raise AssertionError("a 1x1 game reached solve_games")
+
+        monkeypatch.setattr(pde, "solve_games", refuse)
+        stepper = Stepper(heat, SpaceGrid.for_problem(heat, 11))
+        ent = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1.5, -2.5, 0.25])
+        ent = ent.reshape(1, 1, *stepper.work_shape)
+        vals, mu, nu = stepper.game_values(ent, mode, 0.0, collect_strategies=True)
+        assert vals.tobytes() == ent[0, 0].tobytes()
+        assert stepper.game_values(ent, mode, 0.0)[0].tobytes() == ent[0, 0].tobytes()
+        ones = np.ones(stepper.work_shape + (1,))
+        assert mu.tobytes() == ones.tobytes() and nu.tobytes() == ones.tobytes()
+
 
 class TestAliasing:
     @pytest.mark.parametrize("boundary", ["clamp", "periodic"])
@@ -787,7 +845,7 @@ class TestAliasing:
         dt = 0.5 * cfl_limit(prob, grid)
         stepped = [values]
         for j in range(4):
-            values, _, _ = stepper.step(values, prob.T - j * dt, dt, "relaxed")
+            values = stepper.step(values, prob.T - j * dt, dt, "relaxed")
             stepped.append(values)
         scratch = list(stepper._scratch.values())
         assert scratch
@@ -927,7 +985,7 @@ class TestSchedule:
         dt = prob.T / (len(levels) - 1)
         values = levels[0].values
         for fld, nxt in zip(levels, levels[1:]):
-            values, _, _ = stepper.step(values, fld.t, dt, params.hamiltonian_mode)
+            values = stepper.step(values, fld.t, dt, params.hamiltonian_mode)
             assert values.tobytes() == nxt.values.tobytes()
 
     def test_block_respects_the_element_budget(self, monkeypatch):
