@@ -19,9 +19,15 @@ O(paths x subintervals) whatever the number of Euler substeps.  Normals are
 produced from uniforms by Box-Muller so every path consumes a deterministic
 number of raw draws (ziggurat sampling would not).
 
+The chunks run on up to ``_WORKERS`` threads, one per usable core (numpy's
+Philox fill and ufuncs release the GIL).  ``_CHUNK_PATHS`` bounds the paths
+in flight in total: each of the W workers takes chunks of
+ceil(``_CHUNK_PATHS`` / W) paths, so the results stay bitwise those of one
+chunk at any W.
+
 ``estimate`` gives the payoff estimate without keeping the ensemble: it
 passes one chunk of paths at a time through ``simulate`` and keeps one
-payoff per path, so its memory is O(paths) plus one chunk's ensemble.  Its
+payoff per path, so its memory is O(paths) plus the chunks in flight.  Its
 mean and standard error are bitwise those of ``estimate_payoff`` on the
 whole ensemble.
 
@@ -37,6 +43,8 @@ response on the finite-difference scheme's own Markov chain, and only its
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +72,11 @@ _ROLE_PLAYER1 = 1
 _ROLE_PLAYER2 = 2
 _ROLE_EXPLORE = 3
 
-# paths simulated together; bounds the per-substep work arrays
+# paths in flight at once, over all workers; bounds the per-substep work arrays
 _CHUNK_PATHS = 1 << 14
+# threads running chunks: the usable cores
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 def _is_int(value) -> bool:
@@ -105,7 +116,8 @@ class RandomizationDevice:
         if player not in (1, 2):
             raise ValueError("player must be 1 or 2")
         role = _ROLE_PLAYER1 if player == 1 else _ROLE_PLAYER2
-        return self._raw_blocks(role, subinterval, path_start, n_paths, 1)[:, 0]
+        # a copy, so the other three words of every block are freed at once
+        return self._raw_blocks(role, subinterval, path_start, n_paths, 1)[:, 0].copy()
 
     def brownian_normals(self, subinterval: int, path_start: int, n_paths: int,
                          substeps: int, d: int) -> np.ndarray:
@@ -136,15 +148,20 @@ class RandomizationDevice:
 
 
 def _box_muller(u: np.ndarray) -> np.ndarray:
-    """Pairs of uniforms to pairs of normals, fixed consumption."""
-    u1 = np.clip(u[..., 0::2], 1e-300, 1.0)
-    u2 = u[..., 1::2]
-    r = np.sqrt(-2.0 * np.log(u1))
-    theta = 2.0 * np.pi * u2
-    out = np.empty_like(u)
-    out[..., 0::2] = r * np.cos(theta)
-    out[..., 1::2] = r * np.sin(theta)
-    return out
+    """Pairs of uniforms to pairs of normals in place, fixed consumption.
+
+    Each pair (u1, u2) becomes (r cos theta, r sin theta) with
+    r = sqrt(-2 log u1), u1 clipped to [1e-300, 1], and theta = 2 pi u2.
+    """
+    r = np.clip(u[..., 0::2], 1e-300, 1.0)
+    theta = np.multiply(u[..., 1::2], 2.0 * np.pi)
+    np.log(r, out=r)
+    np.multiply(r, -2.0, out=r)
+    np.sqrt(r, out=r)
+    np.multiply(r, np.cos(theta), out=u[..., 0::2])
+    np.sin(theta, out=theta)
+    np.multiply(r, theta, out=u[..., 1::2])
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +357,56 @@ def _earliest(first_bad, bad):
     return bad if first_bad is None or (bad is not None and bad < first_bad) else first_bad
 
 
+def _map_chunks(chunk, n_paths: int) -> list:
+    """``chunk(lo, hi)`` for every chunk of paths, on up to ``_WORKERS`` threads.
+
+    The W workers take every W-th chunk of ceil(``_CHUNK_PATHS`` / W) paths,
+    so at most ``_CHUNK_PATHS`` paths (rounded up to a multiple of W) are in
+    flight; a single chunk runs inline.  The results come back in chunk
+    order.  Every thread is joined before this returns or raises, and the
+    exception of the lowest chunk that raised is raised again, which is the
+    one a loop over the chunks would raise.
+    """
+    workers = _WORKERS
+    size = -(-_CHUNK_PATHS // workers)
+    bounds = [(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
+    results = [None] * len(bounds)
+    errors = [None] * len(bounds)
+
+    def work(first):
+        for i in range(first, len(bounds), workers):
+            try:
+                results[i] = chunk(*bounds[i])
+            except BaseException as err:  # re-raised in chunk order below
+                errors[i] = err
+                return
+
+    threads = []
+    try:
+        for w in range(1, min(workers, len(bounds))):
+            thread = threading.Thread(target=work, args=(w,))
+            thread.start()
+            threads.append(thread)
+        work(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for err in errors:
+        if err is not None:
+            raise err
+    return results
+
+
+def _start_state(prob: Problem, x0) -> np.ndarray:
+    """``x0`` as a finite float vector of the problem's dimension."""
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    if x0.size != prob.d:
+        raise ValueError(f"x0 has dimension {x0.size}, expected {prob.d}")
+    if not np.all(np.isfinite(x0)):
+        raise ValueError(f"x0 must be finite, got {x0.tolist()}")
+    return x0
+
+
 def simulate(prob: Problem, pi: Partition, profile: StrategyProfile, x0,
              n_paths: int, euler_substeps: int, device: RandomizationDevice,
              first_path: int = 0) -> PathEnsemble:
@@ -356,12 +423,15 @@ def simulate(prob: Problem, pi: Partition, profile: StrategyProfile, x0,
     The paths simulated are ``first_path, ..., first_path + n_paths - 1``
     of the device's streams, so consecutive calls that continue each
     other's ``first_path`` give, row for row, the ensemble of one call.
-    Paths run in chunks of ``_CHUNK_PATHS``, each drawing from the streams
-    at its own path offset, so the ensemble is bitwise that of one chunk and
-    memory beyond the returned ensemble is bounded by one chunk.  A
+    Paths run in chunks on up to ``_WORKERS`` threads, each chunk drawing
+    from the streams at its own path offset, so the ensemble is bitwise that
+    of one chunk.  ``_CHUNK_PATHS`` bounds the paths in flight in total, so
+    memory beyond the returned ensemble is bounded by one chunk of that
+    size.  A non-finite ``x0`` raises ``ValueError`` before any draw.  A
     non-finite state raises ``ArithmeticError`` naming the earliest
     (subinterval, substep) at which one occurs and the lowest path index
-    there, counted from path 0 of the streams, whatever the chunk size.
+    there, counted from path 0 of the streams, whatever the chunk size and
+    the number of threads.
     """
     if n_paths < 1 or euler_substeps < 1:
         raise ValueError("need n_paths >= 1 and euler_substeps >= 1")
@@ -372,9 +442,7 @@ def simulate(prob: Problem, pi: Partition, profile: StrategyProfile, x0,
         raise ValueError(
             f"profile has {profile.n_subintervals} subintervals, partition has {pi.n}"
         )
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.size != prob.d:
-        raise ValueError(f"x0 has dimension {x0.size}, expected {prob.d}")
+    x0 = _start_state(prob, x0)
 
     states = np.empty((n_paths, pi.n + 1, prob.d))
     states[:, 0] = x0
@@ -384,12 +452,14 @@ def simulate(prob: Problem, pi: Partition, profile: StrategyProfile, x0,
     cost = np.zeros(n_paths)
     cums = (_cumulative(profile.u_weights), _cumulative(profile.v_weights))
 
+    def chunk(lo, hi):
+        return _simulate_chunk(prob, pi, profile, cums, euler_substeps, device,
+                               first_path + lo, states[lo:hi], u_idx[lo:hi], v_idx[lo:hi],
+                               cost[lo:hi])
+
     first_bad = None
-    for lo in range(0, n_paths, _CHUNK_PATHS):
-        rows = slice(lo, min(lo + _CHUNK_PATHS, n_paths))
-        first_bad = _earliest(first_bad, _simulate_chunk(
-            prob, pi, profile, cums, euler_substeps, device, first_path + lo,
-            states[rows], u_idx[rows], v_idx[rows], cost[rows]))
+    for bad in _map_chunks(chunk, n_paths):
+        first_bad = _earliest(first_bad, bad)
     if first_bad is not None:
         raise _NonFiniteState(first_bad)
     return PathEnsemble(
@@ -509,30 +579,38 @@ def estimate(prob: Problem, pi: Partition, profile: StrategyProfile, x0, n_paths
              euler_substeps: int, device: RandomizationDevice) -> PayoffEstimate:
     """``estimate_payoff(simulate(...), prob)`` bitwise, without the ensemble.
 
-    The paths go through :func:`simulate` one chunk of ``_CHUNK_PATHS`` at a
-    time, each at its own ``first_path``, and only the payoff of every path
-    is kept: memory is 8 bytes per path plus one chunk's ensemble, where the
+    The paths go through :func:`simulate` one chunk at a time, each at its
+    own ``first_path``, with the chunks on up to ``_WORKERS`` threads and
+    ``_CHUNK_PATHS`` paths in flight in total; each call sees one chunk and
+    runs it inline.  Only the payoff of every path is kept: memory is 8
+    bytes per path plus the ensembles of the chunks in flight, where the
     ensemble of all paths holds O(paths x subintervals); the statistics
     reduce the payoff vector in place.  They are those of
-    :func:`estimate_payoff` over the same payoff vector.  A
-    non-finite state raises the ``ArithmeticError`` that :func:`simulate`
-    would: the earliest (subinterval, substep) over all chunks and the
-    lowest path index there.
+    :func:`estimate_payoff` over the same payoff vector.  A non-finite
+    ``x0`` raises ``ValueError`` before any draw.  A non-finite state
+    raises the ``ArithmeticError`` that :func:`simulate` would: the
+    earliest (subinterval, substep) over all chunks and the lowest path
+    index there.
     """
     _check_classical(prob)
     if n_paths < 1 or euler_substeps < 1:
         raise ValueError("need n_paths >= 1 and euler_substeps >= 1")
+    x0 = _start_state(prob, x0)
     payoff = np.empty(n_paths)
-    first_bad = None
-    for lo in range(0, n_paths, _CHUNK_PATHS):
-        hi = min(lo + _CHUNK_PATHS, n_paths)
+
+    def chunk(lo, hi):
         # the chunk's ensemble is not bound to a name, so it is freed before
-        # the next chunk is simulated
+        # the worker simulates its next chunk
         try:
             payoff[lo:hi] = _payoffs(simulate(prob, pi, profile, x0, hi - lo, euler_substeps,
                                               device, first_path=lo), prob)
         except _NonFiniteState as err:
-            first_bad = _earliest(first_bad, err.where)
+            return err.where
+        return None
+
+    first_bad = None
+    for bad in _map_chunks(chunk, n_paths):
+        first_bad = _earliest(first_bad, bad)
     if first_bad is not None:
         raise _NonFiniteState(first_bad)
     return _statistics(payoff)

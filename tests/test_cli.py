@@ -59,9 +59,12 @@ def test_command_and_replay(tmp_path, capsys, name):
     assert "outputs reproduce bitwise" in capsys.readouterr().out
 
 
-def test_every_path_passes_through_simulate(tmp_path, monkeypatch):
-    # bench/tracing.py counts montecarlo.paths at montecarlo.simulate: estimates
-    # must keep calling it through the module, for every path they use
+def simulated_chunks(tmp_path, monkeypatch, workers):
+    """Paths per montecarlo.simulate call of ``cli simulate --paths 200`` and of exploit.
+
+    bench/tracing.py counts montecarlo.paths at montecarlo.simulate: estimates
+    must keep calling it through the module, for every path they use.
+    """
     paths = []
     inner = mc.simulate
 
@@ -72,14 +75,28 @@ def test_every_path_passes_through_simulate(tmp_path, monkeypatch):
 
     monkeypatch.setattr(mc, "simulate", counted)
     monkeypatch.setattr(mc, "_CHUNK_PATHS", 64)
+    monkeypatch.setattr(mc, "_WORKERS", workers)
     assert cli.dispatch(commands(tmp_path)["simulate"] + ["--out", str(tmp_path / "s.csv")]) == 0
-    assert paths == [64, 64, 64, 8]  # --paths 200
+    cli_paths = list(paths)
     paths.clear()
     prob = load_problem("uv_drift")
     pi = Partition.uniform(prob.T, 2)
     mc.exploit(prob, pi, "player1", mc.StrategyProfile.uniform(prob, 2), [0.0], 150,
                mc.RandomizationDevice(0), nx=21)
-    assert sum(paths) == 150
+    return cli_paths, paths
+
+
+def test_every_path_passes_through_simulate(tmp_path, monkeypatch):
+    cli_paths, exploit_paths = simulated_chunks(tmp_path, monkeypatch, 1)
+    assert cli_paths == [64, 64, 64, 8]  # --paths 200
+    assert sum(exploit_paths) == 150
+
+
+def test_every_path_passes_through_simulate_two_workers(tmp_path, monkeypatch):
+    # 64 paths in flight: each worker takes chunks of 32, finished in any order
+    cli_paths, exploit_paths = simulated_chunks(tmp_path, monkeypatch, 2)
+    assert sorted(cli_paths, reverse=True) == [32] * 6 + [8]
+    assert sorted(exploit_paths, reverse=True) == [32] * 4 + [22]
 
 
 def test_simulate_rejects_bad_seed_before_the_sweep(tmp_path, capsys, monkeypatch):
@@ -92,6 +109,15 @@ def test_simulate_rejects_bad_seed_before_the_sweep(tmp_path, capsys, monkeypatc
     out = tmp_path / "s.csv"
     assert cli.dispatch(argv + ["--out", str(out)]) == 2
     assert "error: seed must be an int in [0, 2**128), got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("x0", ["nan", "inf", "-inf"])
+def test_simulate_rejects_non_finite_x0(tmp_path, capsys, x0):
+    argv = commands(tmp_path)["simulate"] + [f"--x0={x0}"]
+    out = tmp_path / "s.csv"
+    assert cli.dispatch(argv + ["--out", str(out)]) == 2
+    assert f"error: x0 must be finite, got [{float(x0)}]" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -186,4 +212,26 @@ def test_solve_pde_digest_independent_of_blas_threads(tmp_path, b):
                        env=env, check=True, timeout=300)
         manifest = json.loads(Path(f"{out}.manifest.json").read_text(encoding="utf-8"))
         digests.append(manifest["outputs"]["v.csv"])
+    assert digests[0] == digests[1]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_simulate_digest_independent_of_core_count(tmp_path):
+    # Monte Carlo chunks run on one thread per usable core: a replayed
+    # manifest must match whatever cores the process may use.  One child is
+    # pinned to a single core, the other keeps every usable core.
+    one_core = min(os.sched_getaffinity(0))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    digests = []
+    for label, pin in (("one", lambda: os.sched_setaffinity(0, {one_core})), ("all", None)):
+        out = tmp_path / label / "s.csv"
+        out.parent.mkdir()
+        # 50 000 paths are several chunks on every worker
+        subprocess.run([sys.executable, "-m", "mixedvalue.cli", "simulate", "--problem",
+                        "uv_drift", "--profile", "saddle", "--n-steps", "4", "--paths", "50000",
+                        "--nx", "41", "--seed", "5", "--x0=0.25", "--out", str(out)],
+                       env=env, check=True, timeout=300, preexec_fn=pin)
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text(encoding="utf-8"))
+        digests.append(manifest["outputs"]["s.csv"])
     assert digests[0] == digests[1]

@@ -2,6 +2,10 @@
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -223,3 +227,26 @@ def test_private_checker_finds_unreferenced_names():
 def test_no_unreferenced_private_code():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     assert unreferenced_private(sources) == []
+
+
+# Importing the package must not load the standard library's process pools,
+# executors or logging: each costs resident memory in every process that
+# imports mixedvalue, including the benchmark's runs that never use it.
+HEAVY_STDLIB = ("concurrent", "multiprocessing", "logging")
+
+
+def test_import_loads_no_executor_or_logging():
+    code = (
+        "import json, sys\n"
+        "import numpy\n"
+        f"for name in {[p.stem for p in MODULES if p.stem != '__init__']!r}:\n"
+        "    __import__('mixedvalue.' + name)\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(PACKAGE.parent),
+                                                        os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120).stdout
+    loaded = json.loads(out.splitlines()[-1])
+    assert "mixedvalue.montecarlo" in loaded
+    assert [m for m in loaded if m.split(".")[0] in HEAVY_STDLIB] == []

@@ -1,6 +1,10 @@
 import copy
+import itertools
 import math
 import re
+import sys
+import threading
+import time
 import tracemalloc
 from collections import Counter
 
@@ -68,6 +72,18 @@ BILINEAR_DRIFT_2D = {
 }
 
 
+def old_box_muller(u):
+    """Box-Muller through fresh arrays, the formula the in-place one replaced."""
+    u1 = np.clip(u[..., 0::2], 1e-300, 1.0)
+    u2 = u[..., 1::2]
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * np.pi * u2
+    out = np.empty_like(u)
+    out[..., 0::2] = r * np.cos(theta)
+    out[..., 1::2] = r * np.sin(theta)
+    return out
+
+
 class TestRandomizationDevice:
     def test_reproducible_from_seed(self):
         a = mc.RandomizationDevice(42).control_uniforms(3, 1, 0, 100)
@@ -119,6 +135,22 @@ class TestRandomizationDevice:
         dev = mc.RandomizationDevice(seed)
         assert type(dev.seed) is int and dev.seed == seed
         assert dev.control_uniforms(0, 1, 0, 3).shape == (3,)
+
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_box_muller_in_place_bitwise(self, blocks):
+        u = np.random.default_rng(blocks).random((1000, 4 * blocks))
+        # u1 = 0 is clipped to 1e-300; u2 next to 1 and at 0
+        u[0, 0], u[1, 0], u[2, 1], u[3, 1] = 0.0, 5e-324, np.nextafter(1.0, 0.0), 0.0
+        want = old_box_muller(u)
+        got = mc._box_muller(u)
+        assert got is u
+        assert got.tobytes() == want.tobytes()
+
+    def test_control_uniforms_own_their_memory(self):
+        u = mc.RandomizationDevice(3).control_uniforms(0, 1, 5, 100)
+        assert u.base is None and u.flags.c_contiguous and u.nbytes == 800
+        raw = mc.RandomizationDevice(3)._raw_blocks(mc._ROLE_PLAYER1, 0, 5, 100, 1)
+        assert u.tobytes() == raw[:, 0].tobytes()
 
 
 class TestStrategyProfile:
@@ -307,6 +339,20 @@ class TestSimulate:
             mc.simulate(uv_cost, PI8, mc.StrategyProfile.uniform(uv_cost, 4),
                         [0.0], 10, 1, mc.RandomizationDevice(0))
 
+    @pytest.mark.parametrize("x0", [[np.nan], [np.inf], [-np.inf], [0.3, np.nan]])
+    @pytest.mark.parametrize("run", [mc.simulate, mc.estimate], ids=["simulate", "estimate"])
+    def test_rejects_non_finite_x0_before_drawing(self, x0, run):
+        prob = skew_2d() if len(x0) == 2 else load_problem("uv_drift")
+        with pytest.raises(ValueError, match=r"^x0 must be finite, got \["):
+            run(prob, PI8, mc.StrategyProfile.uniform(prob, 8), x0, 10, 1, NoDrawDevice(0))
+
+
+class NoDrawDevice(mc.RandomizationDevice):
+    """A device whose streams may not be drawn from."""
+
+    def _raw_blocks(self, *args):
+        raise AssertionError("drew from the streams")
+
 
 def ensemble_bytes(ens):
     """Every PathEnsemble field, arrays by their raw bytes."""
@@ -334,10 +380,30 @@ class SpikedDevice(mc.RandomizationDevice):
         return z
 
 
+class FailingDevice(SpikedDevice):
+    """A SpikedDevice whose chunks starting at a path in ``fails`` raise DomainError.
+
+    The Brownian draw of subinterval 1 raises, naming the chunk's first path;
+    a chunk starting in ``slow`` first sleeps, so later chunks finish first.
+    """
+
+    def __init__(self, seed, spikes=(), fails=(), slow=()):
+        super().__init__(seed, spikes)
+        self.fails, self.slow = set(fails), set(slow)
+
+    def brownian_normals(self, subinterval, path_start, n_paths, substeps, d):
+        if subinterval == 1 and path_start in self.slow:
+            time.sleep(0.05)
+        if subinterval == 1 and path_start in self.fails:
+            raise dsl.DomainError(f"planted at path {path_start}")
+        return super().brownian_normals(subinterval, path_start, n_paths, substeps, d)
+
+
 class TestChunking:
     """Paths run in chunks at their own Philox offsets; nothing may show it."""
 
     SIZES = (1, 7, mc._CHUNK_PATHS)
+    WORKERS = (1, 2, 3)
 
     def feedback_1d(self):
         prob = load_problem("uv_drift")
@@ -379,23 +445,98 @@ class TestChunking:
             messages.append(str(err.value))
         assert messages == ["non-finite state at path 9, subinterval 1, substep 2"] * 3
 
-    def test_memory_bounded_by_kept_ensemble(self):
+    @pytest.mark.parametrize("case", ["feedback_1d", "openloop_2d"])
+    def test_results_independent_of_workers(self, monkeypatch, case):
+        prob, pi, prof, x0, substeps = getattr(self, case)()
+        runs = []
+        for workers, size in itertools.product(self.WORKERS, self.SIZES):
+            monkeypatch.setattr(mc, "_WORKERS", workers)
+            monkeypatch.setattr(mc, "_CHUNK_PATHS", size)
+            ens = mc.simulate(prob, pi, prof, x0, 100, substeps, mc.RandomizationDevice(17))
+            est = mc.estimate(prob, pi, prof, x0, 100, substeps, mc.RandomizationDevice(17))
+            runs.append((ensemble_bytes(ens), est.mean.hex(), est.std_error.hex(), est.n_paths))
+        assert runs[0][0]["states"][1] == (100, pi.n + 1, prob.d)
+        assert all(run == runs[0] for run in runs[1:])
+
+    def test_more_workers_than_cores_switching_often(self, monkeypatch):
+        # the workers share the output arrays: a lost or misplaced row shows
+        prob, pi, prof, x0, substeps = self.openloop_2d()
+        many = mc._WORKERS + 3  # more workers than usable cores
+        monkeypatch.setattr(mc, "_CHUNK_PATHS", 16)
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, many):
+                monkeypatch.setattr(mc, "_WORKERS", workers)
+                ens = mc.simulate(prob, pi, prof, x0, 300, substeps, mc.RandomizationDevice(5))
+                est = mc.estimate(prob, pi, prof, x0, 300, substeps, mc.RandomizationDevice(5))
+                runs.append((ensemble_bytes(ens), est.mean.hex(), est.std_error.hex()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[1] == runs[0]
+
+    def test_error_names_global_path_at_every_worker_count(self, heat, monkeypatch):
+        # the spikes of test_error_names_global_path
+        spikes = [(2, 0, 3), (1, 2, 20), (1, 2, 9)]
+        pi, prof = Partition.uniform(1.0, 4), mc.StrategyProfile.uniform(heat, 4)
+        for workers, size in itertools.product(self.WORKERS, self.SIZES):
+            monkeypatch.setattr(mc, "_WORKERS", workers)
+            monkeypatch.setattr(mc, "_CHUNK_PATHS", size)
+            for run in (mc.simulate, mc.estimate):
+                with pytest.raises(ArithmeticError) as err:
+                    run(heat, pi, prof, [0.0], 30, 3, SpikedDevice(4, spikes))
+                assert str(err.value) == "non-finite state at path 9, subinterval 1, substep 2"
+
+    @pytest.mark.parametrize("workers", WORKERS)
+    @pytest.mark.parametrize("run", [mc.simulate, mc.estimate], ids=["simulate", "estimate"])
+    def test_lowest_failing_chunk_raises(self, heat, monkeypatch, workers, run):
+        monkeypatch.setattr(mc, "_WORKERS", workers)
+        monkeypatch.setattr(mc, "_CHUNK_PATHS", 7)
+        size = -(-7 // workers)
+        # chunk 0 goes non-finite first; chunk 2, slow, and chunk 3 raise, and
+        # a loop over the chunks would raise chunk 2's error
+        device = FailingDevice(4, spikes=[(0, 0, 1)], fails=[2 * size, 3 * size],
+                               slow=[2 * size])
+        with pytest.raises(dsl.DomainError, match=f"^planted at path {2 * size}$"):
+            run(heat, Partition.uniform(1.0, 4), mc.StrategyProfile.uniform(heat, 4), [0.0],
+                30, 3, device)
+
+    @pytest.mark.parametrize("run", [mc.simulate, mc.estimate], ids=["simulate", "estimate"])
+    def test_every_thread_joined(self, heat, monkeypatch, run):
+        monkeypatch.setattr(mc, "_WORKERS", 3)
+        monkeypatch.setattr(mc, "_CHUNK_PATHS", 7)
+        args = (heat, Partition.uniform(1.0, 4), mc.StrategyProfile.uniform(heat, 4), [0.0], 30, 3)
+        before = threading.active_count()
+        # chunks of 3 paths: the one at path 3 runs on a worker thread and is slow
+        run(*args, FailingDevice(4, slow=[3]))
+        assert threading.active_count() == before
+        # the chunk at path 0 fails at once on the calling thread
+        with pytest.raises(dsl.DomainError, match="^planted at path 0$"):
+            run(*args, FailingDevice(4, fails=[0], slow=[3]))
+        assert threading.active_count() == before
+
+    def test_memory_bounded_by_kept_ensemble(self, monkeypatch):
         prob = load_problem("uv_drift")
         pi = Partition.uniform(prob.T, 8)
         grid = SpaceGrid.for_problem(prob, 41)
         res = dpp_sweep(prob, grid, pi, SchemeParams(), "lower", record_strategies=True)
         prof = mc.StrategyProfile.from_sweep(res, grid)
-        tracemalloc.start()
-        try:
-            ens = mc.simulate(prob, pi, prof, [0.0], 200_000, 4, mc.RandomizationDevice(1))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert ens.states.shape == (200_000, pi.n + 1, 1)
-        kept = sum(a.nbytes for a in (ens.states, ens.u_indices, ens.v_indices,
-                                      ens.running_cost))
-        # keeping every substep's state would need about 1.6x
-        assert peak <= 1.25 * kept
+        # the workers share the paths in flight, so the bound holds at any count
+        for workers in (1, 2, 4):
+            monkeypatch.setattr(mc, "_WORKERS", workers)
+            tracemalloc.start()
+            try:
+                ens = mc.simulate(prob, pi, prof, [0.0], 200_000, 4, mc.RandomizationDevice(1))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert ens.states.shape == (200_000, pi.n + 1, 1)
+            kept = sum(a.nbytes for a in (ens.states, ens.u_indices, ens.v_indices,
+                                          ens.running_cost))
+            # keeping every substep's state would need about 1.6x
+            assert peak <= 1.25 * kept, workers
+            del ens
 
 
 def moving_1d(phi=None, **bounds):
@@ -451,14 +592,16 @@ def per_substep_euler(prob, pi, profile, x0, n_paths, substeps, seed):
 
 
 class CountedEvaluate:
-    """dsl.evaluate wrapped to count calls per expression."""
+    """dsl.evaluate wrapped to count calls per expression, from any thread."""
 
     def __init__(self, monkeypatch):
         self.counts = Counter()
+        lock = threading.Lock()
         inner = dsl.evaluate
 
         def evaluate(expr, bindings):
-            self.counts[expr] += 1
+            with lock:
+                self.counts[expr] += 1
             return inner(expr, bindings)
 
         monkeypatch.setattr(dsl, "evaluate", evaluate)
@@ -490,25 +633,40 @@ class TestCoefficientReuse:
         assert ens.states.tobytes() == states.tobytes()
         assert ens.running_cost.tobytes() == cost.tobytes()
 
-    def test_constant_entries_once_per_chunk_and_subinterval(self, monkeypatch):
-        prob = load_problem("uv_drift")
+    def counted_simulate(self, monkeypatch, prob, workers):
+        """dsl.evaluate calls of simulating 100 paths with 40 in flight."""
         monkeypatch.setattr(mc, "_CHUNK_PATHS", 40)
+        monkeypatch.setattr(mc, "_WORKERS", workers)
         counted = CountedEvaluate(monkeypatch)
         mc.simulate(prob, Partition.uniform(1.0, 4), mc.StrategyProfile.uniform(prob, 4),
                     [0.0], 100, 3, mc.RandomizationDevice(0))
-        per_entry = 3 * 4  # chunks x subintervals
+        return counted
+
+    def check_constant_entries(self, monkeypatch, workers, chunks):
+        prob = load_problem("uv_drift")
+        counted = self.counted_simulate(monkeypatch, prob, workers)
+        per_entry = chunks * 4  # chunks x subintervals
         assert counted[prob.b[0]] == counted[prob.sigma[0][0]] == counted[prob.f] == per_entry
         assert counted.total == 3 * per_entry
 
-    def test_moving_entries_every_substep(self, monkeypatch):
+    def check_moving_entries(self, monkeypatch, workers, chunks):
         prob = moving_1d()
-        monkeypatch.setattr(mc, "_CHUNK_PATHS", 40)
-        counted = CountedEvaluate(monkeypatch)
-        mc.simulate(prob, Partition.uniform(1.0, 4), mc.StrategyProfile.uniform(prob, 4),
-                    [0.0], 100, 3, mc.RandomizationDevice(0))
-        assert counted[prob.b[0]] == counted[prob.f] == 3 * 4 * 3  # names t, x
-        assert counted[prob.sigma[0][0]] == 3 * 4  # names neither
-        assert counted.total == 3 * 4 * 7
+        counted = self.counted_simulate(monkeypatch, prob, workers)
+        assert counted[prob.b[0]] == counted[prob.f] == chunks * 4 * 3  # names t, x
+        assert counted[prob.sigma[0][0]] == chunks * 4  # names neither
+        assert counted.total == chunks * 4 * 7
+
+    def test_constant_entries_once_per_chunk_and_subinterval(self, monkeypatch):
+        self.check_constant_entries(monkeypatch, 1, 3)  # chunks of 40
+
+    def test_constant_entries_once_per_chunk_and_subinterval_two_workers(self, monkeypatch):
+        self.check_constant_entries(monkeypatch, 2, 5)  # chunks of 20
+
+    def test_moving_entries_every_substep(self, monkeypatch):
+        self.check_moving_entries(monkeypatch, 1, 3)
+
+    def test_moving_entries_every_substep_two_workers(self, monkeypatch):
+        self.check_moving_entries(monkeypatch, 2, 5)
 
 
 def old_draw_indices(uniforms, cum):
