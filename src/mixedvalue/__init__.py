@@ -4,7 +4,9 @@ Numerical toolkit with three cross-validating routes to the same value
 function: a monotone finite-difference solve of the relaxed HJBI equation,
 a partition-indexed backward dynamic-programming sweep producing lower and
 upper values, and Monte Carlo simulation of per-subinterval randomized
-controls.
+controls.  The routes live in ``pde``, ``partition`` and ``montecarlo``;
+the package namespace holds the matrix-game solvers, the pointwise
+Hamiltonian matrix and problem loading.
 """
 
 __version__ = "0.1.0"
@@ -17,13 +19,7 @@ from .games import (
     pure_minimax,
     solve_game,
 )
-from .hamiltonian import (
-    HamiltonianPoint,
-    hamiltonian_value,
-    payoff_matrix,
-    pure_bounds,
-    relaxed_value,
-)
+from .hamiltonian import HamiltonianPoint, payoff_matrix
 from .problem import (
     CATALOG,
     Bounds,
@@ -45,10 +41,7 @@ __all__ = [
     "pure_minimax",
     "best_response_value",
     "HamiltonianPoint",
-    "hamiltonian_value",
     "payoff_matrix",
-    "relaxed_value",
-    "pure_bounds",
     "Problem",
     "ControlGrid",
     "Domain",

@@ -196,8 +196,7 @@ def _cmd_converge(args, argv, started):
         "dt_safety": args.dt_safety,
     }, [args.out], started)
     for r in rows:
-        print(f"n={r['n']:4d}  |pi|={r['mesh']:.5f}  sup|W-V|={r['sup_w_minus_v']:.3e}  "
-              f"sup|W-U|={r['sup_w_minus_u']:.3e}")
+        print(f"n={r['n']:4d}  |pi|={r['mesh']:.5f}  sup|W-V|={r['sup_w_minus_v']:.3e}")
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Pointwise Hamiltonians of the game: pure envelopes and relaxed value.
+"""Pointwise Hamiltonians of the game: the matrix of generator values.
 
 For a point (t, x, y, p, A) with p the gradient and A the Hessian
 argument, the per-control generator value is
@@ -6,11 +6,12 @@ argument, the per-control generator value is
     0.5 * tr(sigma sigma^T(t,x,u,v) A) + b(t,x,u,v).p
         + f(t, x, y, p.sigma(t,x,u,v), u, v).
 
-The pure envelopes take sup-inf / inf-sup over the control grids; the
-relaxed value solves the induced matrix game over mixed strategies, whose
-sup-inf and inf-sup coincide (bilinearity), which is what the duality gap
-reports.  A is always supplied by the caller; this module never
-differentiates.
+:func:`payoff_matrix` tabulates it over the control grids.  The pure
+Hamiltonians are its sup-inf / inf-sup envelopes (``games.pure_minimax``);
+the relaxed Hamiltonian is its value as a matrix game over mixed
+strategies (``games.solve_game``), whose sup-inf and inf-sup coincide
+(bilinearity), which is what the duality gap reports.  A is always
+supplied by the caller; this module never differentiates.
 """
 
 from __future__ import annotations
@@ -19,15 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import GameSolution, PayoffMatrix, pure_minimax, solve_game
+from .games import PayoffMatrix
 from .problem import Problem, stack_entries
 
 __all__ = [
     "HamiltonianPoint",
-    "hamiltonian_value",
     "payoff_matrix",
-    "relaxed_value",
-    "pure_bounds",
 ]
 
 
@@ -65,22 +63,6 @@ class HamiltonianPoint:
         return self.x.size
 
 
-def _generator(pt: HamiltonianPoint, prob: Problem, iu, iv) -> np.ndarray:
-    """Generator values for the broadcast control index arrays iu, iv."""
-    shape = np.broadcast_shapes(np.shape(iu), np.shape(iv))
-    b, sig = prob.coefficients(pt.t, pt.x, iu, iv)
-    b, sig = stack_entries(b, shape), stack_entries(sig, shape)
-    z = pt.p @ sig
-    fval = prob.running_cost(pt.t, pt.x, iu, iv, pt.y, z)
-    trace = np.trace(sig @ np.swapaxes(sig, -1, -2) @ pt.A, axis1=-2, axis2=-1)
-    return 0.5 * trace + np.dot(b, pt.p) + fval
-
-
-def hamiltonian_value(pt: HamiltonianPoint, prob: Problem, u_idx: int, v_idx: int) -> float:
-    """Generator value for one pure control pair."""
-    return float(_generator(pt, prob, u_idx, v_idx))
-
-
 def payoff_matrix(pt: HamiltonianPoint, prob: Problem) -> PayoffMatrix:
     """Matrix of generator values over the control grids.
 
@@ -89,14 +71,10 @@ def payoff_matrix(pt: HamiltonianPoint, prob: Problem) -> PayoffMatrix:
     """
     iu = np.arange(prob.u_grid.n)[:, None]
     iv = np.arange(prob.v_grid.n)[None, :]
-    return PayoffMatrix(_generator(pt, prob, iu, iv))
-
-
-def relaxed_value(pt: HamiltonianPoint, prob: Problem, tol: float = 1e-9) -> GameSolution:
-    """Saddle value over mixed strategies; sup-inf = inf-sup within tol."""
-    return solve_game(payoff_matrix(pt, prob), tol=tol)
-
-
-def pure_bounds(pt: HamiltonianPoint, prob: Problem) -> tuple[float, float]:
-    """(sup-inf, inf-sup) over pure control pairs."""
-    return pure_minimax(payoff_matrix(pt, prob))
+    shape = (prob.u_grid.n, prob.v_grid.n)
+    b, sig = prob.coefficients(pt.t, pt.x, iu, iv)
+    b, sig = stack_entries(b, shape), stack_entries(sig, shape)
+    z = pt.p @ sig
+    fval = prob.running_cost(pt.t, pt.x, iu, iv, pt.y, z)
+    trace = np.trace(sig @ np.swapaxes(sig, -1, -2) @ pt.A, axis1=-2, axis2=-1)
+    return PayoffMatrix(0.5 * trace + np.dot(b, pt.p) + fval)

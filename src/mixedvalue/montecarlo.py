@@ -50,7 +50,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .games import MixedStrategy
 from .pde import SchemeParams, SpaceGrid, Stepper, terminal_field
 from .partition import Partition, SweepResult, _substep_counts, _substep_times
 from .problem import Problem, stack_entries
@@ -217,14 +216,6 @@ class StrategyProfile:
     def uniform(cls, prob: Problem, n_subintervals: int) -> "StrategyProfile":
         uw = np.full((n_subintervals, prob.u_grid.n), 1.0 / prob.u_grid.n)
         vw = np.full((n_subintervals, prob.v_grid.n), 1.0 / prob.v_grid.n)
-        return cls("openloop", uw, vw)
-
-    @classmethod
-    def openloop(cls, u_strats, v_strats) -> "StrategyProfile":
-        uw = np.stack([s.weights if isinstance(s, MixedStrategy) else np.asarray(s)
-                       for s in u_strats])
-        vw = np.stack([s.weights if isinstance(s, MixedStrategy) else np.asarray(s)
-                       for s in v_strats])
         return cls("openloop", uw, vw)
 
     @classmethod
@@ -693,8 +684,9 @@ def exploit(prob: Problem, pi: Partition, fixed_side: str, fixed_profile: Strate
         free_mu, free_nu = (None, nu) if free == 1 else (mu, None)
         delta, times = substeps[j]
         for t in times:
-            best = stepper.step_frozen(best, t, delta, free_mu, free_nu)
-            profile = stepper.step_frozen(profile, t, delta, mu, nu)
+            best = stepper.step_frozen(best, stepper.entries(best, t), t, delta,
+                                       free_mu, free_nu)
+            profile = stepper.step_frozen(profile, stepper.entries(profile, t), t, delta, mu, nu)
 
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     br_value = _interpolate(grid, best, x0)

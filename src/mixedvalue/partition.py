@@ -100,7 +100,6 @@ class SweepResult:
 
     levels: tuple
     partition: Partition
-    orientation: str
     substep_counts: tuple
     mu: np.ndarray | None = None  # (n_subintervals, *work, m) when recorded
     nu: np.ndarray | None = None
@@ -186,8 +185,10 @@ def dpp_sweep(prob: Problem, grid: SpaceGrid, pi: Partition, params: SchemeParam
         if record_strategies:
             mu_all.append(mu)
             nu_all.append(nu)
-        for t in times:
-            values = stepper.step_frozen(values, t, delta, mu, nu)
+        for s, t in enumerate(times):
+            if s:  # the first substep steps on the entries its games were solved on
+                ent = stepper.entries(values, t)
+            values = stepper.step_frozen(values, ent, t, delta, mu, nu)
         fld = ValueField._adopt(pi.times[j], values, label)
         fld.check_bound(prob)
         levels.append(fld)
@@ -200,7 +201,6 @@ def dpp_sweep(prob: Problem, grid: SpaceGrid, pi: Partition, params: SchemeParam
     return SweepResult(
         levels=tuple(levels),
         partition=pi,
-        orientation=orientation,
         substep_counts=tuple(counts),
         mu=mu_arr,
         nu=nu_arr,

@@ -50,7 +50,6 @@ __all__ = [
     "NonFiniteFieldError",
     "cfl_limit",
     "terminal_field",
-    "step_back",
     "solve",
     "gap_report",
     "GapReport",
@@ -173,8 +172,8 @@ class SchemeParams:
 
     ``dt=None`` derives the step from the CFL limit.  ``game_tol`` bounds
     the certified duality gap of every relaxed local game.  :func:`solve`
-    and :func:`step_back` read every field (``step_back`` needs ``dt``);
-    :func:`gap_report` all but ``hamiltonian_mode``, which it sets itself;
+    reads every field; :func:`gap_report` all but ``hamiltonian_mode``,
+    which it sets itself;
     ``partition.dpp_sweep`` and ``partition.convergence_study`` only
     ``game_tol`` and ``cfl_safety`` (the sweep rejects the other two).
     """
@@ -318,6 +317,9 @@ class Stepper:
     partition sweep, which freezes the per-node strategies over a
     subinterval and advances with :meth:`step_frozen`, and by
     ``montecarlo.exploit``, which lets one player re-optimize in it.
+    :meth:`step_frozen` takes the level's :meth:`entries` from its caller,
+    and :meth:`game_values` only reads them, so the sweep steps its first
+    substep on the entries its games were solved on.
     """
 
     def __init__(self, prob: Problem, grid: SpaceGrid, game_tol: float = 1e-9):
@@ -580,16 +582,18 @@ class Stepper:
         vals, _, _ = self.game_values(self.entries(values, t), mode, t)
         return self._finish(values, vals, dt, t - dt)
 
-    def step_frozen(self, values, t, dt, mu, nu):
+    def step_frozen(self, values, ent, t, dt, mu, nu):
         """One step under frozen per-node mixed strategies.
 
-        One of ``mu`` and ``nu`` may be None: that player is free and plays
-        a pure best response at every node, the maximizing u against ``nu``
-        or the minimizing v against ``mu``.
+        ``ent`` is the level's generator, ``self.entries(values, t)``: the
+        caller computes it, so that a generator it has already computed
+        for the local games is not computed again.  One of ``mu`` and
+        ``nu`` may be None: that player is free and plays a pure best
+        response at every node, the maximizing u against ``nu`` or the
+        minimizing v against ``mu``.
         """
         if mu is None and nu is None:
             raise ValueError("at most one player may be free")
-        ent = self.entries(values, t)
         if mu is None:
             vals = np.einsum("mk...,...k->m...", ent, nu).max(0)
         elif nu is None:
@@ -604,39 +608,23 @@ class Stepper:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_dt(prob, grid, params):
-    limit = params.cfl_safety * cfl_limit(prob, grid)
-    dt = limit if params.dt is None else params.dt
-    if dt < 0:
-        raise CflViolationError("dt must be nonnegative")
-    if dt > limit * (1 + 1e-12):
-        raise CflViolationError(
-            f"dt={dt:.4g} violates the CFL bound {limit:.4g} "
-            f"(= cfl_safety * {cfl_limit(prob, grid):.4g})"
-        )
-    return dt
-
-
-def step_back(field: ValueField, prob: Problem, grid: SpaceGrid,
-              params: SchemeParams) -> ValueField:
-    """One scheme step backward in time; requires params.dt."""
-    if params.dt is None:
-        raise CflViolationError("step_back requires an explicit params.dt")
-    dt = _resolve_dt(prob, grid, params)
-    stepper = Stepper(prob, grid, params.game_tol)
-    new = stepper.step(field.values, field.t, dt, params.hamiltonian_mode)
-    return ValueField(t=field.t - dt, values=new, label=field.label)
-
-
 def solve(prob: Problem, grid: SpaceGrid, params: SchemeParams) -> list:
     """Backward solve from T to 0; returns every level, newest first at T.
 
     The number of steps is chosen so the uniform dt is the largest value
     not exceeding params.dt (or the CFL-safety limit when dt is None).
+    A dt that is not positive, or above that limit, raises
+    :class:`CflViolationError`.
     """
-    dt_target = _resolve_dt(prob, grid, params)
-    if dt_target <= 0:
-        raise CflViolationError("cannot solve with dt=0")
+    limit = params.cfl_safety * cfl_limit(prob, grid)
+    dt_target = limit if params.dt is None else params.dt
+    if not dt_target > 0:  # also NaN
+        raise CflViolationError(f"dt must be positive, got {dt_target}")
+    if dt_target > limit * (1 + 1e-12):
+        raise CflViolationError(
+            f"dt={dt_target:.4g} violates the CFL bound {limit:.4g} "
+            f"(= cfl_safety * {cfl_limit(prob, grid):.4g})"
+        )
     n_steps = max(1, math.ceil(prob.T / dt_target - 1e-12))
     dt = prob.T / n_steps
     label = _MODE_LABELS[params.hamiltonian_mode]

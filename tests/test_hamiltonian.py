@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-from mixedvalue.hamiltonian import (
-    HamiltonianPoint,
-    hamiltonian_value,
-    payoff_matrix,
-    pure_bounds,
-    relaxed_value,
-)
+from mixedvalue import dsl
+from mixedvalue.games import pure_minimax, solve_game
+from mixedvalue.hamiltonian import HamiltonianPoint, payoff_matrix
 from mixedvalue.problem import load_problem
+
+import games3
 
 
 def point(t=0.0, x=0.0, y=0.0, p=0.0, a=0.0):
@@ -33,18 +31,18 @@ def uv_drift():
 class TestPointValue:
     def test_reduces_to_running_cost(self, uv_cost):
         # u=+1 (index 1), v=-1 (index 0): value is f = u*v = -1
-        assert hamiltonian_value(point(), uv_cost, 1, 0) == -1.0
+        assert payoff_matrix(point(), uv_cost).entries[1, 0] == -1.0
 
     def test_trace_term(self, heat):
-        assert hamiltonian_value(point(a=2.0), heat, 0, 0) == 1.0
+        assert payoff_matrix(point(a=2.0), heat).entries[0, 0] == 1.0
 
     def test_drift_term(self, uv_drift):
         # u=v=-1: b = +1, value = b p = 3
-        assert hamiltonian_value(point(p=3.0), uv_drift, 0, 0) == 3.0
+        assert payoff_matrix(point(p=3.0), uv_drift).entries[0, 0] == 3.0
 
     def test_all_terms_combine(self, uv_drift):
         # 0.5*1*a + (u v) p + 0
-        got = hamiltonian_value(point(p=2.0, a=4.0), uv_drift, 1, 0)
+        got = payoff_matrix(point(p=2.0, a=4.0), uv_drift).entries[1, 0]
         assert got == pytest.approx(0.5 * 4.0 + (-1.0) * 2.0)
 
 
@@ -62,37 +60,47 @@ class TestPayoffMatrix:
         m = payoff_matrix(point(p=1.0), uv_drift)
         assert m.entries.tolist() == [[1.0, -1.0], [-1.0, 1.0]]
 
-    def test_bilinear_extension(self, uv_cost):
-        # mu^T M nu matches averaging the generator over the product measure
-        m = payoff_matrix(point(), uv_cost).entries
-        mu = np.array([0.3, 0.7])
-        nu = np.array([0.6, 0.4])
-        direct = sum(
-            mu[iu] * nu[iv] * hamiltonian_value(point(), uv_cost, iu, iv)
-            for iu in range(2)
-            for iv in range(2)
-        )
-        assert mu @ m @ nu == pytest.approx(direct, abs=1e-14)
+    def test_bilinear_extension(self, uv_cost, uv_drift):
+        # mu^T M nu matches averaging, over the product measure, the
+        # generator evaluated pair by pair from the b, sigma and f expressions
+        pt = point(t=0.3, x=0.4, y=0.2, p=1.5, a=0.8)
+        p, a = pt.p[0], pt.A[0, 0]
+        for prob in (uv_cost, uv_drift, games3.drift_cost3()):
+            m = payoff_matrix(pt, prob).entries
+            rng = np.random.default_rng(5)
+            mu = rng.dirichlet(np.ones(prob.u_grid.n))
+            nu = rng.dirichlet(np.ones(prob.v_grid.n))
+            direct = 0.0
+            for iu in range(prob.u_grid.n):
+                for iv in range(prob.v_grid.n):
+                    env = {"t": pt.t, "x1": pt.x[0], "y": pt.y,
+                           "u1": prob.u_grid.points[iu, 0], "v1": prob.v_grid.points[iv, 0]}
+                    b = dsl.evaluate(prob.b[0], env)
+                    sigma = dsl.evaluate(prob.sigma[0][0], env)
+                    env["z1"] = p * sigma
+                    f = dsl.evaluate(prob.f, env)
+                    direct += mu[iu] * nu[iv] * (0.5 * sigma * sigma * a + b * p + f)
+            assert mu @ m @ nu == pytest.approx(direct, rel=1e-13, abs=1e-14)
 
 
 class TestRelaxedAndBounds:
     def test_uv_running_cost_envelopes(self, uv_cost):
-        h_minus, h_plus = pure_bounds(point(), uv_cost)
-        sol = relaxed_value(point(), uv_cost)
+        h_minus, h_plus = pure_minimax(payoff_matrix(point(), uv_cost))
+        sol = solve_game(payoff_matrix(point(), uv_cost))
         assert (h_minus, h_plus) == (-1.0, 1.0)
         assert sol.value == pytest.approx(0.0, abs=1e-12)
 
     def test_control_free_coincide(self, heat):
         pt = point(a=1.4)
-        h_minus, h_plus = pure_bounds(pt, heat)
-        sol = relaxed_value(pt, heat)
+        h_minus, h_plus = pure_minimax(payoff_matrix(pt, heat))
+        sol = solve_game(payoff_matrix(pt, heat))
         assert h_minus == h_plus == sol.value
 
     def test_uv_drift_bounds_scale_with_gradient(self, uv_drift):
         for p in np.linspace(-2.0, 2.0, 9):
             pt = point(p=p)
-            h_minus, h_plus = pure_bounds(pt, uv_drift)
-            sol = relaxed_value(pt, uv_drift)
+            h_minus, h_plus = pure_minimax(payoff_matrix(pt, uv_drift))
+            sol = solve_game(payoff_matrix(pt, uv_drift))
             assert h_minus == pytest.approx(-abs(p), abs=1e-12)
             assert h_plus == pytest.approx(abs(p), abs=1e-12)
             assert sol.value == pytest.approx(0.0, abs=1e-12)
@@ -107,8 +115,8 @@ class TestRelaxedAndBounds:
                     t=rng.uniform(0, 1), x=rng.uniform(-5, 5, 1),
                     y=rng.normal(), p=b, A=[[a]],
                 )
-                h_minus, h_plus = pure_bounds(pt, prob)
-                sol = relaxed_value(pt, prob)
+                h_minus, h_plus = pure_minimax(payoff_matrix(pt, prob))
+                sol = solve_game(payoff_matrix(pt, prob))
                 assert h_minus - 1e-8 <= sol.value <= h_plus + 1e-8
                 assert sol.duality_gap <= 1e-9
 
@@ -119,8 +127,8 @@ class TestRelaxedAndBounds:
             a = rng.normal()
             eps = rng.uniform(0.01, 1.0)
             p = rng.normal()
-            v1 = relaxed_value(point(p=p, a=a), uv_cost).value
-            v2 = relaxed_value(point(p=p, a=a + eps), uv_cost).value
+            v1 = solve_game(payoff_matrix(point(p=p, a=a), uv_cost)).value
+            v2 = solve_game(payoff_matrix(point(p=p, a=a + eps), uv_cost)).value
             assert v2 >= v1 - 1e-8
 
 

@@ -79,6 +79,18 @@ def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+# A deletion must take its name out of every __all__ too: a stale export
+# would only fail at ``from mixedvalue... import *``.
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_exports_resolve(path):
+    module = importlib.import_module(
+        "mixedvalue" if path.stem == "__init__" else f"mixedvalue.{path.stem}")
+    stale = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert stale == [], f"{path.name} exports names it does not define"
+
+
 # dsl.py defines the expression evaluator; problem.py is the one place that
 # evaluates coefficients with it and inspects their variables
 EVALUATOR_NAMES = ("evaluate", "free_variables")

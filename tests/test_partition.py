@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from mixedvalue import partition
+from mixedvalue import partition, pde
 from mixedvalue.partition import (
     MeshTooCoarseError,
     Partition,
@@ -196,6 +196,27 @@ class TestDppSweep:
         assert res.mu.shape == (4, 49, 2)
         assert np.allclose(res.mu, 0.5, atol=1e-9)
         assert np.allclose(res.nu, 0.5, atol=1e-9)
+
+    @pytest.mark.parametrize("orientation", ["lower", "upper"])
+    @pytest.mark.parametrize("pure", [False, True])
+    def test_one_generator_per_substep(self, monkeypatch, uv_cost, orientation, pure):
+        # each subinterval's games and its first substep share one generator,
+        # and every substep still steps through Stepper.step_frozen
+        calls = {"entries": 0, "step_frozen": 0}
+        for name in calls:
+            inner = getattr(pde.Stepper, name)
+
+            def counted(*args, _inner=inner, _name=name, **kwargs):
+                calls[_name] += 1
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(pde.Stepper, name, counted)
+        grid = SpaceGrid.for_problem(uv_cost, 31)
+        res = dpp_sweep(uv_cost, grid, Partition.uniform(1.0, 4), SchemeParams(), orientation,
+                        pure=pure)
+        assert sum(res.substep_counts) > res.partition.n
+        assert calls == {"entries": sum(res.substep_counts),
+                         "step_frozen": sum(res.substep_counts)}
 
     def test_y_dependent_sweep_runs(self, uv_ydep):
         grid = SpaceGrid.for_problem(uv_ydep, 51)

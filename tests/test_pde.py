@@ -23,7 +23,6 @@ from mixedvalue.pde import (
     discrete_lipschitz,
     gap_report,
     solve,
-    step_back,
     terminal_field,
     window_mask,
 )
@@ -62,9 +61,8 @@ class TestStepBack:
         grid = SpaceGrid.for_problem(heat, 41)
         h = grid.h[0]
         dt = 0.4 * h * h
-        fld = terminal_field(heat, grid)
-        out = step_back(fld, heat, grid, SchemeParams(dt=dt))
-        v = fld.values
+        v = terminal_field(heat, grid).values
+        out = Stepper(heat, grid).step(v, 1.0, dt, "relaxed")
         # b = 0 and a = sigma^2 = 1: the weights a/(2h^2), -a/h^2, a/(2h^2) on
         # the neighbours x - h, x, x + h, applied by one matrix product, then f = 0
         weights = np.array([[0.5 / h**2, -1.0 / h**2, 0.5 / h**2]])
@@ -74,42 +72,41 @@ class TestStepBack:
         expected[1:-1] = v[1:-1] + dt * gen[0]
         expected[0] = expected[1]
         expected[-1] = expected[-2]
-        assert np.array_equal(out.values, expected)
-        assert out.t == pytest.approx(1.0 - dt)
+        assert np.array_equal(out, expected)
 
     def test_uv_running_cost_flat_field(self, uv_cost):
         grid = SpaceGrid.for_problem(uv_cost, 31)
         dt = 1e-3
-        zero = ValueField(t=0.5, values=np.zeros(31))
-        relaxed = step_back(zero, uv_cost, grid, SchemeParams(dt=dt))
-        assert np.max(np.abs(relaxed.values)) <= 1e-15
-        low = step_back(zero, uv_cost, grid, SchemeParams(dt=dt, hamiltonian_mode="pure_lower"))
-        assert np.allclose(low.values, -dt, atol=1e-18)
-        up = step_back(zero, uv_cost, grid, SchemeParams(dt=dt, hamiltonian_mode="pure_upper"))
-        assert np.allclose(up.values, dt, atol=1e-18)
+        zero = np.zeros(31)
+        stepper = Stepper(uv_cost, grid)
+        relaxed = stepper.step(zero, 0.5, dt, "relaxed")
+        assert np.max(np.abs(relaxed)) <= 1e-15
+        low = stepper.step(zero, 0.5, dt, "pure_lower")
+        assert np.allclose(low, -dt, atol=1e-18)
+        up = stepper.step(zero, 0.5, dt, "pure_upper")
+        assert np.allclose(up, dt, atol=1e-18)
 
     def test_zero_dt_is_identity(self, uv_cost):
         grid = SpaceGrid.for_problem(uv_cost, 31)
         rng = np.random.default_rng(0)
         vals = rng.uniform(-0.5, 0.5, 31)
-        fld = ValueField(t=0.5, values=vals)
-        out = step_back(fld, uv_cost, grid, SchemeParams(dt=0.0))
+        out = Stepper(uv_cost, grid).step(vals, 0.5, 0.0, "relaxed")
         # clamp copies the boundary even at dt=0; interior is untouched
-        assert np.array_equal(out.values[1:-1], vals[1:-1])
+        assert np.array_equal(out[1:-1], vals[1:-1])
 
     def test_cfl_violation(self, heat):
         grid = SpaceGrid.for_problem(heat, 201)
-        fld = terminal_field(heat, grid)
-        with pytest.raises(CflViolationError):
-            step_back(fld, heat, grid, SchemeParams(dt=1.0))
-
-    def test_requires_dt(self, heat):
-        grid = SpaceGrid.for_problem(heat, 41)
-        with pytest.raises(CflViolationError):
-            step_back(terminal_field(heat, grid), heat, grid, SchemeParams())
+        with pytest.raises(CflViolationError, match="CFL"):
+            solve(heat, grid, SchemeParams(dt=1.0))
 
 
 class TestSolve:
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan])
+    def test_rejects_nonpositive_dt(self, heat, dt):
+        grid = SpaceGrid.for_problem(heat, 41)
+        with pytest.raises(CflViolationError, match="dt must be positive"):
+            solve(heat, grid, SchemeParams(dt=dt))
+
     def test_heat_analytic_value(self, heat):
         grid = SpaceGrid.for_problem(heat, 401)
         levels = solve(heat, grid, SchemeParams())
@@ -310,14 +307,14 @@ class TestComparisonPrinciple:
         grid = SpaceGrid.for_problem(prob, 51)
         dt = 0.9 * cfl_limit(prob, grid)
         rng = np.random.default_rng(hash(name + mode) % 2**32)
-        params = SchemeParams(dt=dt, hamiltonian_mode=mode)
+        stepper = Stepper(prob, grid)
         for _ in range(30):
             f1 = rng.uniform(-1.0, 1.0, 51)
             f2 = f1 + rng.uniform(0.0, 1.0, 51)
-            out1 = step_back(ValueField(t=0.5, values=f1), prob, grid, params)
-            out2 = step_back(ValueField(t=0.5, values=f2), prob, grid, params)
+            out1 = stepper.step(f1, 0.5, dt, mode)
+            out2 = stepper.step(f2, 0.5, dt, mode)
             slack = 1e-12 * (1.0 + np.max(np.abs(f2)) / grid.h[0] ** 2)
-            assert np.all(out1.values <= out2.values + slack)
+            assert np.all(out1 <= out2 + slack)
 
     def test_y_dependent_comparison_with_relaxation(self):
         prob = variant("uv_running_cost", name="uv_ydep", f="u1*v1 - y",
@@ -326,15 +323,15 @@ class TestComparisonPrinciple:
         dt = 0.9 * cfl_limit(prob, grid)
         lip_y = prob.bounds.lip_y_f
         rng = np.random.default_rng(99)
-        params = SchemeParams(dt=dt)
+        stepper = Stepper(prob, grid)
         for _ in range(30):
             f1 = rng.uniform(-1.0, 1.0, 51)
             f2 = f1 + rng.uniform(0.0, 1.0, 51)
-            out1 = step_back(ValueField(t=0.5, values=f1), prob, grid, params)
-            out2 = step_back(ValueField(t=0.5, values=f2), prob, grid, params)
+            out1 = stepper.step(f1, 0.5, dt, "relaxed")
+            out2 = stepper.step(f2, 0.5, dt, "relaxed")
             relax = dt * lip_y * np.max(f2 - f1)
             slack = 1e-12 * (1.0 + np.max(np.abs(f2)) / grid.h[0] ** 2)
-            assert np.all(out1.values <= out2.values + relax + slack)
+            assert np.all(out1 <= out2 + relax + slack)
 
 
 class TestLipschitzPreservation:
@@ -492,14 +489,14 @@ class TestTwoDimensional:
         grid = SpaceGrid.for_problem(heat2d, 21)
         dt = 0.9 * cfl_limit(heat2d, grid)
         rng = np.random.default_rng(4)
-        params = SchemeParams(dt=dt)
+        stepper = Stepper(heat2d, grid)
         for _ in range(10):
             f1 = rng.uniform(-1, 1, (21, 21))
             f2 = f1 + rng.uniform(0, 1, (21, 21))
-            o1 = step_back(ValueField(t=0.2, values=f1), heat2d, grid, params)
-            o2 = step_back(ValueField(t=0.2, values=f2), heat2d, grid, params)
+            o1 = stepper.step(f1, 0.2, dt, "relaxed")
+            o2 = stepper.step(f2, 0.2, dt, "relaxed")
             slack = 1e-12 * (1.0 + 1.0 / grid.h[0] ** 2)
-            assert np.all(o1.values <= o2.values + slack)
+            assert np.all(o1 <= o2 + slack)
 
 
 class TestValueField:
@@ -853,6 +850,22 @@ class TestAliasing:
             assert not any(np.shares_memory(a, s) for s in scratch)
             for b in stepped[i + 1:]:
                 assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("case,mode", [("drift_cost3", "relaxed"), ("heat", "relaxed"),
+                                           ("drift_cost3", "pure_lower"),
+                                           ("drift_cost3", "pure_upper")])
+    def test_game_values_only_read_the_entries(self, heat, drift_cost3, case, mode):
+        # the sweep values its games on a generator that it then steps on
+        prob = {"heat": heat, "drift_cost3": drift_cost3}[case]
+        grid = SpaceGrid.for_problem(prob, 21)
+        level = np.random.default_rng(8).uniform(-1.0, 1.0, grid.shape)
+        ent = Stepper(prob, grid).entries(level, 0.5)
+        frozen = ent.copy()
+        frozen.flags.writeable = False
+        got = [Stepper(prob, grid).game_values(e, mode, 0.5, collect_strategies=True)
+               for e in (ent, frozen)]
+        assert [a.tobytes() for a in got[0]] == [a.tobytes() for a in got[1]]
+        assert frozen.tobytes() == ent.tobytes()
 
     def test_kept_levels_are_read_only(self):
         prob = stencil_problem(1, [["0.9"]], T=0.3)
