@@ -50,8 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .pde import SchemeParams, SpaceGrid, Stepper, terminal_field
-from .partition import Partition, SweepResult, _substep_counts, _substep_times
+from .pde import SchemeParams, SpaceGrid, terminal_field
+from .partition import Partition, SweepResult, _check_horizon, _march, _scheduled
 from .problem import Problem, stack_entries
 
 __all__ = [
@@ -343,20 +343,16 @@ class _NonFiniteState(ArithmeticError):
         self.where = where
 
 
-def _earliest(first_bad, bad):
-    """The earlier of two (subinterval, substep, path) triples, either may be None."""
-    return bad if first_bad is None or (bad is not None and bad < first_bad) else first_bad
-
-
-def _map_chunks(chunk, n_paths: int) -> list:
+def _map_chunks(chunk, n_paths: int) -> None:
     """``chunk(lo, hi)`` for every chunk of paths, on up to ``_WORKERS`` threads.
 
     The W workers take every W-th chunk of ceil(``_CHUNK_PATHS`` / W) paths,
     so at most ``_CHUNK_PATHS`` paths (rounded up to a multiple of W) are in
-    flight; a single chunk runs inline.  The results come back in chunk
-    order.  Every thread is joined before this returns or raises, and the
-    exception of the lowest chunk that raised is raised again, which is the
-    one a loop over the chunks would raise.
+    flight; a single chunk runs inline.  Every thread is joined before this
+    returns or raises.  The exception of the lowest chunk that raised is
+    raised again, as a loop over the chunks would; else a chunk's result,
+    None or the (subinterval, substep, path) of its first non-finite state,
+    gives :class:`_NonFiniteState` at the earliest of them.
     """
     workers = _WORKERS
     size = -(-_CHUNK_PATHS // workers)
@@ -385,7 +381,9 @@ def _map_chunks(chunk, n_paths: int) -> list:
     for err in errors:
         if err is not None:
             raise err
-    return results
+    bad = [where for where in results if where is not None]
+    if bad:
+        raise _NonFiniteState(min(bad))
 
 
 def _start_state(prob: Problem, x0) -> np.ndarray:
@@ -418,21 +416,30 @@ def simulate(prob: Problem, pi: Partition, profile: StrategyProfile, x0,
     from the streams at its own path offset, so the ensemble is bitwise that
     of one chunk.  ``_CHUNK_PATHS`` bounds the paths in flight in total, so
     memory beyond the returned ensemble is bounded by one chunk of that
-    size.  A non-finite ``x0`` raises ``ValueError`` before any draw.  A
-    non-finite state raises ``ArithmeticError`` naming the earliest
-    (subinterval, substep) at which one occurs and the lowest path index
-    there, counted from path 0 of the streams, whatever the chunk size and
-    the number of threads.
+    size.  A partition that does not end at ``prob.T``, a profile that does
+    not fit the game or a non-finite ``x0`` raises ``ValueError`` before
+    any draw.  A non-finite state raises ``ArithmeticError`` naming the
+    earliest (subinterval, substep) at which one occurs and the lowest
+    path index there, counted from path 0 of the streams, whatever the
+    chunk size and the number of threads.
     """
     if n_paths < 1 or euler_substeps < 1:
         raise ValueError("need n_paths >= 1 and euler_substeps >= 1")
     if not (_is_int(first_path) and first_path >= 0):
         raise ValueError(f"first_path must be an int >= 0, got {first_path!r}")
     first_path = int(first_path)  # Philox.advance rejects numpy integers
+    _check_horizon(prob, pi)
     if profile.n_subintervals != pi.n:
         raise ValueError(
             f"profile has {profile.n_subintervals} subintervals, partition has {pi.n}"
         )
+    for weights, controls, who in ((profile.u_weights, prob.u_grid.n, "u"),
+                                   (profile.v_weights, prob.v_grid.n, "v")):
+        if weights.shape[-1] != controls:
+            raise ValueError(f"{who} controls: the profile has {weights.shape[-1]}, "
+                             f"the game has {controls}")
+    if profile.mode == "feedback" and prob.d != 1:
+        raise ValueError(f"feedback profiles are supported for d=1 only, the game has d={prob.d}")
     x0 = _start_state(prob, x0)
 
     states = np.empty((n_paths, pi.n + 1, prob.d))
@@ -448,11 +455,7 @@ def simulate(prob: Problem, pi: Partition, profile: StrategyProfile, x0,
                                first_path + lo, states[lo:hi], u_idx[lo:hi], v_idx[lo:hi],
                                cost[lo:hi])
 
-    first_bad = None
-    for bad in _map_chunks(chunk, n_paths):
-        first_bad = _earliest(first_bad, bad)
-    if first_bad is not None:
-        raise _NonFiniteState(first_bad)
+    _map_chunks(chunk, n_paths)
     return PathEnsemble(
         states=states,
         u_indices=u_idx,
@@ -577,9 +580,9 @@ def estimate(prob: Problem, pi: Partition, profile: StrategyProfile, x0, n_paths
     bytes per path plus the ensembles of the chunks in flight, where the
     ensemble of all paths holds O(paths x subintervals); the statistics
     reduce the payoff vector in place.  They are those of
-    :func:`estimate_payoff` over the same payoff vector.  A non-finite
-    ``x0`` raises ``ValueError`` before any draw.  A non-finite state
-    raises the ``ArithmeticError`` that :func:`simulate` would: the
+    :func:`estimate_payoff` over the same payoff vector.  Input that
+    :func:`simulate` rejects raises its ``ValueError`` before any draw.  A
+    non-finite state raises the ``ArithmeticError`` that it would: the
     earliest (subinterval, substep) over all chunks and the lowest path
     index there.
     """
@@ -599,11 +602,7 @@ def estimate(prob: Problem, pi: Partition, profile: StrategyProfile, x0, n_paths
             return err.where
         return None
 
-    first_bad = None
-    for bad in _map_chunks(chunk, n_paths):
-        first_bad = _earliest(first_bad, bad)
-    if first_bad is not None:
-        raise _NonFiniteState(first_bad)
+    _map_chunks(chunk, n_paths)
     return _statistics(payoff)
 
 
@@ -652,14 +651,14 @@ def exploit(prob: Problem, pi: Partition, fixed_side: str, fixed_profile: Strate
     """Gain of the best Markov deviation against a fixed profile.
 
     ``fixed_side`` names the player held to the profile.  On the grid
-    ``SpaceGrid.for_problem(prob, nx)``, with the CFL substeps of
-    :func:`dpp_sweep`, two levels go backward through
-    :meth:`Stepper.step_frozen`: on one both players follow the profile's
-    weights at each node, on the other the free player re-optimizes over
-    pure controls at every node and substep.  Both are read at ``x0`` by
-    multilinear interpolation.  As the scheme is monotone the free player
-    cannot do worse by re-optimizing, so ``gain`` >= 0 is a property of
-    the chain, not of sampling.  Open-loop profiles work in any dimension;
+    ``SpaceGrid.for_problem(prob, nx)``, two levels go backward from the
+    terminal cost by the march that :func:`dpp_sweep` runs, with its CFL
+    substeps: on one both players hold the profile's weights at each node,
+    on the other the free player re-optimizes over pure controls at every
+    node and substep.  Both are read at ``x0`` by multilinear
+    interpolation.  As the scheme is monotone the free player cannot do
+    worse by re-optimizing, so ``gain`` >= 0 is a property of the chain,
+    not of sampling.  Open-loop profiles work in any dimension;
     feedback profiles exist for d = 1 only.
     ``baseline`` is the independent Monte Carlo payoff of both players
     following the profile over ``n_paths`` paths with ``euler_substeps``
@@ -673,20 +672,20 @@ def exploit(prob: Problem, pi: Partition, fixed_side: str, fixed_profile: Strate
     baseline = estimate(prob, pi, fixed_profile, x0, n_paths, euler_substeps, device)
 
     grid = SpaceGrid.for_problem(prob, nx)
-    stepper = Stepper(prob, grid)
-    substeps = _substep_times(pi, _substep_counts(prob, grid, pi, SchemeParams(), None))
-    stepper.schedule([t for _, times in reversed(substeps) for t in times])
+    stepper, _, substep_times = _scheduled(prob, grid, pi, SchemeParams(), None)
     nodes = stepper._xw.reshape(-1, prob.d)
-    best = profile = terminal_field(prob, grid).values
-    for j in range(pi.n - 1, -1, -1):
-        mu, nu = (fixed_profile.weights_at(j, player, nodes).reshape(stepper.work_shape + (-1,))
-                  for player in (1, 2))
-        free_mu, free_nu = (None, nu) if free == 1 else (mu, None)
-        delta, times = substeps[j]
-        for t in times:
-            best = stepper.step_frozen(best, stepper.entries(best, t), t, delta,
-                                       free_mu, free_nu)
-            profile = stepper.step_frozen(profile, stepper.entries(profile, t), t, delta, mu, nu)
+
+    def holding(players):
+        """Strategies that hold the profile's weights for ``players``, None for the others."""
+        return lambda j, ent: tuple(
+            fixed_profile.weights_at(j, player, nodes).reshape(stepper.work_shape + (-1,))
+            if player in players else None for player in (1, 2))
+
+    phi = terminal_field(prob, grid).values
+    marches = (_march(stepper, phi, substep_times, holding({1, 2} - {free})),
+               _march(stepper, phi, substep_times, holding({1, 2})))
+    for (_, best), (_, profile) in zip(*marches):
+        pass
 
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     br_value = _interpolate(grid, best, x0)

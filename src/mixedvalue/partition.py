@@ -4,10 +4,13 @@ The lower and upper values along a partition are produced by backward
 induction: at the right endpoint of every subinterval the local matrix
 game of discrete generators is solved once per node, and the resulting
 per-node strategies are held frozen while the field is advanced across
-the subinterval with monotone CFL-limited substeps.  The relaxed local
-game has a saddle point, so the lower and upper sweeps share one
-canonical mixed solve and agree bitwise; they differ only in the pure
-sweeps, where the sup-inf and inf-sup envelopes expose the Isaacs gap.
+the subinterval with monotone CFL-limited substeps.  One march does this
+induction for any held strategies: the sweep's come from its local games,
+and ``montecarlo.exploit`` holds a profile's weights, with or without a
+best-responding free player.  The relaxed local game has a saddle point,
+so the lower and upper sweeps share one canonical mixed solve and agree
+bitwise; they differ only in the pure sweeps, where the sup-inf and
+inf-sup envelopes expose the Isaacs gap.
 In the control-free case the games are 1x1 and a sweep reproduces the
 plain explicit scheme step for step when the substeps align.
 
@@ -36,9 +39,9 @@ from .pde import (
     SpaceGrid,
     Stepper,
     ValueField,
+    _levels,
     cfl_limit,
     discrete_lipschitz,
-    solve,
     terminal_field,
     window_mask,
 )
@@ -109,7 +112,18 @@ class SweepResult:
         return self.levels[-1]
 
 
-def _substep_counts(prob, grid, pi, params, substeps):
+def _check_horizon(prob: Problem, pi: Partition) -> None:
+    if abs(pi.horizon - prob.T) > 1e-12:
+        raise ValueError(f"partition horizon {pi.horizon} does not match problem T={prob.T}")
+
+
+def _scheduled(prob, grid, pi, params, substeps):
+    """(stepper, counts, substep_times) of a march along ``pi``, the stepper scheduled.
+
+    ``substeps`` is as for :func:`dpp_sweep`.  Entry j of ``substep_times`` is
+    subinterval j's substep length and the start times of its substeps, t_{j+1} first.
+    """
+    _check_horizon(prob, pi)
     limit = params.cfl_safety * cfl_limit(prob, grid)
     deltas = np.diff(pi.times)
     if substeps is None:
@@ -120,25 +134,38 @@ def _substep_counts(prob, grid, pi, params, substeps):
         counts = [int(c) for c in substeps]
         if len(counts) != len(deltas):
             raise ValueError("substeps list must match the number of subintervals")
-    for d, c in zip(deltas, counts):
+    substep_times = []
+    for t_next, d, c in zip(pi.times[1:], deltas, counts):
         if c < 1:
             raise ValueError("substeps must be >= 1")
-        if d / c > limit * (1 + 1e-12):
+        delta = d / c
+        if delta > limit * (1 + 1e-12):
             raise MeshTooCoarseError(
                 f"subinterval of length {d:.4g} with {c} substeps gives "
-                f"sub-time-step {d / c:.4g} above the stability limit {limit:.4g}; "
+                f"sub-time-step {delta:.4g} above the stability limit {limit:.4g}; "
                 "refine the partition or raise the substep count"
             )
-    return counts
+        substep_times.append((delta, [t_next - s * delta for s in range(c)]))
+    stepper = Stepper(prob, grid, params.game_tol)
+    stepper.schedule([t for _, times in reversed(substep_times) for t in times])
+    return stepper, counts, substep_times
 
 
-def _substep_times(pi, counts) -> list:
-    """Per subinterval j: its substep length and the times its substeps start at, t_{j+1} first."""
-    out = []
-    for j, count in enumerate(counts):
-        delta = (pi.times[j + 1] - pi.times[j]) / count
-        out.append((delta, [pi.times[j + 1] - s * delta for s in range(count)]))
-    return out
+def _march(stepper, values, substep_times, strategies):
+    """Backward induction from the level ``values`` at T; yields (j, the level at t_j).
+
+    ``strategies(j, ent)`` gives the (mu, nu) held over subinterval j, ``ent`` being the
+    generator of the level at t_{j+1}.  Each substep is one :meth:`Stepper.step_frozen`.
+    """
+    for j in range(len(substep_times) - 1, -1, -1):
+        delta, times = substep_times[j]
+        ent = stepper.entries(values, times[0])
+        mu, nu = strategies(j, ent)
+        for s, t in enumerate(times):
+            if s:  # the first substep steps on the entries the strategies were chosen on
+                ent = stepper.entries(values, t)
+            values = stepper.step_frozen(values, ent, t, delta, mu, nu)
+        yield j, values
 
 
 def dpp_sweep(prob: Problem, grid: SpaceGrid, pi: Partition, params: SchemeParams,
@@ -165,46 +192,28 @@ def dpp_sweep(prob: Problem, grid: SpaceGrid, pi: Partition, params: SchemeParam
         raise ValueError("dpp_sweep ignores params.hamiltonian_mode: set pure= and orientation")
     if params.dt is not None:
         raise ValueError("dpp_sweep ignores params.dt: set substeps")
-    if abs(pi.horizon - prob.T) > 1e-12:
-        raise ValueError(f"partition horizon {pi.horizon} does not match problem T={prob.T}")
-    counts = _substep_counts(prob, grid, pi, params, substeps)
+    stepper, counts, substep_times = _scheduled(prob, grid, pi, params, substeps)
     label = ("W_pi", "U_pi")[orientation == "upper"]
     mode = "relaxed" if not pure else ("pure_lower" if orientation == "lower" else "pure_upper")
+    mu_all, nu_all = [], []
 
-    stepper = Stepper(prob, grid, params.game_tol)
-    substeps = _substep_times(pi, counts)
-    stepper.schedule([t for _, times in reversed(substeps) for t in times])
-    levels = [terminal_field(prob, grid, label)]
-    values = levels[0].values
-    mu_all = [] if record_strategies else None
-    nu_all = [] if record_strategies else None
-    for j in range(pi.n - 1, -1, -1):
-        delta, times = substeps[j]
-        ent = stepper.entries(values, times[0])
-        _, mu, nu = stepper.game_values(ent, mode, times[0], collect_strategies=True)
+    def local_games(j, ent):
+        _, mu, nu = stepper.game_values(ent, mode, pi.times[j + 1], collect_strategies=True)
         if record_strategies:
             mu_all.append(mu)
             nu_all.append(nu)
-        for s, t in enumerate(times):
-            if s:  # the first substep steps on the entries its games were solved on
-                ent = stepper.entries(values, t)
-            values = stepper.step_frozen(values, ent, t, delta, mu, nu)
+        return mu, nu
+
+    levels = [terminal_field(prob, grid, label)]
+    for j, values in _march(stepper, levels[0].values, substep_times, local_games):
         fld = ValueField._adopt(pi.times[j], values, label)
         fld.check_bound(prob)
         levels.append(fld)
-    if record_strategies:
-        # stored in forward time order: entry j covers [t_j, t_{j+1})
-        mu_arr = np.stack(mu_all[::-1])
-        nu_arr = np.stack(nu_all[::-1])
-    else:
-        mu_arr = nu_arr = None
-    return SweepResult(
-        levels=tuple(levels),
-        partition=pi,
-        substep_counts=tuple(counts),
-        mu=mu_arr,
-        nu=nu_arr,
-    )
+    # recorded in forward time order: entry j covers [t_j, t_{j+1})
+    mu_arr, nu_arr = (np.stack(held[::-1]) if record_strategies else None
+                      for held in (mu_all, nu_all))
+    return SweepResult(levels=tuple(levels), partition=pi, substep_counts=tuple(counts),
+                       mu=mu_arr, nu=nu_arr)
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +241,9 @@ def convergence_study(prob: Problem, grid: SpaceGrid, meshes, params: SchemePara
         raise ValueError("mesh counts must be positive")
     fine_dt = min(params.cfl_safety * cfl_limit(prob, grid), prob.T / (8.0 * max(meshes)))
 
-    v_levels = solve(prob, grid, SchemeParams(dt=fine_dt, game_tol=params.game_tol,
-                                              cfl_safety=params.cfl_safety))
-    v0 = v_levels[-1].values
+    for level in _levels(prob, grid, SchemeParams(dt=fine_dt, game_tol=params.game_tol,
+                                                  cfl_safety=params.cfl_safety)):
+        v0 = level.values
     mask = window_mask(prob, grid)
     modulus_cap = time_modulus_bound(prob)
 

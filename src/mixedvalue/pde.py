@@ -314,12 +314,11 @@ class Stepper:
     games of a level are solved in one batch, each node starting from the
     kernel that certified it on the previous call; a 1x1 game, whose value
     is its entry, is valued by the envelope fold instead.  Also used by the
-    partition sweep, which freezes the per-node strategies over a
-    subinterval and advances with :meth:`step_frozen`, and by
-    ``montecarlo.exploit``, which lets one player re-optimize in it.
-    :meth:`step_frozen` takes the level's :meth:`entries` from its caller,
-    and :meth:`game_values` only reads them, so the sweep steps its first
-    substep on the entries its games were solved on.
+    partition module's one march under held strategies, which
+    ``partition.dpp_sweep`` and ``montecarlo.exploit`` share: it advances
+    with :meth:`step_frozen`, which takes the level's :meth:`entries` from
+    its caller, and :meth:`game_values` only reads them, so a sweep steps
+    its first substep on the entries its games were solved on.
     """
 
     def __init__(self, prob: Problem, grid: SpaceGrid, game_tol: float = 1e-9):
@@ -616,6 +615,11 @@ def solve(prob: Problem, grid: SpaceGrid, params: SchemeParams) -> list:
     A dt that is not positive, or above that limit, raises
     :class:`CflViolationError`.
     """
+    return list(_levels(prob, grid, params))
+
+
+def _levels(prob: Problem, grid: SpaceGrid, params: SchemeParams):
+    """The levels of :func:`solve`, yielded one at a time from T down to 0."""
     limit = params.cfl_safety * cfl_limit(prob, grid)
     dt_target = limit if params.dt is None else params.dt
     if not dt_target > 0:  # also NaN
@@ -631,14 +635,14 @@ def solve(prob: Problem, grid: SpaceGrid, params: SchemeParams) -> list:
     times = [prob.T] + [prob.T * (n_steps - i - 1) / n_steps for i in range(n_steps)]
     stepper = Stepper(prob, grid, params.game_tol)
     stepper.schedule(times[:-1])
-    levels = [terminal_field(prob, grid, label)]
-    values = levels[0].values
+    fld = terminal_field(prob, grid, label)
+    yield fld
+    values = fld.values
     for t, t_new in zip(times, times[1:]):
         values = stepper.step(values, t, dt, params.hamiltonian_mode)
         fld = ValueField._adopt(t_new, values, label)
         fld.check_bound(prob)
-        levels.append(fld)
-    return levels
+        yield fld
 
 
 def window_mask(prob: Problem, grid: SpaceGrid) -> np.ndarray:
@@ -685,8 +689,8 @@ def gap_report(prob: Problem, grid: SpaceGrid, params: SchemeParams) -> GapRepor
     """
     fields = {}
     for mode in ("relaxed", "pure_lower", "pure_upper"):
-        levels = solve(prob, grid, replace(params, hamiltonian_mode=mode))
-        fields[mode] = levels[-1].values
+        for level in _levels(prob, grid, replace(params, hamiltonian_mode=mode)):
+            fields[mode] = level.values
     mask = window_mask(prob, grid)
     sup = lambda a: float(np.max(np.abs(a[mask])))
     return GapReport(

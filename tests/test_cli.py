@@ -121,6 +121,36 @@ def test_simulate_rejects_non_finite_x0(tmp_path, capsys, x0):
     assert not out.exists()
 
 
+# profile files, on two subintervals, that do not fit the game: (problem, profile, error)
+PROFILES_OFF_THE_GAME = {
+    "three_u_controls": ("uv_drift", {"mode": "openloop", "u_weights": [[1 / 3] * 3] * 2,
+                                      "v_weights": [[0.5, 0.5]] * 2},
+                         "u controls: the profile has 3, the game has 2"),
+    "one_u_control": ("uv_drift", {"mode": "openloop", "u_weights": [[1.0]] * 2,
+                                   "v_weights": [[0.5, 0.5]] * 2},
+                      "u controls: the profile has 1, the game has 2"),
+    "feedback_in_2d": ("bilinear_2d", {"mode": "feedback", "u_weights": [[[1 / 3] * 3] * 3] * 2,
+                                       "v_weights": [[[0.5, 0.5]] * 3] * 2,
+                                       "cell_axis": [-1.0, 0.0, 1.0]},
+                       "feedback profiles are supported for d=1 only, the game has d=2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PROFILES_OFF_THE_GAME))
+def test_simulate_rejects_profile_off_the_game(tmp_path, capsys, case):
+    # a profile file is outside input: one that does not fit the game is a
+    # usage error, not a runtime failure
+    problem, profile, message = PROFILES_OFF_THE_GAME[case]
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(profile), encoding="utf-8")
+    out = tmp_path / "s.csv"
+    argv = ["simulate", "--problem", problem_source(tmp_path, problem), "--n-steps", "2",
+            "--paths", "200", "--profile", str(path), "--out", str(out)]
+    assert cli.dispatch(argv) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_threads_flag_is_gone(tmp_path, capsys):
     out = tmp_path / "v.csv"
     assert cli.dispatch(["--threads", "2"] + commands(tmp_path)["solve-pde"]

@@ -148,6 +148,34 @@ def test_coefficients_evaluated_only_in_problem(path):
     assert dsl_evaluator_uses(path.read_text(encoding="utf-8")) == []
 
 
+# partition.py holds the one loop that steps under held strategies: every
+# route that holds (mu, nu) over a subinterval runs its march, so a copy of
+# that loop elsewhere fails here
+STEP_FROZEN_OWNER = "partition.py"
+
+
+def step_frozen_uses(source: str) -> list:
+    """Lines that name a ``step_frozen`` attribute, called or not."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == "step_frozen")
+
+
+def test_step_frozen_checker_finds_calls_and_references():
+    source = (
+        "def step_frozen(self): pass\n"
+        "def f(stepper, s):\n"
+        "    step = stepper.step_frozen\n"
+        "    return s.stepper.step_frozen(1)\n"
+    )
+    assert step_frozen_uses(source) == [3, 4]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_step_frozen_stepped_only_by_the_march(path):
+    uses = step_frozen_uses(path.read_text(encoding="utf-8"))
+    assert len(uses) == (1 if path.name == STEP_FROZEN_OWNER else 0), uses
+
+
 # The benchmark harness reaches into the package by name: bench/run.py
 # imports every module in its MODULES, and bench/tracing.py patches every
 # ENTRY_POINTS attribute through its owner's __dict__ in every run.  A

@@ -223,6 +223,32 @@ class TestStrategyProfile:
         assert mc.StrategyProfile.from_jsonable(data).cell_axis.tolist() == data["cell_axis"]
 
 
+# every route that draws paths, on 10 paths from the origin of a device that may not draw
+ROUTES = {
+    "simulate": lambda prob, pi, profile: mc.simulate(prob, pi, profile, [0.0] * prob.d, 10, 1,
+                                                      NoDrawDevice(0)),
+    "estimate": lambda prob, pi, profile: mc.estimate(prob, pi, profile, [0.0] * prob.d, 10, 1,
+                                                      NoDrawDevice(0)),
+    "exploit": lambda prob, pi, profile: mc.exploit(prob, pi, "player1", profile,
+                                                    [0.0] * prob.d, 10, NoDrawDevice(0), nx=11),
+}
+
+# profile files, on two subintervals, that do not fit the game they are played on:
+# (problem, profile, error)
+PROFILES_OFF_THE_GAME = {
+    "three_u_controls": ("uv_drift", {"mode": "openloop", "u_weights": [[1 / 3] * 3] * 2,
+                                      "v_weights": [[0.5, 0.5]] * 2},
+                         "u controls: the profile has 3, the game has 2"),
+    "one_u_control": ("uv_drift", {"mode": "openloop", "u_weights": [[1.0]] * 2,
+                                   "v_weights": [[0.5, 0.5]] * 2},
+                      "u controls: the profile has 1, the game has 2"),
+    "feedback_in_2d": (BILINEAR_DRIFT_2D, {"mode": "feedback", "u_weights": [[[0.5, 0.5]] * 3] * 2,
+                                           "v_weights": [[[0.5, 0.5]] * 3] * 2,
+                                           "cell_axis": [-1.0, 0.0, 1.0]},
+                       "feedback profiles are supported for d=1 only, the game has d=2"),
+}
+
+
 class TestSimulate:
     def test_no_noise_no_drift_paths_constant(self):
         frozen = variant("uv_running_cost", name="frozen", sigma=[["0"]],
@@ -346,12 +372,29 @@ class TestSimulate:
         with pytest.raises(ValueError, match=r"^x0 must be finite, got \["):
             run(prob, PI8, mc.StrategyProfile.uniform(prob, 8), x0, 10, 1, NoDrawDevice(0))
 
+    @pytest.mark.parametrize("run", sorted(ROUTES))
+    def test_rejects_partition_off_the_horizon_before_drawing(self, run):
+        # uv_drift ends at T = 1: a partition of [0, 2] belongs to another game
+        prob = load_problem("uv_drift")
+        with pytest.raises(ValueError, match=r"partition horizon 2\.0 does not match problem T=1"):
+            ROUTES[run](prob, Partition.uniform(2.0, 4), mc.StrategyProfile.uniform(prob, 4))
+
+    @pytest.mark.parametrize("case", sorted(PROFILES_OFF_THE_GAME))
+    @pytest.mark.parametrize("run", sorted(ROUTES))
+    def test_rejects_profile_off_the_game_before_drawing(self, case, run):
+        problem, profile, message = PROFILES_OFF_THE_GAME[case]
+        prob = load_problem(problem)
+        with pytest.raises(ValueError, match=message):
+            ROUTES[run](prob, Partition.uniform(prob.T, 2),
+                        mc.StrategyProfile.from_jsonable(profile))
+
 
 class NoDrawDevice(mc.RandomizationDevice):
     """A device whose streams may not be drawn from."""
 
     def _raw_blocks(self, *args):
         raise AssertionError("drew from the streams")
+
 
 
 def ensemble_bytes(ens):

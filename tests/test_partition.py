@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from mixedvalue import partition, pde
+from mixedvalue import montecarlo as mc, partition, pde
 from mixedvalue.partition import (
     MeshTooCoarseError,
     Partition,
@@ -23,6 +23,20 @@ def variant(base, **over):
         else:
             cfg[k] = v
     return load_problem(cfg)
+
+
+def count_stepper_calls(monkeypatch) -> dict:
+    """Calls of Stepper.entries and Stepper.step_frozen from here on, counted."""
+    calls = {"entries": 0, "step_frozen": 0}
+    for name in calls:
+        inner = getattr(pde.Stepper, name)
+
+        def counted(*args, _inner=inner, _name=name, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(pde.Stepper, name, counted)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -202,21 +216,26 @@ class TestDppSweep:
     def test_one_generator_per_substep(self, monkeypatch, uv_cost, orientation, pure):
         # each subinterval's games and its first substep share one generator,
         # and every substep still steps through Stepper.step_frozen
-        calls = {"entries": 0, "step_frozen": 0}
-        for name in calls:
-            inner = getattr(pde.Stepper, name)
-
-            def counted(*args, _inner=inner, _name=name, **kwargs):
-                calls[_name] += 1
-                return _inner(*args, **kwargs)
-
-            monkeypatch.setattr(pde.Stepper, name, counted)
+        calls = count_stepper_calls(monkeypatch)
         grid = SpaceGrid.for_problem(uv_cost, 31)
         res = dpp_sweep(uv_cost, grid, Partition.uniform(1.0, 4), SchemeParams(), orientation,
                         pure=pure)
         assert sum(res.substep_counts) > res.partition.n
         assert calls == {"entries": sum(res.substep_counts),
                          "step_frozen": sum(res.substep_counts)}
+
+    @pytest.mark.parametrize("fixed_side", ["player1", "player2"])
+    def test_exploit_one_generator_per_substep(self, monkeypatch, uv_cost, fixed_side):
+        # exploit marches twice over the sweep's substeps, once with the free
+        # player best-responding and once holding the whole profile
+        pi = Partition.uniform(1.0, 4)
+        counts = dpp_sweep(uv_cost, SpaceGrid.for_problem(uv_cost, 31), pi,
+                           SchemeParams()).substep_counts
+        calls = count_stepper_calls(monkeypatch)
+        mc.exploit(uv_cost, pi, fixed_side, mc.StrategyProfile.uniform(uv_cost, 4), [0.0], 100,
+                   mc.RandomizationDevice(0), nx=31)
+        assert sum(counts) > pi.n
+        assert calls == {"entries": 2 * sum(counts), "step_frozen": 2 * sum(counts)}
 
     def test_y_dependent_sweep_runs(self, uv_ydep):
         grid = SpaceGrid.for_problem(uv_ydep, 51)

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +102,23 @@ class TestStepBack:
 
 
 class TestSolve:
+    @pytest.mark.parametrize("mode", ["relaxed", "pure_lower", "pure_upper"])
+    def test_one_step_per_level(self, monkeypatch, uv_cost, mode):
+        # a level is one Stepper.step call, taken at the time of the level it
+        # steps from: the benchmark counts node-levels through these calls
+        times = []
+        inner = pde.Stepper.step
+
+        def counted(stepper, values, t, dt, step_mode):
+            times.append(t)
+            return inner(stepper, values, t, dt, step_mode)
+
+        monkeypatch.setattr(pde.Stepper, "step", counted)
+        levels = solve(uv_cost, SpaceGrid.for_problem(uv_cost, 21),
+                       SchemeParams(hamiltonian_mode=mode))
+        assert len(levels) > 2
+        assert times == [lv.t for lv in levels[:-1]]
+
     @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan])
     def test_rejects_nonpositive_dt(self, heat, dt):
         grid = SpaceGrid.for_problem(heat, 41)
@@ -362,6 +380,18 @@ class TestGapReport:
         grid = SpaceGrid.for_problem(uv_drift, 101)
         rep = gap_report(uv_drift, grid, SchemeParams())
         assert rep.pure_gap == pytest.approx(2.0, abs=2e-2)
+
+    def test_keeps_no_whole_solve(self, heat):
+        # each mode's solve keeps its last level only; with whole solves of
+        # 1 236 levels each kept, the peak at nx = 401 was 8.7 MB
+        grid = SpaceGrid.for_problem(heat, 401)
+        tracemalloc.start()
+        try:
+            gap_report(heat, grid, SchemeParams())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 class TestPeriodicBoundary:
