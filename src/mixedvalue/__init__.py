@@ -26,8 +26,6 @@ from .problem import (
     ControlGrid,
     Domain,
     Problem,
-    catalog_names,
-    freeze,
     interior_window,
     load_problem,
 )
@@ -47,8 +45,6 @@ __all__ = [
     "Domain",
     "Bounds",
     "CATALOG",
-    "catalog_names",
     "load_problem",
-    "freeze",
     "interior_window",
 ]

@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__, dsl, montecarlo as mc, pde
 from .games import GameError, PayoffMatrix, pure_minimax, solve_game
 from .hamiltonian import HamiltonianPoint, payoff_matrix
-from .partition import MeshTooCoarseError, Partition, convergence_study, dpp_sweep
+from .partition import Partition, convergence_study, dpp_sweep
 from .problem import ProblemError, load_problem
 
 _VALIDATION_ERRORS = (
@@ -36,7 +36,6 @@ _VALIDATION_ERRORS = (
     GameError,
     dsl.ExpressionError,
     pde.CflViolationError,
-    MeshTooCoarseError,
     mc.ClassicalCaseError,
     ValueError,
     FileNotFoundError,

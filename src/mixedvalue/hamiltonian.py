@@ -58,10 +58,6 @@ class HamiltonianPoint:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "A", A)
 
-    @property
-    def d(self) -> int:
-        return self.x.size
-
 
 def payoff_matrix(pt: HamiltonianPoint, prob: Problem) -> PayoffMatrix:
     """Matrix of generator values over the control grids.

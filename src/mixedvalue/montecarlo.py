@@ -219,15 +219,6 @@ class StrategyProfile:
         return cls("openloop", uw, vw)
 
     @classmethod
-    def point_mass(cls, prob: Problem, n_subintervals: int, u_idx: int,
-                   v_idx: int) -> "StrategyProfile":
-        uw = np.zeros((n_subintervals, prob.u_grid.n))
-        vw = np.zeros((n_subintervals, prob.v_grid.n))
-        uw[:, u_idx] = 1.0
-        vw[:, v_idx] = 1.0
-        return cls("openloop", uw, vw)
-
-    @classmethod
     def from_sweep(cls, result: SweepResult, grid: SpaceGrid) -> "StrategyProfile":
         """Feedback profile from the recorded per-node saddle strategies."""
         if result.mu is None or result.nu is None:
@@ -672,7 +663,7 @@ def exploit(prob: Problem, pi: Partition, fixed_side: str, fixed_profile: Strate
     baseline = estimate(prob, pi, fixed_profile, x0, n_paths, euler_substeps, device)
 
     grid = SpaceGrid.for_problem(prob, nx)
-    stepper, _, substep_times = _scheduled(prob, grid, pi, SchemeParams(), None)
+    stepper, _, substep_times = _scheduled(prob, grid, pi, SchemeParams())
     nodes = stepper._xw.reshape(-1, prob.d)
 
     def holding(players):

@@ -11,8 +11,8 @@ best-responding free player.  The relaxed local game has a saddle point,
 so the lower and upper sweeps share one canonical mixed solve and agree
 bitwise; they differ only in the pure sweeps, where the sup-inf and
 inf-sup envelopes expose the Isaacs gap.
-In the control-free case the games are 1x1 and a sweep reproduces the
-plain explicit scheme step for step when the substeps align.
+In the control-free case the games are 1x1, and a sweep whose substeps
+fall on the steps of a plain explicit solve reproduces it bitwise.
 
 What W_pi is, and what it is not: the strategies are frozen per *node*,
 so inside a subinterval a moving state meets the strategy of whichever
@@ -49,15 +49,10 @@ from .problem import Problem, time_modulus_bound
 
 __all__ = [
     "Partition",
-    "MeshTooCoarseError",
     "SweepResult",
     "dpp_sweep",
     "convergence_study",
 ]
-
-
-class MeshTooCoarseError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -117,34 +112,20 @@ def _check_horizon(prob: Problem, pi: Partition) -> None:
         raise ValueError(f"partition horizon {pi.horizon} does not match problem T={prob.T}")
 
 
-def _scheduled(prob, grid, pi, params, substeps):
+def _scheduled(prob, grid, pi, params):
     """(stepper, counts, substep_times) of a march along ``pi``, the stepper scheduled.
 
-    ``substeps`` is as for :func:`dpp_sweep`.  Entry j of ``substep_times`` is
-    subinterval j's substep length and the start times of its substeps, t_{j+1} first.
+    Subinterval j gets the fewest equal substeps that meet the CFL limit scaled
+    by ``params.cfl_safety``.  Entry j of ``substep_times`` is its substep length
+    and the start times of its substeps, t_{j+1} first.
     """
     _check_horizon(prob, pi)
     limit = params.cfl_safety * cfl_limit(prob, grid)
     deltas = np.diff(pi.times)
-    if substeps is None:
-        counts = [max(1, math.ceil(d / limit - 1e-12)) for d in deltas]
-    elif np.isscalar(substeps):
-        counts = [int(substeps)] * len(deltas)
-    else:
-        counts = [int(c) for c in substeps]
-        if len(counts) != len(deltas):
-            raise ValueError("substeps list must match the number of subintervals")
+    counts = [max(1, math.ceil(d / limit - 1e-12)) for d in deltas]
     substep_times = []
     for t_next, d, c in zip(pi.times[1:], deltas, counts):
-        if c < 1:
-            raise ValueError("substeps must be >= 1")
         delta = d / c
-        if delta > limit * (1 + 1e-12):
-            raise MeshTooCoarseError(
-                f"subinterval of length {d:.4g} with {c} substeps gives "
-                f"sub-time-step {delta:.4g} above the stability limit {limit:.4g}; "
-                "refine the partition or raise the substep count"
-            )
         substep_times.append((delta, [t_next - s * delta for s in range(c)]))
     stepper = Stepper(prob, grid, params.game_tol)
     stepper.schedule([t for _, times in reversed(substep_times) for t in times])
@@ -169,7 +150,7 @@ def _march(stepper, values, substep_times, strategies):
 
 
 def dpp_sweep(prob: Problem, grid: SpaceGrid, pi: Partition, params: SchemeParams,
-              orientation: str = "lower", substeps=None, pure: bool = False,
+              orientation: str = "lower", pure: bool = False,
               record_strategies: bool = False) -> SweepResult:
     """Backward induction over the partition.
 
@@ -179,11 +160,10 @@ def dpp_sweep(prob: Problem, grid: SpaceGrid, pi: Partition, params: SchemeParam
     strategies are the pure sup-inf (lower) or inf-sup (upper) envelope
     selections instead (no mixing), which exhibits the Isaacs gap.
 
-    ``substeps`` fixes the per-subinterval substep count (scalar or list);
-    by default each subinterval is divided until the sub-time-step meets
-    the CFL limit.  A fixed count that misses the limit raises
-    :class:`MeshTooCoarseError`.  ``params.dt`` and a non-relaxed
-    ``params.hamiltonian_mode`` are rejected: ``substeps``, ``pure`` and
+    Each subinterval is divided into the fewest equal substeps that meet
+    the CFL limit scaled by ``params.cfl_safety``; ``substep_counts`` of the
+    result records them.  ``params.dt`` and a non-relaxed
+    ``params.hamiltonian_mode`` are rejected: ``cfl_safety``, ``pure`` and
     ``orientation`` set those here.
     """
     if orientation not in ("lower", "upper"):
@@ -191,8 +171,8 @@ def dpp_sweep(prob: Problem, grid: SpaceGrid, pi: Partition, params: SchemeParam
     if params.hamiltonian_mode != "relaxed":
         raise ValueError("dpp_sweep ignores params.hamiltonian_mode: set pure= and orientation")
     if params.dt is not None:
-        raise ValueError("dpp_sweep ignores params.dt: set substeps")
-    stepper, counts, substep_times = _scheduled(prob, grid, pi, params, substeps)
+        raise ValueError("dpp_sweep ignores params.dt: params.cfl_safety sets the substeps")
+    stepper, counts, substep_times = _scheduled(prob, grid, pi, params)
     label = ("W_pi", "U_pi")[orientation == "upper"]
     mode = "relaxed" if not pure else ("pure_lower" if orientation == "lower" else "pure_upper")
     mu_all, nu_all = [], []

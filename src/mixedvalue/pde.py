@@ -170,12 +170,13 @@ class ValueField:
 class SchemeParams:
     """Parameters of the explicit scheme.
 
-    ``dt=None`` derives the step from the CFL limit.  ``game_tol`` bounds
-    the certified duality gap of every relaxed local game.  :func:`solve`
-    reads every field; :func:`gap_report` all but ``hamiltonian_mode``,
-    which it sets itself;
+    ``dt=None`` derives the step from the CFL limit scaled by
+    ``cfl_safety``.  ``game_tol`` bounds the certified duality gap of every
+    relaxed local game.  :func:`solve` reads every field; :func:`gap_report`
+    all but ``hamiltonian_mode``, which it sets itself;
     ``partition.dpp_sweep`` and ``partition.convergence_study`` only
-    ``game_tol`` and ``cfl_safety`` (the sweep rejects the other two).
+    ``game_tol`` and ``cfl_safety``, which sets the sweep's substep counts
+    (the sweep rejects the other two).
     """
 
     dt: float | None = None

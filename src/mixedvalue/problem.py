@@ -41,13 +41,10 @@ __all__ = [
     "Domain",
     "Bounds",
     "Problem",
-    "FrozenCoefficients",
     "ProblemError",
     "ConditionViolationError",
     "load_problem",
-    "freeze",
     "stack_entries",
-    "catalog_names",
     "CATALOG",
     "value_bound",
     "interior_margin",
@@ -129,19 +126,20 @@ class Bounds:
 
     _FIELDS = ("sup_b", "sup_sigma", "lip_y_f", "sup_f", "lip_phi", "sup_phi", "value_lip")
 
+    def __post_init__(self):
+        # the CFL limit and the a-priori bounds take these as sups and Lipschitz
+        # constants: a negative or non-finite one makes them meaningless
+        for key in self._FIELDS:
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value >= 0):
+                raise ProblemError(f"bound {key} must be finite and non-negative, got {value}")
+
     @classmethod
     def from_mapping(cls, data) -> "Bounds":
         missing = [k for k in cls._FIELDS if k not in data]
         if missing:
             raise ProblemError(f"bounds missing keys: {missing}")
         return cls(**{k: float(data[k]) for k in cls._FIELDS})
-
-
-@dataclass(frozen=True)
-class FrozenCoefficients:
-    b: np.ndarray  # (d,)
-    sigma: np.ndarray  # (d, d)
-    sigma_sigma_t: np.ndarray  # (d, d), symmetric PSD by construction
 
 
 @dataclass(frozen=True)
@@ -561,7 +559,7 @@ def _check_diagonal_dominance(prob: Problem, rng, n: int = 1000) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Frozen coefficient evaluation
+# Stacking coefficient entries
 # ---------------------------------------------------------------------------
 
 
@@ -574,25 +572,6 @@ def stack_entries(entries, shape) -> np.ndarray:
     if isinstance(entries, tuple):
         return np.stack([stack_entries(e, shape) for e in entries], axis=len(shape))
     return np.broadcast_to(entries, shape)
-
-
-def freeze(prob: Problem, t: float, x, u_idx: int, v_idx: int) -> FrozenCoefficients:
-    """Evaluate b, sigma and sigma sigma^T at one (t, x, u, v) point."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.size != prob.d:
-        raise ProblemError(f"state has dimension {x.size}, expected {prob.d}")
-    if not (0 <= u_idx < prob.u_grid.n and 0 <= v_idx < prob.v_grid.n):
-        raise ProblemError(f"control indices ({u_idx}, {v_idx}) out of range")
-    try:
-        b, sig = prob.coefficients(t, x, u_idx, v_idx)
-    except dsl.EvaluationError as exc:
-        raise ProblemError(
-            f"coefficient evaluation failed at t={t}, x={x.tolist()}, "
-            f"u_idx={u_idx}, v_idx={v_idx}: {exc}"
-        ) from exc
-    b = np.array(b, dtype=float)
-    sig = np.array(sig, dtype=float)
-    return FrozenCoefficients(b=b, sigma=sig, sigma_sigma_t=sig @ sig.T)
 
 
 # ---------------------------------------------------------------------------
@@ -673,8 +652,29 @@ CATALOG = {
             "value_lip": 1.0,
         },
     },
+    # uv_drift with phi = x1^2: the relaxed value is x^2 + T - t, the paper's
+    # W^pi(t_j, x) = x^2 + (T - t_j) + sum_{i >= j} delta_i^2, and Monte Carlo
+    # under the uniform (saddle) profile estimates x0^2 + T + sum_j delta_j^2
+    "uv_square": {
+        "name": "uv_square",
+        "d": 1,
+        "T": 1.0,
+        "b": ["u1*v1"],
+        "sigma": [["1"]],
+        "f": "0",
+        "phi": "x1*x1",
+        "U": {"points": [[-1.0], [1.0]]},
+        "V": {"points": [[-1.0], [1.0]]},
+        "domain": {"min": [-7.0], "max": [7.0], "boundary": "clamp"},
+        "condition41_mode": "sigma_uncontrolled",
+        "bounds": {
+            "sup_b": 1.0,
+            "sup_sigma": 1.0,
+            "lip_y_f": 0.0,
+            "sup_f": 0.0,
+            "lip_phi": 14.0,
+            "sup_phi": 49.0,
+            "value_lip": 14.0,
+        },
+    },
 }
-
-
-def catalog_names() -> list[str]:
-    return sorted(CATALOG)

@@ -11,7 +11,7 @@ import pytest
 from mixedvalue import cli, pde
 from mixedvalue import montecarlo as mc
 from mixedvalue.partition import Partition, dpp_sweep
-from mixedvalue.problem import load_problem
+from mixedvalue.problem import CATALOG, load_problem
 
 # d=2 with a t-dependent drift and mixed games; kept tiny for the CSV tests
 BILINEAR_2D = {
@@ -148,6 +148,20 @@ def test_simulate_rejects_profile_off_the_game(tmp_path, capsys, case):
             "--paths", "200", "--profile", str(path), "--out", str(out)]
     assert cli.dispatch(argv) == 2
     assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sup_b", [-5.0, float("nan")], ids=["negative", "nan"])
+def test_solve_pde_rejects_bad_declared_bound(tmp_path, capsys, sup_b):
+    # a problem file is outside input: a bound the CFL limit cannot use is a usage error
+    path = tmp_path / "bad_bound.json"
+    path.write_text(json.dumps({**CATALOG["uv_drift"],
+                                "bounds": {**CATALOG["uv_drift"]["bounds"], "sup_b": sup_b}}),
+                    encoding="utf-8")
+    out = tmp_path / "v.csv"
+    argv = ["solve-pde", "--problem", str(path), "--nx", "21", "--out", str(out)]
+    assert cli.dispatch(argv) == 2
+    assert "error: bound sup_b must be finite and non-negative" in capsys.readouterr().err
     assert not out.exists()
 
 

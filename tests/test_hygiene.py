@@ -214,14 +214,10 @@ def test_bench_entry_points_exist():
         assert attr in owner.__dict__, f"bench traces mixedvalue.{mod_name}.{path}"
 
 
-# Every private function, class or method in the package must be used
-# somewhere other than its own definition, so that code replaced by a new
-# path is deleted rather than kept beside it.
-
-
-def unreferenced_private(sources: dict) -> list:
-    """Private module-level functions and classes, and private methods, named
-    nowhere in ``sources`` (module name -> source) outside their own definition."""
+def unreferenced(sources: dict, wanted, named_elsewhere=frozenset()) -> list:
+    """Module-level functions and classes, and methods, whose name passes
+    ``wanted`` and is named nowhere in ``sources`` (module name -> source)
+    outside its own definition, nor in ``named_elsewhere``."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
     defined = []
     for module, tree in trees.items():
@@ -231,12 +227,12 @@ def unreferenced_private(sources: dict) -> list:
                 members += [(f"{module}.{node.name}.", sub) for sub in node.body]
             for prefix, sub in members:
                 if (isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                        and sub.name.startswith("_") and not sub.name.endswith("__")):
+                        and wanted(sub.name)):
                     defined.append((prefix, sub))
     missing = []
     for prefix, definition in defined:
         inside = {id(sub) for sub in ast.walk(definition)}
-        used = any(
+        used = definition.name in named_elsewhere or any(
             id(sub) not in inside
             and ((isinstance(sub, ast.Name) and sub.id == definition.name)
                  or (isinstance(sub, ast.Attribute) and sub.attr == definition.name))
@@ -244,6 +240,16 @@ def unreferenced_private(sources: dict) -> list:
         if not used:
             missing.append(f"{prefix}{definition.name} (line {definition.lineno})")
     return sorted(missing)
+
+
+# Every private function, class or method in the package must be used
+# somewhere other than its own definition, so that code replaced by a new
+# path is deleted rather than kept beside it.
+
+
+def unreferenced_private(sources: dict) -> list:
+    """Private functions, classes and methods named nowhere outside their definition."""
+    return unreferenced(sources, lambda name: name.startswith("_") and not name.endswith("__"))
 
 
 def test_private_checker_finds_unreferenced_names():
@@ -267,6 +273,62 @@ def test_private_checker_finds_unreferenced_names():
 def test_no_unreferenced_private_code():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     assert unreferenced_private(sources) == []
+
+
+# Every public function, class or method in the package must be named
+# somewhere else in src/ or by the benchmark in bench/, so that an option
+# or helper only the tests reach is deleted.  Imports and __all__ entries
+# are not uses.
+PUBLIC_FOR_READERS = {
+    # the paper states its convergence rate in the mesh |pi| of a partition
+    "partition.Partition.mesh",
+}
+
+
+def unreferenced_public(sources: dict, named_elsewhere=frozenset()) -> list:
+    """Public functions, classes and methods named nowhere outside their
+    definition in ``sources``, nor in ``named_elsewhere``."""
+    return unreferenced(sources, lambda name: not name.startswith("_"), named_elsewhere)
+
+
+def bench_names() -> set:
+    """Names the benchmark uses: in bench/'s code and in every dotted ENTRY_POINTS path."""
+    names = set()
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    for _, dotted, _, _ in bench_tracing().ENTRY_POINTS:
+        names |= set(dotted.split("."))
+    return names
+
+
+def test_public_checker_finds_names_used_only_by_imports_or_tests():
+    sources = {
+        "a": (
+            "__all__ = ['Profile', 'helper', 'dead']\n"
+            "class Profile:\n"
+            "    def uniform(self): return self\n"
+            "    def point_mass(self): return self.point_mass()\n"
+            "    @property\n"
+            "    def mesh(self): return 1\n"
+            "    def __post_init__(self): pass\n"
+            "def helper(): return Profile().uniform()\n"
+            "def traced(): return 0\n"
+            "def dead(): return helper\n"
+        ),
+        "b": "from .a import dead, helper\nx = helper()\n",
+    }
+    assert unreferenced_public(sources, {"traced"}) == [
+        "a.Profile.mesh (line 6)", "a.Profile.point_mass (line 4)", "a.dead (line 10)"]
+
+
+def test_no_public_code_only_tests_reach():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    found = {f.split(" ")[0] for f in unreferenced_public(sources, bench_names())}
+    assert found == PUBLIC_FOR_READERS
 
 
 # Importing the package must not load the standard library's process pools,

@@ -15,7 +15,7 @@ from mixedvalue import dsl
 from mixedvalue import montecarlo as mc
 from mixedvalue.partition import Partition, dpp_sweep
 from mixedvalue.pde import SchemeParams, SpaceGrid
-from mixedvalue.problem import CATALOG, freeze, load_problem
+from mixedvalue.problem import CATALOG, load_problem
 
 import games3
 
@@ -41,6 +41,12 @@ def heat():
 
 
 PI8 = Partition.uniform(1.0, 8)
+
+
+def point_mass(prob, n_subintervals, u_idx, v_idx) -> mc.StrategyProfile:
+    """Open-loop profile playing controls u_idx and v_idx on every subinterval."""
+    return mc.StrategyProfile("openloop", np.eye(prob.u_grid.n)[[u_idx] * n_subintervals],
+                              np.eye(prob.v_grid.n)[[v_idx] * n_subintervals])
 
 
 def skew_2d():
@@ -288,7 +294,7 @@ class TestSimulate:
 
     def test_point_mass_profile_matches_direct_euler(self, uv_cost):
         """Second, independently written simulator as a regression oracle."""
-        prof = mc.StrategyProfile.point_mass(uv_cost, 8, 1, 0)
+        prof = point_mass(uv_cost, 8, 1, 0)
         dev = mc.RandomizationDevice(11)
         ens = mc.simulate(uv_cost, PI8, prof, [0.2], 400, 4, dev)
         assert np.all(ens.u_indices == 1)
@@ -314,9 +320,10 @@ class TestSimulate:
         delta = (pi.times[1] - pi.times[0]) / 1
         dw = mc.RandomizationDevice(8).brownian_normals(0, 0, 300, 1, 2)[:, 0] * math.sqrt(delta)
         for i in range(300):
-            fr = freeze(prob, 0.0, x0, ens.u_indices[i, 0], ens.v_indices[i, 0])
-            sig_dw = fr.sigma[:, 0] * dw[i, 0] + fr.sigma[:, 1] * dw[i, 1]
-            assert np.array_equal(ens.states[i, 1], x0 + fr.b * delta + sig_dw)
+            b, sig = prob.coefficients(0.0, x0, ens.u_indices[i, 0], ens.v_indices[i, 0])
+            b, sig = np.array(b, dtype=float), np.array(sig, dtype=float)
+            sig_dw = sig[:, 0] * dw[i, 0] + sig[:, 1] * dw[i, 1]
+            assert np.array_equal(ens.states[i, 1], x0 + b * delta + sig_dw)
 
     def test_feedback_draws_follow_partition_time_states(self):
         # each player's point mass depends on the cell of the state kept at
@@ -856,6 +863,19 @@ class TestEstimate:
             assert (got.mean.hex(), got.std_error.hex(), got.n_paths) == \
                 (want.mean.hex(), want.std_error.hex(), want.n_paths), n
 
+    @pytest.mark.parametrize("x0", [0.0, 0.7])
+    @pytest.mark.parametrize("times", [np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 17),
+                                       np.array([0.0, 0.1, 0.35, 0.5, 0.9, 1.0])],
+                             ids=["n4", "n16", "nonuniform"])
+    def test_uv_square_uniform_profile_closed_form(self, times, x0):
+        # held u v = +-1 with equal weights: X_T = x0 + sum_j (u v)_j delta_j + B_T,
+        # so E[X_T^2] = x0^2 + T + sum_j delta_j^2, and Euler is exact here
+        prob, pi = load_problem("uv_square"), Partition(times)
+        est = mc.estimate(prob, pi, mc.StrategyProfile.uniform(prob, pi.n), [x0], 50_000, 4,
+                          mc.RandomizationDevice(11))
+        exact = x0 * x0 + prob.T + float(np.sum(np.diff(times) ** 2))
+        assert abs(est.mean - exact) <= 4 * est.std_error
+
     def test_first_path_continues_the_streams(self, monkeypatch):
         prob, pi, prof, x0, substeps = TestChunking().feedback_1d()
         monkeypatch.setattr(mc, "_CHUNK_PATHS", 7)
@@ -1045,7 +1065,7 @@ class TestExploit:
         prob = load_problem(BILINEAR_DRIFT_2D)
         pi = Partition.uniform(prob.T, 4)
         prof = (mc.StrategyProfile.uniform(prob, 4) if profile == "uniform"
-                else mc.StrategyProfile.point_mass(prob, 4, 0, 1))
+                else point_mass(prob, 4, 0, 1))
         res = mc.exploit(prob, pi, fixed_side, prof, [0.3, -0.2], 200,
                          mc.RandomizationDevice(1))
         assert res.gain >= -1e-12

@@ -5,12 +5,7 @@ import numpy as np
 import pytest
 
 from mixedvalue import montecarlo as mc, partition, pde
-from mixedvalue.partition import (
-    MeshTooCoarseError,
-    Partition,
-    convergence_study,
-    dpp_sweep,
-)
+from mixedvalue.partition import Partition, convergence_study, dpp_sweep
 from mixedvalue.pde import SchemeParams, SpaceGrid, cfl_limit, solve
 from mixedvalue.problem import CATALOG, load_problem
 
@@ -75,6 +70,11 @@ class TestPartition:
         assert pi.mesh == pytest.approx(0.5)
 
 
+def substep_params(prob, grid, delta, substeps) -> SchemeParams:
+    """Params whose CFL rule divides a subinterval of length ``delta`` into ``substeps``."""
+    return SchemeParams(cfl_safety=delta / (substeps * cfl_limit(prob, grid)))
+
+
 class TestLocalOdeStep:
     # a constant terminal cost and no drift keep every level flat, so p = A = 0
     # and each node integrates dW/ds = -F0(s, x, W, 0) on its own
@@ -84,16 +84,18 @@ class TestLocalOdeStep:
         grid = SpaceGrid.for_problem(uv_cost, 5)
         pi = Partition.uniform(1.0, 4)
         for substeps in (1, 3, 10):
-            res = dpp_sweep(uv_cost, grid, pi, SchemeParams(), "lower", pure=True,
-                            substeps=substeps)
+            res = dpp_sweep(uv_cost, grid, pi, substep_params(uv_cost, grid, 0.25, substeps),
+                            "lower", pure=True)
+            assert res.substep_counts == (substeps,) * 4
             assert res.levels[1].values == pytest.approx(-0.25, abs=1e-15)
             for fld in res.levels:
                 assert fld.values == pytest.approx(fld.t - 1.0, abs=1e-14)
 
     def test_relaxed_value_zero(self, uv_cost):
         grid = SpaceGrid.for_problem(uv_cost, 5)
-        res = dpp_sweep(uv_cost, grid, Partition.uniform(1.0, 4), SchemeParams(), "lower",
-                        substeps=1)
+        res = dpp_sweep(uv_cost, grid, Partition.uniform(1.0, 4),
+                        substep_params(uv_cost, grid, 0.25, 1), "lower")
+        assert res.substep_counts == (1,) * 4
         for fld in res.levels:
             assert fld.values == pytest.approx(0.0, abs=1e-12)
 
@@ -102,8 +104,9 @@ class TestLocalOdeStep:
         prob = variant("uv_running_cost", name="pure_y", f="0-y",
                        bounds={"lip_y_f": 1.0, "sup_f": 0.0})
         grid = SpaceGrid.for_problem(prob, 5)
-        res = dpp_sweep(prob, grid, Partition.uniform(1.0, 2), SchemeParams(), "lower",
-                        substeps=8)
+        res = dpp_sweep(prob, grid, Partition.uniform(1.0, 2), substep_params(prob, grid, 0.5, 8),
+                        "lower")
+        assert res.substep_counts == (8,) * 2
         for fld in res.levels:
             assert np.all(fld.values == 0.0)
 
@@ -117,8 +120,9 @@ class TestLocalOdeStep:
         delta = 0.5
         results = {}
         for substeps in (1, 2, 4, 8, 16):
-            level = dpp_sweep(prob, grid, pi, SchemeParams(), "lower",
-                              substeps=substeps).levels[1]
+            res = dpp_sweep(prob, grid, pi, substep_params(prob, grid, delta, substeps), "lower")
+            assert res.substep_counts == (substeps,) * 2
+            level = res.levels[1]
             assert level.t == 0.5 and np.ptp(level.values) == 0.0
             results[substeps] = level.values[0]
         c = 2.0  # generous constant for f with Lip_y = 1 and |f| <= 2
@@ -146,14 +150,15 @@ class TestDppSweep:
         assert dpp_sweep(uv_cost, grid, pi, SchemeParams(), "upper").field_at_0.label == "U_pi"
 
     def test_control_free_sweep_equals_pde_solve_bitwise(self, heat):
+        # the sweep's own substep rule puts its substeps on the solve's steps
         grid = SpaceGrid.for_problem(heat, 101)
         limit = 0.9 * cfl_limit(heat, grid)
-        n = 8
-        n_fine = n * max(1, math.ceil(1.0 / (n * limit) - 1e-12))
-        levels = solve(heat, grid, SchemeParams(dt=1.0 / n_fine))
-        res = dpp_sweep(heat, grid, Partition.uniform(1.0, n), SchemeParams(),
-                        "lower", substeps=n_fine // n)
-        assert np.array_equal(res.field_at_0.values, levels[-1].values)
+        for n in (1, 3, 8, 16):
+            n_fine = n * max(1, math.ceil(1.0 / (n * limit) - 1e-12))
+            levels = solve(heat, grid, SchemeParams(dt=1.0 / n_fine))
+            res = dpp_sweep(heat, grid, Partition.uniform(1.0, n), SchemeParams(), "lower")
+            assert res.substep_counts == (n_fine // n,) * n
+            assert np.array_equal(res.field_at_0.values, levels[-1].values)
 
     def test_pure_sweeps_reach_isaacs_envelopes(self, uv_cost):
         grid = SpaceGrid.for_problem(uv_cost, 101)
@@ -172,19 +177,6 @@ class TestDppSweep:
         for fld in res.levels:
             assert np.max(np.abs(fld.values)) <= bound * 1.1
 
-    def test_mesh_too_coarse(self, heat):
-        grid = SpaceGrid.for_problem(heat, 201)
-        pi = Partition.uniform(1.0, 2)
-        with pytest.raises(MeshTooCoarseError):
-            dpp_sweep(heat, grid, pi, SchemeParams(), "lower", substeps=1)
-
-    @pytest.mark.parametrize("substeps", [0, [1, 0]])
-    def test_rejects_substeps_below_one(self, heat, substeps):
-        grid = SpaceGrid.for_problem(heat, 5)
-        with pytest.raises(ValueError, match="substeps must be >= 1"):
-            dpp_sweep(heat, grid, Partition.uniform(1.0, 2), SchemeParams(), "lower",
-                      substeps=substeps)
-
     @pytest.mark.parametrize("params,field", [
         (SchemeParams(hamiltonian_mode="pure_lower"), "hamiltonian_mode.*pure="),
         (SchemeParams(hamiltonian_mode="pure_upper"), "hamiltonian_mode.*orientation"),
@@ -192,7 +184,7 @@ class TestDppSweep:
     ])
     def test_rejects_params_it_would_ignore(self, uv_cost, params, field):
         # the sweep's local games come from pure= and orientation, its step
-        # from substeps: a mode or dt in params must not pass silently
+        # from cfl_safety: a mode or dt in params must not pass silently
         grid = SpaceGrid.for_problem(uv_cost, 11)
         with pytest.raises(ValueError, match=field):
             dpp_sweep(uv_cost, grid, Partition.uniform(1.0, 2), params, "lower")

@@ -161,6 +161,20 @@ class TestSolve:
         dev = np.max(np.abs(levels[-1].values - grid.axes[0])[mask])
         assert dev <= 1e-4
 
+    def test_uv_square_relaxed_value_closed_form(self):
+        # the relaxed game is [[a, b], [b, a]] with value (a + b) / 2, so the
+        # upwind scheme adds h/2 V_xx = h per unit time to V = x^2 + T - t:
+        # V_h = x^2 + (1 + h)(T - t) exactly on the window the boundary misses
+        prob = load_problem("uv_square")
+        grid = SpaceGrid.for_problem(prob, 41)
+        x, h = grid.axes[0], grid.h[0]
+        mask = window_mask(prob, grid)
+        levels = solve(prob, grid, SchemeParams())
+        assert len(levels) > 2
+        for fld in levels:
+            exact = x * x + (1.0 + h) * (prob.T - fld.t)
+            assert np.max(np.abs(fld.values - exact)[mask]) <= 1e-12, fld.t
+
     def test_terminal_condition(self, heat):
         grid = SpaceGrid.for_problem(heat, 101)
         levels = solve(heat, grid, SchemeParams())

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,12 +8,11 @@ import pytest
 from mixedvalue import dsl
 from mixedvalue.problem import (
     CATALOG,
+    Bounds,
     ConditionViolationError,
     ControlGrid,
     Domain,
     ProblemError,
-    catalog_names,
-    freeze,
     interior_margin,
     interior_window,
     load_problem,
@@ -34,9 +34,9 @@ def cfg_variant(base_name, **overrides):
 
 class TestCatalog:
     def test_names(self):
-        assert catalog_names() == ["heat_cosine", "uv_drift", "uv_running_cost"]
+        assert sorted(CATALOG) == ["heat_cosine", "uv_drift", "uv_running_cost", "uv_square"]
 
-    @pytest.mark.parametrize("name", ["uv_running_cost", "heat_cosine", "uv_drift"])
+    @pytest.mark.parametrize("name", ["uv_running_cost", "heat_cosine", "uv_drift", "uv_square"])
     def test_every_catalog_problem_loads(self, name):
         prob = load_problem(name)
         assert prob.name == name
@@ -209,71 +209,46 @@ class TestValidationChecks:
         assert prob.d == 2
 
 
+def point_coefficients(prob, t, x, iu, iv) -> tuple:
+    """(b, sigma) as (d,) and (d, d) arrays at one (t, x, u, v) point."""
+    b, sig = prob.coefficients(t, np.atleast_1d(np.asarray(x, dtype=float)), iu, iv)
+    return np.array(b, dtype=float), np.array(sig, dtype=float)
+
+
 class TestFreeze:
+    # coefficients with the state and both controls frozen at one point
     def test_uv_running_cost_constant_coefficients(self):
         prob = load_problem("uv_running_cost")
-        fr = freeze(prob, 0.3, [0.7], 0, 1)
-        assert fr.b.tolist() == [0.0]
-        assert fr.sigma.tolist() == [[1.0]]
-        assert fr.sigma_sigma_t.tolist() == [[1.0]]
+        b, sig = point_coefficients(prob, 0.3, [0.7], 0, 1)
+        assert b.tolist() == [0.0]
+        assert sig.tolist() == [[1.0]]
 
     def test_uv_drift_sign(self):
         prob = load_problem("uv_drift")
         # u=+1 (index 1), v=-1 (index 0): b = -1
-        fr = freeze(prob, 0.0, [0.0], 1, 0)
-        assert fr.b.tolist() == [-1.0]
+        b, _ = point_coefficients(prob, 0.0, [0.0], 1, 0)
+        assert b.tolist() == [-1.0]
 
     def test_matches_direct_evaluation(self):
-        from mixedvalue import dsl
-
         prob = load_problem("uv_drift")
         rng = np.random.default_rng(0)
         for _ in range(20):
             t = rng.uniform(0, 1)
             x = rng.uniform(-7, 7, 1)
             iu, iv = rng.integers(0, 2, 2)
-            fr = freeze(prob, t, x, iu, iv)
+            b, sig = point_coefficients(prob, t, x, iu, iv)
             bnd = {"t": t, "x1": x[0], "u1": prob.u_grid.points[iu, 0],
                    "v1": prob.v_grid.points[iv, 0]}
-            assert fr.b[0] == dsl.evaluate(prob.b[0], bnd)
-            assert fr.sigma[0, 0] == dsl.evaluate(prob.sigma[0][0], bnd)
+            assert b[0] == dsl.evaluate(prob.b[0], bnd)
+            assert sig[0, 0] == dsl.evaluate(prob.sigma[0][0], bnd)
 
     def test_sigma_uncontrolled_freeze_is_control_independent(self):
         prob = load_problem("uv_running_cost")
-        base = freeze(prob, 0.5, [1.0], 0, 0)
+        _, base = point_coefficients(prob, 0.5, [1.0], 0, 0)
         for iu in range(2):
             for iv in range(2):
-                fr = freeze(prob, 0.5, [1.0], iu, iv)
-                assert np.array_equal(fr.sigma, base.sigma)
-                assert np.array_equal(fr.sigma_sigma_t, base.sigma_sigma_t)
-
-    def test_sigma_sigma_t_symmetric_psd(self):
-        cfg = {
-            "name": "skew2d",
-            "d": 2,
-            "T": 1.0,
-            "b": ["0", "0"],
-            "sigma": [["1", "0.3"], ["0.1", "0.8"]],
-            "f": "0",
-            "phi": "0",
-            "U": {"points": [[0.0]]},
-            "V": {"points": [[0.0]]},
-            "domain": {"min": [-1.0, -1.0], "max": [1.0, 1.0]},
-            "condition41_mode": "sigma_uncontrolled",
-            "bounds": {
-                "sup_b": 0.0, "sup_sigma": 1.1, "lip_y_f": 0.0, "sup_f": 0.0,
-                "lip_phi": 0.0, "sup_phi": 0.0, "value_lip": 0.0,
-            },
-        }
-        fr = freeze(load_problem(cfg), 0.0, [0.0, 0.0], 0, 0)
-        a = fr.sigma_sigma_t
-        assert np.array_equal(a, a.T)
-        assert np.all(np.linalg.eigvalsh(a) >= -1e-12)
-
-    def test_bad_indices(self):
-        prob = load_problem("uv_running_cost")
-        with pytest.raises(ProblemError):
-            freeze(prob, 0.0, [0.0], 2, 0)
+                _, sig = point_coefficients(prob, 0.5, [1.0], iu, iv)
+                assert np.array_equal(sig, base)
 
 
 # d=2 with skew, state- and control-dependent sigma and a y/z-dependent f
@@ -309,8 +284,8 @@ def point_bindings(prob, t, x, iu, iv, y, z):
 
 
 class TestEvaluator:
-    @pytest.mark.parametrize("source", catalog_names() + [SKEW_2D],
-                             ids=catalog_names() + ["skew_controlled_2d"])
+    @pytest.mark.parametrize("source", sorted(CATALOG) + [SKEW_2D],
+                             ids=sorted(CATALOG) + ["skew_controlled_2d"])
     def test_broadcast_matches_per_point(self, source):
         prob = load_problem(source)
         m, k, d, n = prob.u_grid.n, prob.v_grid.n, prob.d, 6
@@ -333,11 +308,11 @@ class TestEvaluator:
             assert phi[i, 0, 0] == dsl.evaluate(prob.phi, bnd_x)
             for a in range(m):
                 for c in range(k):
-                    fr = freeze(prob, ti, xi, a, c)
-                    assert np.array_equal(b[i, a, c], fr.b)
-                    assert np.array_equal(sig[i, a, c], fr.sigma)
-                    direct = dsl.evaluate(prob.f, point_bindings(prob, ti, xi, a, c, yi, zi))
-                    assert f[i, a, c] == direct
+                    bnd = point_bindings(prob, ti, xi, a, c, yi, zi)
+                    assert b[i, a, c].tolist() == [dsl.evaluate(e, bnd) for e in prob.b]
+                    assert sig[i, a, c].tolist() == [[dsl.evaluate(e, bnd) for e in row]
+                                                     for row in prob.sigma]
+                    assert f[i, a, c] == dsl.evaluate(prob.f, bnd)
 
     def test_entries_keep_their_own_shape(self):
         prob = load_problem("uv_drift")
@@ -376,6 +351,19 @@ class TestDerivedQuantities:
 
     def test_time_modulus_bound(self):
         assert time_modulus_bound(load_problem("heat_cosine")) == pytest.approx(4.0)
+
+
+class TestBounds:
+    # cfl_limit and value_bound read the bounds as sups and Lipschitz constants:
+    # a negative sup_b once made cfl_limit inf and let solve take one
+    # non-monotone step of dt = T, and a nan one failed later as a bad dt
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
+    @pytest.mark.parametrize("key", sorted(CATALOG["uv_drift"]["bounds"]))
+    def test_rejects_negative_or_non_finite(self, key, value):
+        with pytest.raises(ProblemError, match=f"bound {key} must be finite and non-negative"):
+            load_problem(cfg_variant("uv_drift", bounds={key: value}))
+        with pytest.raises(ProblemError, match=f"bound {key} "):
+            Bounds(**dict(CATALOG["uv_drift"]["bounds"], **{key: value}))
 
 
 class TestTypes:
