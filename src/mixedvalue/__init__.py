@@ -5,20 +5,12 @@ function: a monotone finite-difference solve of the relaxed HJBI equation,
 a partition-indexed backward dynamic-programming sweep producing lower and
 upper values, and Monte Carlo simulation of per-subinterval randomized
 controls.  The routes live in ``pde``, ``partition`` and ``montecarlo``;
-the package namespace holds the matrix-game solvers, the pointwise
-Hamiltonian matrix and problem loading.
+the local matrix games are solved in ``games``.  The package namespace
+holds the pointwise Hamiltonian matrix and problem loading.
 """
 
 __version__ = "0.1.0"
 
-from .games import (
-    GameSolution,
-    MixedStrategy,
-    PayoffMatrix,
-    best_response_value,
-    pure_minimax,
-    solve_game,
-)
 from .hamiltonian import HamiltonianPoint, payoff_matrix
 from .problem import (
     CATALOG,
@@ -32,12 +24,6 @@ from .problem import (
 
 __all__ = [
     "__version__",
-    "PayoffMatrix",
-    "MixedStrategy",
-    "GameSolution",
-    "solve_game",
-    "pure_minimax",
-    "best_response_value",
     "HamiltonianPoint",
     "payoff_matrix",
     "Problem",

@@ -26,7 +26,7 @@ import time
 import numpy as np
 
 from . import __version__, dsl, montecarlo as mc, pde
-from .games import GameError, PayoffMatrix, pure_minimax, solve_game
+from .games import GameError, pure_envelope, solve_games
 from .hamiltonian import HamiltonianPoint, payoff_matrix
 from .partition import Partition, convergence_study, dpp_sweep
 from .problem import ProblemError, load_problem
@@ -102,16 +102,15 @@ def _write_level_csv(path: str, header, runs, grid) -> None:
 
 
 def _cmd_game(args, argv, started):
-    ent = np.loadtxt(args.matrix, delimiter=",", ndmin=2)
-    sol = solve_game(PayoffMatrix(ent), tol=args.tol)
-    lower, upper = pure_minimax(PayoffMatrix(ent))
+    ent = np.loadtxt(args.matrix, delimiter=",", ndmin=2)[:, :, None]
+    sol = solve_games(ent, tol=args.tol)  # first: it rejects malformed matrices
     payload = {
-        "value": sol.value,
-        "mu_star": sol.mu_star.weights.tolist(),
-        "nu_star": sol.nu_star.weights.tolist(),
-        "duality_gap": sol.duality_gap,
-        "pure_lower": lower,
-        "pure_upper": upper,
+        "value": float(sol.value[0]),
+        "mu_star": sol.mu[0].tolist(),
+        "nu_star": sol.nu[0].tolist(),
+        "duality_gap": float(sol.gap[0]),
+        "pure_lower": float(pure_envelope(ent, upper=False)[0]),
+        "pure_upper": float(pure_envelope(ent, upper=True)[0]),
     }
     text = json.dumps(payload, indent=2) + "\n"
     if args.out:
@@ -129,14 +128,15 @@ def _cmd_hamiltonian(args, argv, started):
         raise ProblemError("the hamiltonian sweep command supports d=1 problems only")
     p_vals = np.linspace(args.p_min, args.p_max, args.n_p)
     a_vals = np.linspace(args.a_min, args.a_max, args.n_a)
-    rows = []
-    for p in p_vals:
-        for a in a_vals:
-            pt = HamiltonianPoint(t=args.t, x=[args.x], y=args.y, p=[p], A=[[a]])
-            mat = payoff_matrix(pt, prob)
-            h_minus, h_plus = pure_minimax(mat)
-            sol = solve_game(mat, tol=args.tol)
-            rows.append((args.t, args.x, p, a, h_minus, h_plus, sol.value, sol.duality_gap))
+    points = [(p, a) for p in p_vals for a in a_vals]
+    ent = np.empty((prob.u_grid.n, prob.v_grid.n, len(points)))
+    for j, (p, a) in enumerate(points):
+        pt = HamiltonianPoint(t=args.t, x=[args.x], y=args.y, p=[p], A=[[a]])
+        ent[:, :, j] = payoff_matrix(pt, prob)
+    sol = solve_games(ent, tol=args.tol)
+    lower, upper = (pure_envelope(ent, upper=side).tolist() for side in (False, True))
+    rows = [(args.t, args.x, p, a, lo, up, v, gap) for (p, a), lo, up, v, gap
+            in zip(points, lower, upper, sol.value.tolist(), sol.gap.tolist())]
     _write_csv(args.out, ["t", "x", "p", "A", "h_minus", "h_plus", "h_relaxed", "gap"], rows)
     _write_manifest(args.out, "hamiltonian", argv, {
         "problem": args.problem, "t": args.t, "x": args.x, "y": args.y,

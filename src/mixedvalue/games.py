@@ -4,9 +4,12 @@ This is the computational heart of the relaxed Hamiltonian: the sup over
 probability measures on the first control grid against the inf over
 measures on the second reduces, for a bilinear payoff, to a finite matrix
 game.  :func:`solve_games` solves a whole batch of such games at once, one
-per grid node.  Every matrix game has an optimal pair supported on a
-square kernel M_S (Shapley & Snow 1950, *Basic solutions of discrete
-games*), and with A = adj(M_S) and s = 1^T A 1 != 0
+per grid node, and is the package's one solver of mixed games;
+:func:`pure_envelope` gives a batch's pure sup-inf or inf-sup envelope,
+which the Isaacs gap is measured against.  Every matrix game has an
+optimal pair supported on a square kernel M_S (Shapley & Snow 1950,
+*Basic solutions of discrete games*), and with A = adj(M_S) and
+s = 1^T A 1 != 0
 
     v = det(M_S) / s,    nu_S = A 1 / s,    mu_S = 1^T A / s.
 
@@ -37,7 +40,6 @@ minimizing player, entries are payoffs to the maximizer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from typing import NamedTuple
@@ -45,15 +47,10 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
-    "PayoffMatrix",
-    "MixedStrategy",
-    "GameSolution",
     "GameError",
-    "solve_game",
     "solve_games",
     "GameBatch",
-    "pure_minimax",
-    "best_response_value",
+    "pure_envelope",
 ]
 
 
@@ -63,88 +60,6 @@ class GameError(ValueError):
     def __init__(self, message: str, node: int | None = None):
         super().__init__(message)
         self.node = node
-
-
-@dataclass(frozen=True)
-class PayoffMatrix:
-    """m x k payoff matrix to the (row) maximizer."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        ent = np.asarray(self.entries, dtype=float)
-        if ent.ndim != 2 or ent.shape[0] < 1 or ent.shape[1] < 1:
-            raise GameError(f"payoff matrix must be 2-d and non-empty, got shape {ent.shape}")
-        if not np.all(np.isfinite(ent)):
-            raise GameError("payoff matrix has non-finite entries")
-        ent = ent.copy()
-        ent.flags.writeable = False
-        object.__setattr__(self, "entries", ent)
-
-    @property
-    def m(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.entries.shape[1]
-
-
-@dataclass(frozen=True)
-class MixedStrategy:
-    """Probability vector over a finite control grid."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or w.size < 1:
-            raise GameError("strategy weights must form a non-empty vector")
-        if np.any(w < -1e-12) or not np.all(np.isfinite(w)):
-            raise GameError("strategy weights must be nonnegative and finite")
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise GameError(f"strategy weights must sum to 1, got {w.sum()!r}")
-        w = np.maximum(w, 0.0)
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
-
-    def __len__(self) -> int:
-        return self.weights.size
-
-
-@dataclass(frozen=True)
-class GameSolution:
-    value: float
-    mu_star: MixedStrategy
-    nu_star: MixedStrategy
-    duality_gap: float
-
-
-def pure_minimax(matrix: PayoffMatrix) -> tuple[float, float]:
-    """Pure-strategy bounds: (max-min over rows, min-max over columns)."""
-    ent = matrix.entries
-    lower = float(ent.min(axis=1).max())
-    upper = float(ent.max(axis=0).min())
-    return lower, upper
-
-
-def best_response_value(matrix: PayoffMatrix, strategy: MixedStrategy, side: str) -> float:
-    """Value of the best pure response against ``strategy``.
-
-    ``side="row"``: the row player responds to a column strategy (max);
-    ``side="col"``: the column player responds to a row strategy (min).
-    """
-    ent = matrix.entries
-    w = strategy.weights
-    if side == "row":
-        if len(w) != matrix.k:
-            raise GameError(f"expected column strategy of length {matrix.k}, got {len(w)}")
-        return float((ent @ w).max())
-    if side == "col":
-        if len(w) != matrix.m:
-            raise GameError(f"expected row strategy of length {matrix.m}, got {len(w)}")
-        return float((w @ ent).min())
-    raise GameError(f"side must be 'row' or 'col', got {side!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +358,9 @@ def solve_games(ent: np.ndarray, tol: float = 1e-9, hint: np.ndarray | None = No
     kernel.  Games that no kernel certifies are solved by the simplex,
     which raises :class:`GameError` (with ``node`` set) if it cannot
     certify them either.  A batch with a non-finite entry raises
-    :class:`GameError` naming the first such game and entry.
+    :class:`GameError` naming the first such game and entry, and so does a
+    game whose returned mu or nu is not a probability vector: finite,
+    >= 0 and summing to 1 within 1e-12.
     """
     if tol <= 0:
         raise GameError("tol must be positive")
@@ -493,16 +410,39 @@ def solve_games(ent: np.ndarray, tol: float = 1e-9, hint: np.ndarray | None = No
             out.value[j], out.mu[j], out.nu[j], out.gap[j] = _solve_entries(ent[:, :, j], tol)
         except GameError as err:
             raise GameError(str(err), node=int(j)) from err
+    for name, w in (("mu", out.mu), ("nu", out.nu)):
+        # NaN fails both tests, and an infinite weight makes its sum inf or NaN;
+        # the whole batch is tested first, which costs half as much
+        dev = np.abs(w.sum(axis=1) - 1.0)
+        if not (w.min(initial=0.0) >= _WEIGHT_FLOOR and dev.max(initial=0.0) <= 1e-12):
+            j = int(np.argmin((w.min(axis=1) >= _WEIGHT_FLOOR) & (dev <= 1e-12)))
+            raise GameError(f"{name} of game {j} is not a probability vector: {w[j].tolist()}",
+                            node=j)
     return out
 
 
-def solve_game(matrix: PayoffMatrix, tol: float = 1e-9) -> GameSolution:
-    """Mixed-strategy saddle point of a zero-sum matrix game.
+def pure_envelope(ent: np.ndarray, upper: bool) -> np.ndarray:
+    """Pure sup-inf (lower) or inf-sup (``upper``) envelope of the games ent[:, :, j].
 
-    Returns value, optimal strategies for both players and the duality gap
-    measured through pure best responses: :func:`solve_games` on a batch
-    of one.  With equal inputs the output is bitwise reproducible.
+    ``ent`` is (m, k, n), or (m, k, *nodes) with any node axes; the result
+    is (n,), or the nodes' shape.  The lower envelope is the max over rows
+    of the min over columns, the upper one the min over columns of the max
+    over rows, each folded in index order with np.minimum and np.maximum,
+    so a tie between 0.0 and -0.0 resolves the same way in every batch.
+    Entries are not checked: :func:`solve_games` checks them.
     """
-    batch = solve_games(matrix.entries[:, :, None], tol)
-    return GameSolution(float(batch.value[0]), MixedStrategy(batch.mu[0]),
-                        MixedStrategy(batch.nu[0]), float(batch.gap[0]))
+    if upper:
+        acc = np.copy(ent[0])  # (k, n): the max over rows, column by column
+        for row in ent[1:]:
+            np.maximum(acc, row, out=acc)
+        reduce = np.minimum
+    else:
+        acc = np.copy(ent[:, 0])  # (m, n): the min over columns, row by row
+        for iv in range(1, ent.shape[1]):
+            np.minimum(acc, ent[:, iv], out=acc)
+        reduce = np.maximum
+    vals = acc[0]
+    for line in acc[1:]:
+        reduce(vals, line, out=vals)
+    return vals
+

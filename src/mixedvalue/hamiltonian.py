@@ -7,11 +7,12 @@ argument, the per-control generator value is
         + f(t, x, y, p.sigma(t,x,u,v), u, v).
 
 :func:`payoff_matrix` tabulates it over the control grids.  The pure
-Hamiltonians are its sup-inf / inf-sup envelopes (``games.pure_minimax``);
+Hamiltonians are its sup-inf / inf-sup envelopes (``games.pure_envelope``);
 the relaxed Hamiltonian is its value as a matrix game over mixed
-strategies (``games.solve_game``), whose sup-inf and inf-sup coincide
-(bilinearity), which is what the duality gap reports.  A is always
-supplied by the caller; this module never differentiates.
+strategies (``games.solve_games``), whose sup-inf and inf-sup coincide
+(bilinearity), which is what the duality gap reports.  Both take a stack
+of matrices, one per point.  A is always supplied by the caller; this
+module never differentiates.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import PayoffMatrix
 from .problem import Problem, stack_entries
 
 __all__ = [
@@ -59,8 +59,8 @@ class HamiltonianPoint:
         object.__setattr__(self, "A", A)
 
 
-def payoff_matrix(pt: HamiltonianPoint, prob: Problem) -> PayoffMatrix:
-    """Matrix of generator values over the control grids.
+def payoff_matrix(pt: HamiltonianPoint, prob: Problem) -> np.ndarray:
+    """Matrix (m, k) of generator values over the control grids.
 
     The bilinear extension to mixed strategies (mu, nu) is exactly
     mu^T M nu, so matrix-game machinery applies directly.
@@ -73,4 +73,4 @@ def payoff_matrix(pt: HamiltonianPoint, prob: Problem) -> PayoffMatrix:
     z = pt.p @ sig
     fval = prob.running_cost(pt.t, pt.x, iu, iv, pt.y, z)
     trace = np.trace(sig @ np.swapaxes(sig, -1, -2) @ pt.A, axis1=-2, axis2=-1)
-    return PayoffMatrix(0.5 * trace + np.dot(b, pt.p) + fval)
+    return 0.5 * trace + np.dot(b, pt.p) + fval

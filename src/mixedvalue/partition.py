@@ -154,9 +154,9 @@ def dpp_sweep(prob: Problem, grid: SpaceGrid, pi: Partition, params: SchemeParam
               record_strategies: bool = False) -> SweepResult:
     """Backward induction over the partition.
 
-    ``orientation="lower"`` labels the result W_pi and ``"upper"`` labels
-    it U_pi.  Both solve every local game as one mixed saddle, so the two
-    relaxed sweeps are bitwise equal.  With ``pure=True`` the per-node
+    ``orientation`` ("lower" or "upper") matters only with ``pure=True``:
+    a relaxed sweep solves every local game as one mixed saddle, so its
+    lower and upper sweeps are bitwise equal.  With ``pure=True`` the per-node
     strategies are the pure sup-inf (lower) or inf-sup (upper) envelope
     selections instead (no mixing), which exhibits the Isaacs gap.
 
@@ -173,7 +173,6 @@ def dpp_sweep(prob: Problem, grid: SpaceGrid, pi: Partition, params: SchemeParam
     if params.dt is not None:
         raise ValueError("dpp_sweep ignores params.dt: params.cfl_safety sets the substeps")
     stepper, counts, substep_times = _scheduled(prob, grid, pi, params)
-    label = ("W_pi", "U_pi")[orientation == "upper"]
     mode = "relaxed" if not pure else ("pure_lower" if orientation == "lower" else "pure_upper")
     mu_all, nu_all = [], []
 
@@ -184,9 +183,9 @@ def dpp_sweep(prob: Problem, grid: SpaceGrid, pi: Partition, params: SchemeParam
             nu_all.append(nu)
         return mu, nu
 
-    levels = [terminal_field(prob, grid, label)]
+    levels = [terminal_field(prob, grid)]
     for j, values in _march(stepper, levels[0].values, substep_times, local_games):
-        fld = ValueField._adopt(pi.times[j], values, label)
+        fld = ValueField._adopt(pi.times[j], values)
         fld.check_bound(prob)
         levels.append(fld)
     # recorded in forward time order: entry j covers [t_j, t_{j+1})

@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .games import GameError, solve_games
+from .games import GameError, pure_envelope, solve_games
 from .problem import Problem, interior_window, value_bound
 
 __all__ = [
@@ -59,11 +59,7 @@ __all__ = [
 
 _TIME = frozenset(("t",))
 
-_MODE_LABELS = {
-    "relaxed": "V_mixed",
-    "pure_lower": "V_lower_pure",
-    "pure_upper": "V_upper_pure",
-}
+_MODES = ("relaxed", "pure_lower", "pure_upper")
 
 
 class CflViolationError(ValueError):
@@ -128,11 +124,10 @@ class SpaceGrid:
 
 @dataclass(frozen=True)
 class ValueField:
-    """Values of one labeled value function on the grid at one time."""
+    """Values of a value function on the grid at one time."""
 
     t: float
     values: np.ndarray
-    label: str = "V_mixed"
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -144,7 +139,7 @@ class ValueField:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def _adopt(cls, t: float, values: np.ndarray, label: str) -> "ValueField":
+    def _adopt(cls, t: float, values: np.ndarray) -> "ValueField":
         """A field owning ``values``, a fresh finite array from :meth:`Stepper._finish`.
 
         It is made read-only in place, without the copy and the scan of the
@@ -152,8 +147,8 @@ class ValueField:
         """
         values.flags.writeable = False
         field = object.__new__(cls)
-        for name, value in (("t", t), ("values", values), ("label", label)):
-            object.__setattr__(field, name, value)
+        object.__setattr__(field, "t", t)
+        object.__setattr__(field, "values", values)
         return field
 
     def check_bound(self, prob: Problem) -> None:
@@ -185,7 +180,7 @@ class SchemeParams:
     cfl_safety: float = 0.9
 
     def __post_init__(self):
-        if self.hamiltonian_mode not in _MODE_LABELS:
+        if self.hamiltonian_mode not in _MODES:
             raise ValueError(f"unknown hamiltonian_mode {self.hamiltonian_mode!r}")
         if not (0 < self.cfl_safety <= 1):
             raise ValueError("cfl_safety must lie in (0, 1]")
@@ -207,10 +202,10 @@ def cfl_limit(prob: Problem, grid: SpaceGrid) -> float:
     return 1.0 / denom
 
 
-def terminal_field(prob: Problem, grid: SpaceGrid, label: str = "V_mixed") -> ValueField:
+def terminal_field(prob: Problem, grid: SpaceGrid) -> ValueField:
     x = np.stack(grid.meshes(), axis=-1)
     vals = np.broadcast_to(np.asarray(prob.terminal_cost(x), dtype=float), grid.shape)
-    return ValueField(t=prob.T, values=np.array(vals), label=label)
+    return ValueField(t=prob.T, values=np.array(vals))
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +306,8 @@ class Stepper:
     when b and sigma are free of x), so a level only looks up its row.  A
     time that was not scheduled is a block of one, evaluated at each call.
     An f that names y or z is evaluated at every call, with the level and
-    its upwind gradient, the pattern's drift rows applied to S.  The local
-    games of a level are solved in one batch, each node starting from the
-    kernel that certified it on the previous call; a 1x1 game, whose value
-    is its entry, is valued by the envelope fold instead.  Also used by the
+    its upwind gradient, the pattern's drift rows applied to S.
+    :meth:`game_values` values the local games of a level.  Also used by the
     partition module's one march under held strategies, which
     ``partition.dpp_sweep`` and ``montecarlo.exploit`` share: it advances
     with :meth:`step_frozen`, which takes the level's :meth:`entries` from
@@ -390,8 +383,12 @@ class Stepper:
 
         The entries that name t are evaluated for consecutive times of
         ``times`` in blocks, each holding at most ``_BLOCK_ELEMENTS``
-        elements of time-dependent tables (and at least one time).
+        elements of time-dependent tables (and at least one time).  When
+        no entry names t there is nothing to schedule, and ``times`` is
+        not read.
         """
+        if not self._timed:
+            return
         times = list(dict.fromkeys(times))
         size = max(1, _BLOCK_ELEMENTS // self._row_elements)
         self._blocks = {}
@@ -507,56 +504,47 @@ class Stepper:
 
     def game_values(self, ent: np.ndarray, mode: str, t: float,
                     collect_strategies: bool = False):
-        """Per-node saddle/envelope values of the generator matrices at time t."""
-        work = ent.shape[2:]
-        if mode == "relaxed" and self.m * self.k > 1:
-            try:
-                batch = solve_games(ent.reshape(self.m, self.k, -1), self.game_tol, self._kernels)
-            except GameError as err:  # the simplex fallback gave up on one node
-                first = 1 if self.mode == "clamp" else 0  # grid index of work node 0
-                node = tuple(int(i) + first for i in np.unravel_index(err.node, work))
-                raise GameError(f"local game at grid node {node} (t={t}): {err}",
-                                node=err.node) from err
-            self._kernels = batch.kernel
-            vals = batch.value.reshape(work)
-            if collect_strategies:
-                return vals, batch.mu.reshape(work + (self.m,)), batch.nu.reshape(work + (self.k,))
-            return vals, None, None
+        """Per-node values of the local games ``ent``, (m, k, *work), at time t.
 
-        if mode == "pure_lower":  # max over u of min over v, folded in index order
-            vals = np.empty(work)
-            row = self._array("envelope", work)
-            for iu in range(self.m):
-                acc = row if iu else vals
-                np.copyto(acc, ent[iu, 0])
-                for iv in range(1, self.k):
-                    np.minimum(acc, ent[iu, iv], out=acc)
-                if iu:
-                    np.maximum(vals, row, out=vals)
-        else:  # pure_upper, or a relaxed 1x1 game: min over v of max over u
-            col = np.copy(ent[0])
-            for iu in range(1, self.m):
-                np.maximum(col, ent[iu], out=col)
-            vals = col[0]
-            for iv in range(1, self.k):
-                np.minimum(vals, col[iv], out=vals)
-        if not collect_strategies:
-            return vals, None, None
-        # the envelopes select point-mass strategies; ties break toward the
-        # lowest grid index
-        mu = np.zeros(work + (self.m,))
-        nu = np.zeros(work + (self.k,))
-        if mode == "pure_lower":
-            iu = ent.min(axis=1).argmax(axis=0)
-            iv = np.take_along_axis(ent, iu[None, None], axis=0)[0].argmin(axis=0)
+        In ``mode`` "relaxed" each game's value is its mixed saddle value
+        from :func:`games.solve_games`, one batch per call, each node
+        starting from the kernel that certified it on the previous call.
+        "pure_lower" and "pure_upper" take the envelope of
+        :func:`games.pure_envelope`, and so does a relaxed 1x1 game, whose
+        value is its entry.  Returns (values, mu, nu); with
+        ``collect_strategies`` mu (*work, m) and nu (*work, k) are the
+        saddle strategies, or the envelope's point masses on the lowest
+        index that attains it, else both are None.  A game the solver
+        rejects raises :class:`GameError` naming its grid node and t.
+        """
+        work = ent.shape[2:]
+        if mode != "relaxed" or self.m * self.k == 1:
+            vals = pure_envelope(ent, upper=mode != "pure_lower")
+            if not collect_strategies:
+                return vals, None, None
+            mu = np.zeros(work + (self.m,))
+            nu = np.zeros(work + (self.k,))
+            if mode == "pure_lower":
+                iu = ent.min(axis=1).argmax(axis=0)
+                iv = np.take_along_axis(ent, iu[None, None], axis=0)[0].argmin(axis=0)
+            else:
+                iv = ent.max(axis=0).argmin(axis=0)
+                iu = np.take_along_axis(ent, iv[None, None], axis=1)[:, 0].argmax(axis=0)
             np.put_along_axis(mu, iu[..., None], 1.0, axis=-1)
             np.put_along_axis(nu, iv[..., None], 1.0, axis=-1)
-        else:
-            iv = ent.max(axis=0).argmin(axis=0)
-            iu = np.take_along_axis(ent, iv[None, None], axis=1)[:, 0].argmax(axis=0)
-            np.put_along_axis(mu, iu[..., None], 1.0, axis=-1)
-            np.put_along_axis(nu, iv[..., None], 1.0, axis=-1)
-        return vals, mu, nu
+            return vals, mu, nu
+        try:
+            batch = solve_games(ent.reshape(self.m, self.k, -1), self.game_tol, self._kernels)
+        except GameError as err:
+            first = 1 if self.mode == "clamp" else 0  # grid index of work node 0
+            node = tuple(int(i) + first for i in np.unravel_index(err.node, work))
+            raise GameError(f"local game at grid node {node} (t={t}): {err}",
+                            node=err.node) from err
+        self._kernels = batch.kernel
+        vals = batch.value.reshape(work)
+        if collect_strategies:
+            return vals, batch.mu.reshape(work + (self.m,)), batch.nu.reshape(work + (self.k,))
+        return vals, None, None
 
     # -- stepping -------------------------------------------------------------
 
@@ -632,16 +620,18 @@ def _levels(prob: Problem, grid: SpaceGrid, params: SchemeParams):
         )
     n_steps = max(1, math.ceil(prob.T / dt_target - 1e-12))
     dt = prob.T / n_steps
-    label = _MODE_LABELS[params.hamiltonian_mode]
-    times = [prob.T] + [prob.T * (n_steps - i - 1) / n_steps for i in range(n_steps)]
+
+    def time(i):  # of level i; level 0 is at T exactly
+        return prob.T if i == 0 else prob.T * (n_steps - i) / n_steps
+
     stepper = Stepper(prob, grid, params.game_tol)
-    stepper.schedule(times[:-1])
-    fld = terminal_field(prob, grid, label)
+    stepper.schedule(map(time, range(n_steps)))
+    fld = terminal_field(prob, grid)
     yield fld
     values = fld.values
-    for t, t_new in zip(times, times[1:]):
-        values = stepper.step(values, t, dt, params.hamiltonian_mode)
-        fld = ValueField._adopt(t_new, values, label)
+    for i in range(n_steps):
+        values = stepper.step(values, time(i), dt, params.hamiltonian_mode)
+        fld = ValueField._adopt(time(i + 1), values)
         fld.check_bound(prob)
         yield fld
 
@@ -689,7 +679,7 @@ def gap_report(prob: Problem, grid: SpaceGrid, params: SchemeParams) -> GapRepor
     excluded by the domain-of-dependence margin.
     """
     fields = {}
-    for mode in ("relaxed", "pure_lower", "pure_upper"):
+    for mode in _MODES:
         for level in _levels(prob, grid, replace(params, hamiltonian_mode=mode)):
             fields[mode] = level.values
     mask = window_mask(prob, grid)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +163,22 @@ def test_solve_pde_rejects_bad_declared_bound(tmp_path, capsys, sup_b):
     argv = ["solve-pde", "--problem", str(path), "--nx", "21", "--out", str(out)]
     assert cli.dispatch(argv) == 2
     assert "error: bound sup_b must be finite and non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text,message", [
+    ("1.0,nan\n-1.0,1.0\n", "non-finite payoff nan at entry (0, 1) of game 0"),
+    ("", "expected an (m, k, n) batch of payoff matrices, got shape (0, 1, 1)"),
+], ids=["nan", "empty"])
+def test_game_rejects_malformed_matrix(tmp_path, capsys, text, message):
+    # a matrix file is outside input: one that is no game is a usage error
+    matrix = tmp_path / "m.csv"
+    matrix.write_text(text, encoding="utf-8")
+    out = tmp_path / "g.json"
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        assert cli.dispatch(["game", "--matrix", str(matrix), "--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -11,16 +11,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.optimize import linprog
 
 from mixedvalue import games
-from mixedvalue.games import (
-    GameBatch,
-    GameError,
-    MixedStrategy,
-    PayoffMatrix,
-    best_response_value,
-    pure_minimax,
-    solve_game,
-    solve_games,
-)
+from mixedvalue.games import GameBatch, GameError, pure_envelope, solve_games
 
 
 def lp_oracle_value(ent):
@@ -42,7 +33,19 @@ def lp_oracle_value(ent):
     return -res.fun
 
 
-MATCHING_PENNIES = PayoffMatrix([[1.0, -1.0], [-1.0, 1.0]])
+def solve_one(ent, tol=1e-9):
+    """(value, mu, nu, gap) of the one game ``ent``, (m, k), solved as a batch of one."""
+    batch = solve_games(np.asarray(ent, dtype=float)[:, :, None], tol)
+    return batch.value[0], batch.mu[0], batch.nu[0], batch.gap[0]
+
+
+def envelopes(ent):
+    """(lower, upper) pure envelopes of the one game ``ent``, (m, k)."""
+    ent = np.asarray(ent, dtype=float)[:, :, None]
+    return pure_envelope(ent, upper=False)[0], pure_envelope(ent, upper=True)[0]
+
+
+MATCHING_PENNIES = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 class TestSolveGame:
@@ -50,119 +53,142 @@ class TestSolveGame:
         rng = np.random.default_rng(41)
         for _ in range(10):
             ent = rng.uniform(-1, 1, rng.integers(2, 30, 2))
-            sol = solve_game(PayoffMatrix(ent))
-            assert abs(sol.value - lp_oracle_value(ent)) <= 1e-8
-            assert sol.duality_gap <= 1e-9
+            value, _, _, gap = solve_one(ent)
+            assert abs(value - lp_oracle_value(ent)) <= 1e-8
+            assert gap <= 1e-9
 
     def test_matching_pennies(self):
-        sol = solve_game(MATCHING_PENNIES)
-        assert sol.value == pytest.approx(0.0, abs=1e-12)
-        assert np.allclose(sol.mu_star.weights, [0.5, 0.5], atol=1e-12)
-        assert np.allclose(sol.nu_star.weights, [0.5, 0.5], atol=1e-12)
-        assert sol.duality_gap <= 1e-9
+        value, mu, nu, gap = solve_one(MATCHING_PENNIES)
+        assert value == pytest.approx(0.0, abs=1e-12)
+        assert np.allclose(mu, [0.5, 0.5], atol=1e-12)
+        assert np.allclose(nu, [0.5, 0.5], atol=1e-12)
+        assert gap <= 1e-9
 
     def test_one_by_one(self):
-        sol = solve_game(PayoffMatrix([[3.7]]))
-        assert sol.value == 3.7
-        assert sol.mu_star.weights.tolist() == [1.0]
-        assert sol.duality_gap == 0.0
+        value, mu, _, gap = solve_one([[3.7]])
+        assert value == 3.7
+        assert mu.tolist() == [1.0]
+        assert gap == 0.0
 
     def test_derived_two_by_two(self):
         # independent hand derivation (equalizing mixtures): value 3/2,
         # mu = (1/4, 3/4), nu = (1/2, 1/2); confirmed by the scipy oracle
-        m = PayoffMatrix([[3.0, 0.0], [1.0, 2.0]])
-        assert lp_oracle_value(m.entries) == pytest.approx(1.5, abs=1e-9)
-        sol = solve_game(m)
-        assert sol.value == pytest.approx(1.5, abs=1e-9)
-        # optimality of the stated strategies, not equality of vectors
-        stated_mu = MixedStrategy(np.array([0.25, 0.75]))
-        stated_nu = MixedStrategy(np.array([0.5, 0.5]))
-        assert best_response_value(m, stated_nu, "row") <= sol.value + 1e-9
-        assert best_response_value(m, stated_mu, "col") >= sol.value - 1e-9
-        assert best_response_value(m, sol.nu_star, "row") <= sol.value + 1e-9
-        assert best_response_value(m, sol.mu_star, "col") >= sol.value - 1e-9
+        m = np.array([[3.0, 0.0], [1.0, 2.0]])
+        assert lp_oracle_value(m) == pytest.approx(1.5, abs=1e-9)
+        value, mu, nu, _ = solve_one(m)
+        assert value == pytest.approx(1.5, abs=1e-9)
+        # optimality of the stated strategies, not equality of vectors: the
+        # row player's best response to nu, the column player's to mu
+        stated_mu, stated_nu = np.array([0.25, 0.75]), np.array([0.5, 0.5])
+        assert (m @ stated_nu).max() <= value + 1e-9
+        assert (stated_mu @ m).min() >= value - 1e-9
+        assert (m @ nu).max() <= value + 1e-9
+        assert (mu @ m).min() >= value - 1e-9
 
     def test_value_between_pure_bounds(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
             shape = rng.integers(1, 9, 2)
-            m = PayoffMatrix(rng.uniform(-1, 1, shape))
-            lower, upper = pure_minimax(m)
-            sol = solve_game(m)
-            assert lower - 1e-8 <= sol.value <= upper + 1e-8
-            assert sol.duality_gap >= -1e-9
+            m = rng.uniform(-1, 1, shape)
+            lower, upper = envelopes(m)
+            value, _, _, gap = solve_one(m)
+            assert lower - 1e-8 <= value <= upper + 1e-8
+            assert gap >= -1e-9
 
     def test_rejects_nonfinite(self):
         with pytest.raises(GameError):
-            PayoffMatrix([[np.nan, 1.0]])
+            solve_one([[np.nan, 1.0]])
 
     def test_rejects_empty(self):
         with pytest.raises(GameError):
-            PayoffMatrix(np.zeros((0, 2)))
+            solve_one(np.zeros((0, 2)))
 
     def test_rejects_bad_tol(self):
         with pytest.raises(GameError):
-            solve_game(MATCHING_PENNIES, tol=0.0)
+            solve_one(MATCHING_PENNIES, tol=0.0)
 
     def test_deterministic(self):
         rng = np.random.default_rng(11)
         ent = rng.uniform(-1, 1, (13, 7))
-        a = solve_game(PayoffMatrix(ent))
-        b = solve_game(PayoffMatrix(ent))
-        assert a.value == b.value
-        assert np.array_equal(a.mu_star.weights, b.mu_star.weights)
+        a = solve_one(ent)
+        b = solve_one(ent)
+        assert a[0] == b[0]
+        assert np.array_equal(a[1], b[1])
 
 
 class TestPureMinimax:
     def test_matching_pennies(self):
-        assert pure_minimax(MATCHING_PENNIES) == (-1.0, 1.0)
+        assert envelopes(MATCHING_PENNIES) == (-1.0, 1.0)
 
     def test_singleton(self):
-        assert pure_minimax(PayoffMatrix([[2.5]])) == (2.5, 2.5)
+        assert envelopes([[2.5]]) == (2.5, 2.5)
 
     def test_pure_saddle(self):
         # enumeration: row mins (2, 0) -> lower 2; col maxes (2, 3) -> upper 2
-        assert pure_minimax(PayoffMatrix([[2.0, 3.0], [0.0, 1.0]])) == (2.0, 2.0)
+        assert envelopes([[2.0, 3.0], [0.0, 1.0]]) == (2.0, 2.0)
 
     def test_lower_le_upper_random(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
-            m = PayoffMatrix(rng.uniform(-1, 1, rng.integers(1, 12, 2)))
-            lower, upper = pure_minimax(m)
+            lower, upper = envelopes(rng.uniform(-1, 1, rng.integers(1, 12, 2)))
             assert lower <= upper
 
 
 class TestBestResponse:
+    """Pure best responses, computed inline, against the solver and the envelopes."""
+
     def test_row_response_to_uniform(self):
-        nu = MixedStrategy(np.array([0.5, 0.5]))
-        assert best_response_value(MATCHING_PENNIES, nu, "row") == 0.0
+        # the saddle nu of matching pennies is uniform; every row earns 0
+        _, _, nu, _ = solve_one(MATCHING_PENNIES)
+        assert nu.tolist() == [0.5, 0.5]
+        assert (MATCHING_PENNIES @ nu).max() == 0.0
 
     def test_col_response_to_point_mass(self):
-        mu = MixedStrategy(np.array([1.0, 0.0]))
-        assert best_response_value(MATCHING_PENNIES, mu, "col") == -1.0
+        # against a point mass on a row the column player takes the row's
+        # minimum; the best such row gives the lower envelope
+        responses = [(mu @ MATCHING_PENNIES).min() for mu in np.eye(2)]
+        assert responses == [-1.0, -1.0]
+        assert max(responses) == envelopes(MATCHING_PENNIES)[0]
 
     def test_singleton(self):
-        one = MixedStrategy(np.array([1.0]))
-        assert best_response_value(PayoffMatrix([[4.2]]), one, "row") == 4.2
-        assert best_response_value(PayoffMatrix([[4.2]]), one, "col") == 4.2
-
-    def test_length_mismatch(self):
-        with pytest.raises(GameError):
-            best_response_value(MATCHING_PENNIES, MixedStrategy(np.ones(3) / 3), "row")
-
-    def test_bad_side(self):
-        with pytest.raises(GameError):
-            best_response_value(MATCHING_PENNIES, MixedStrategy(np.array([1.0, 0.0])), "up")
+        value, mu, nu, _ = solve_one([[4.2]])
+        one = np.array([[4.2]])
+        assert (one @ nu).max() == (mu @ one).min() == value == 4.2
 
 
 class TestMixedStrategy:
-    def test_rejects_negative(self):
-        with pytest.raises(GameError):
-            MixedStrategy(np.array([1.2, -0.2]))
+    """Every game's solved mu and nu are probability vectors, or solve_games raises."""
 
-    def test_rejects_unnormalized(self):
-        with pytest.raises(GameError):
-            MixedStrategy(np.array([0.5, 0.4]))
+    @staticmethod
+    def solve_with_simplex_mu(monkeypatch, mu):
+        """solve_games on two kernel-certified games and I_7, whose simplex returns ``mu``."""
+        def simplex(ent, tol):
+            return 1.0 / 7.0, np.array(mu), np.full(7, 1.0 / 7.0), 0.0
+
+        monkeypatch.setattr(games, "_solve_entries", simplex)
+        easy = np.zeros((7, 7, 1))
+        return solve_games(np.concatenate([easy, easy, np.eye(7)[:, :, None]], axis=-1), 1e-9)
+
+    def assert_rejected(self, monkeypatch, mu):
+        with pytest.raises(GameError, match="mu of game 2 is not a probability vector") as err:
+            self.solve_with_simplex_mu(monkeypatch, mu + [0.0] * 5)
+        assert err.value.node == 2
+
+    def test_rejects_negative(self, monkeypatch):
+        for mu in ([1.2, -0.2], [1.0 + 1e-11, -1e-11]):
+            self.assert_rejected(monkeypatch, mu)
+
+    def test_rejects_unnormalized(self, monkeypatch):
+        for mu in ([0.5, 0.4], [0.5, 0.5 + 2e-12]):
+            self.assert_rejected(monkeypatch, mu)
+
+    def test_rejects_non_finite(self, monkeypatch):
+        for bad in (np.nan, np.inf):
+            self.assert_rejected(monkeypatch, [1.0, bad])
+
+    def test_accepts_rounding_within_tolerance(self, monkeypatch):
+        mu = [0.5, 0.5 - 2e-13, 0.0, 0.0, 0.0, 0.0, -2e-13]
+        assert self.solve_with_simplex_mu(monkeypatch, mu).mu[2].tolist() == mu
 
 
 class TestProperties:
@@ -173,32 +199,31 @@ class TestProperties:
         for _ in range(60):
             shape = rng.integers(1, 51, 2)
             ent = rng.uniform(-1, 1, shape)
-            sol = solve_game(PayoffMatrix(ent))
-            lower, upper = pure_minimax(PayoffMatrix(ent))
-            assert lower - 1e-9 <= sol.value <= upper + 1e-9
-            assert sol.duality_gap <= 1e-9
-            assert abs(sol.value - lp_oracle_value(ent)) <= 1e-8  # 10*tol
+            value, _, _, gap = solve_one(ent)
+            lower, upper = envelopes(ent)
+            assert lower - 1e-9 <= value <= upper + 1e-9
+            assert gap <= 1e-9
+            assert abs(value - lp_oracle_value(ent)) <= 1e-8  # 10*tol
 
     def test_scale_shift_equivariance(self):
         rng = np.random.default_rng(23)
         for _ in range(30):
             ent = rng.uniform(-1, 1, rng.integers(1, 20, 2))
             a, b = rng.uniform(0.1, 3.0), rng.uniform(-2.0, 2.0)
-            base = solve_game(PayoffMatrix(ent))
-            scaled = solve_game(PayoffMatrix(a * ent + b))
-            assert scaled.value == pytest.approx(a * base.value + b, abs=1e-8)
+            base = solve_one(ent)
+            scaled = solve_one(a * ent + b)
+            assert scaled[0] == pytest.approx(a * base[0] + b, abs=1e-8)
             # returned strategies are optimal for both games (not equal)
-            m1, m2 = PayoffMatrix(ent), PayoffMatrix(a * ent + b)
-            for m, sol, v in ((m1, scaled, base.value), (m2, base, scaled.value)):
-                assert best_response_value(m, sol.nu_star, "row") <= v + 1e-7
-                assert best_response_value(m, sol.mu_star, "col") >= v - 1e-7
+            for m, (_, mu, nu, _), v in ((ent, scaled, base[0]), (a * ent + b, base, scaled[0])):
+                assert (m @ nu).max() <= v + 1e-7
+                assert (mu @ m).min() >= v - 1e-7
 
     def test_transpose_antisymmetry(self):
         rng = np.random.default_rng(29)
         for _ in range(30):
             ent = rng.uniform(-1, 1, rng.integers(1, 20, 2))
-            v1 = solve_game(PayoffMatrix(ent)).value
-            v2 = solve_game(PayoffMatrix(-ent.T)).value
+            v1 = solve_one(ent)[0]
+            v2 = solve_one(-ent.T)[0]
             assert v2 == pytest.approx(-v1, abs=1e-8)
 
     def test_oriented_solves_agree(self):

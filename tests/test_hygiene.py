@@ -15,6 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "mixedvalue"
 BENCH = ROOT / "bench"
 MODULES = sorted(PACKAGE.glob("*.py"))
+TEST_FILES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _names_in(node) -> set:
@@ -74,7 +75,8 @@ def test_checker_flags_only_unused_names():
                                       "problem_mod (line 5)", "xml (line 4)"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("path", MODULES + TEST_FILES,
+                         ids=[p.name for p in MODULES] + [f"tests/{p.name}" for p in TEST_FILES])
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
@@ -216,8 +218,11 @@ def test_bench_entry_points_exist():
 
 def unreferenced(sources: dict, wanted, named_elsewhere=frozenset()) -> list:
     """Module-level functions and classes, and methods, whose name passes
-    ``wanted`` and is named nowhere in ``sources`` (module name -> source)
-    outside its own definition, nor in ``named_elsewhere``."""
+    ``wanted`` and is read nowhere in ``sources`` (module name -> source)
+    outside its own definition, nor in ``named_elsewhere``.
+
+    A read is a name or attribute loaded: an assignment target, such as a
+    dataclass field of the same name, or a keyword argument is not one."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
     defined = []
     for module, tree in trees.items():
@@ -234,6 +239,7 @@ def unreferenced(sources: dict, wanted, named_elsewhere=frozenset()) -> list:
         inside = {id(sub) for sub in ast.walk(definition)}
         used = definition.name in named_elsewhere or any(
             id(sub) not in inside
+            and isinstance(getattr(sub, "ctx", None), ast.Load)
             and ((isinstance(sub, ast.Name) and sub.id == definition.name)
                  or (isinstance(sub, ast.Attribute) and sub.attr == definition.name))
             for tree in trees.values() for sub in ast.walk(tree))
@@ -318,11 +324,15 @@ def test_public_checker_finds_names_used_only_by_imports_or_tests():
             "def helper(): return Profile().uniform()\n"
             "def traced(): return 0\n"
             "def dead(): return helper\n"
+            "def gain(): return 0\n"
+            "class Result:\n"
+            "    gain: float\n"
         ),
-        "b": "from .a import dead, helper\nx = helper()\n",
+        "b": "from .a import dead, helper\nx = helper()\ny = a.Result(gain=1.0)\n",
     }
     assert unreferenced_public(sources, {"traced"}) == [
-        "a.Profile.mesh (line 6)", "a.Profile.point_mass (line 4)", "a.dead (line 10)"]
+        "a.Profile.mesh (line 6)", "a.Profile.point_mass (line 4)", "a.dead (line 10)",
+        "a.gain (line 11)"]
 
 
 def test_no_public_code_only_tests_reach():

@@ -143,12 +143,6 @@ class TestDppSweep:
                   for a, b in zip(res_w.levels, res_u.levels))
         assert gap <= 1e-9
 
-    def test_labels(self, uv_cost):
-        grid = SpaceGrid.for_problem(uv_cost, 51)
-        pi = Partition.uniform(1.0, 2)
-        assert dpp_sweep(uv_cost, grid, pi, SchemeParams(), "lower").field_at_0.label == "W_pi"
-        assert dpp_sweep(uv_cost, grid, pi, SchemeParams(), "upper").field_at_0.label == "U_pi"
-
     def test_control_free_sweep_equals_pde_solve_bitwise(self, heat):
         # the sweep's own substep rule puts its substeps on the solve's steps
         grid = SpaceGrid.for_problem(heat, 101)
