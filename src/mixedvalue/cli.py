@@ -22,6 +22,7 @@ import os
 import sys
 import tempfile
 import time
+import warnings
 
 import numpy as np
 
@@ -102,7 +103,10 @@ def _write_level_csv(path: str, header, runs, grid) -> None:
 
 
 def _cmd_game(args, argv, started):
-    ent = np.loadtxt(args.matrix, delimiter=",", ndmin=2)[:, :, None]
+    with warnings.catch_warnings():
+        # an empty file warns here; solve_games rejects its (0, 1) matrix below
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        ent = np.loadtxt(args.matrix, delimiter=",", ndmin=2)[:, :, None]
     sol = solve_games(ent, tol=args.tol)  # first: it rejects malformed matrices
     payload = {
         "value": float(sol.value[0]),

@@ -68,9 +68,10 @@ def payoff_matrix(pt: HamiltonianPoint, prob: Problem) -> np.ndarray:
     iu = np.arange(prob.u_grid.n)[:, None]
     iv = np.arange(prob.v_grid.n)[None, :]
     shape = (prob.u_grid.n, prob.v_grid.n)
-    b, sig = prob.coefficients(pt.t, pt.x, iu, iv)
-    b, sig = stack_entries(b, shape), stack_entries(sig, shape)
-    z = pt.p @ sig
-    fval = prob.running_cost(pt.t, pt.x, iu, iv, pt.y, z)
+    coef = prob.coefficients(pt.t, pt.x, iu, iv)
+    b, sig = stack_entries(coef[0], shape), stack_entries(coef[1], shape)
+    # f at (y, z = p.sigma): evaluated again only if it names y or z
+    fval = prob.coefficients(pt.t, pt.x, iu, iv, pt.y, pt.p @ sig, coef,
+                             frozenset(("y", *prob.z_names())))[2]
     trace = np.trace(sig @ np.swapaxes(sig, -1, -2) @ pt.A, axis1=-2, axis2=-1)
     return 0.5 * trace + np.dot(b, pt.p) + fval

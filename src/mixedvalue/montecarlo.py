@@ -227,6 +227,9 @@ class StrategyProfile:
             raise ValueError("feedback profiles are supported for d=1 only")
         if grid.d != 1:
             raise ValueError("feedback profiles are supported for d=1 only")
+        if result.levels[0].values.shape != grid.shape:
+            raise ValueError(f"the sweep ran on a grid of shape {result.levels[0].values.shape}, "
+                             f"not on the given grid of shape {grid.shape}")
         axis = grid.axes[0]
         work_axis = axis[1:-1] if result.mu.shape[1] == axis.size - 2 else axis[:-1]
         return cls("feedback", result.mu, result.nu, cell_axis=work_axis)
@@ -248,16 +251,6 @@ class StrategyProfile:
         if self.mode == "openloop":
             return np.broadcast_to(w[subinterval], (x.shape[0], w.shape[-1]))
         return w[subinterval][self.cells_at(x)]
-
-    def to_jsonable(self) -> dict:
-        out = {
-            "mode": self.mode,
-            "u_weights": self.u_weights.tolist(),
-            "v_weights": self.v_weights.tolist(),
-        }
-        if self.cell_axis is not None:
-            out["cell_axis"] = self.cell_axis.tolist()
-        return out
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "StrategyProfile":
@@ -485,7 +478,7 @@ def _simulate_chunk(prob, pi, profile, cums, euler_substeps, device, lo,
         coef = None
         for s in range(euler_substeps):
             t = t_left + s * delta
-            prev, coef = coef, prob._evaluate_entries(t, x, du, dv, coef, moving)
+            prev, coef = coef, prob.coefficients(t, x, du, dv, previous=coef, changed=moving)
             b, sig, f = coef
             if prev is None or b is not prev[0]:
                 b_delta = stack_entries(b, du.shape) * delta
@@ -621,7 +614,6 @@ class ExploitResult:
     best_response_value: float
     profile_value: float
     baseline: PayoffEstimate
-    free_player: int
 
 
 def _interpolate(grid: SpaceGrid, values: np.ndarray, x: np.ndarray) -> float:
@@ -687,5 +679,4 @@ def exploit(prob: Problem, pi: Partition, fixed_side: str, fixed_profile: Strate
         best_response_value=br_value,
         profile_value=prof_value,
         baseline=baseline,
-        free_player=free,
     )

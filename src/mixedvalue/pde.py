@@ -259,7 +259,7 @@ class _StencilCoefficients:
 
     b: tuple
     sigma: tuple
-    f: object  # f(y=0, z=0), or None when f depends on y or z
+    f: object  # f at y = 0, z = 0; None when f names y or z, as entries evaluates it per level
     features: np.ndarray  # (m, k, n_features, *nodes), nodes all 1 when b, sigma are free of x
     weights: object  # (m*k, 3^d), the features times the pattern, when free of x; else None
 
@@ -341,7 +341,7 @@ class Stepper:
         ones = (1,) * self.d
         self._iu = np.arange(self.m).reshape((self.m, 1) + ones)
         self._iv = np.arange(self.k).reshape((1, self.k) + ones)
-        self._f_needs_yz = prob.f_needs_yz
+        self._yz = frozenset(("y", *prob.z_names()))
         self._offsets = tuple(itertools.product((-1, 0, 1), repeat=self.d))
         self._pattern = _stencil_pattern(self.h)
         self._kernels = None  # per-node kernel of the last relaxed game solve
@@ -358,7 +358,7 @@ class Stepper:
         # the entries evaluated here, which of them name t, and the size of
         # one time's row of the tables they give
         b_names, sigma_names, f_names = prob._entry_variables
-        f_names = None if self._f_needs_yz else f_names
+        f_names = None if prob.f_needs_yz else f_names
         self._timed = _timed((b_names, sigma_names, f_names))  # False if none names t
         self._features_timed = bool(self._timed and (self._timed[0] or self._timed[1]))
         named = frozenset().union(*b_names, *(n for row in sigma_names for n in row),
@@ -423,10 +423,10 @@ class Stepper:
         """
         old = self._block
         t = np.array(times, dtype=float).reshape((-1,) + (1,) * (2 + self.d))
-        b, sig, f = self.prob._evaluate_entries(
+        b, sig, f = self.prob.coefficients(
             t, self._xw, self._iu, self._iv,
-            None if old is None else (old.b, old.sigma, old.f), _TIME,
-            with_f=not self._f_needs_yz,
+            previous=None if old is None else (old.b, old.sigma, old.f), changed=_TIME,
+            with_f=not self.prob.f_needs_yz,
         )
         if old is not None and b is old.b and sig is old.sigma:
             feats, weights = old.features, old.weights
@@ -495,8 +495,10 @@ class Stepper:
             sig = co.sigma
             z = [sum((p[i] * sig[i][j] for i in range(1, d)), p[0] * sig[0][j])
                  for j in range(d)]
-            f = self.prob.running_cost(t, self._xw, self._iu, self._iv, hood[n_hood // 2],
-                                       np.stack(np.broadcast_arrays(*z), axis=-1))
+            # b and sigma are this row's: only f, which names y or z, is evaluated
+            _, _, f = self.prob.coefficients(
+                t, self._xw, self._iu, self._iv, hood[n_hood // 2],
+                np.stack(np.broadcast_arrays(*z), axis=-1), (co.b, sig, None), self._yz)
         gen += f  # also when f is 0: it turns a -0.0 generator entry into +0.0
         return gen
 

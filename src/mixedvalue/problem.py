@@ -11,13 +11,14 @@ The solvers require one of two structural modes:
 * ``f_linear_in_z``: the running cost has the shape f0(t,x,y,u,v) + f1(t).z
   (validated by a finite-difference linearity probe).
 
-:meth:`Problem.coefficients`, :meth:`Problem.running_cost` and
-:meth:`Problem.terminal_cost` are the one place where the expressions are
-evaluated; their arguments broadcast, so one call covers every control
-pair at every state.  Solvers that hold some arguments fixed across calls
-(the stencil its nodes and controls, a simulation its frozen controls)
-use ``Problem._evaluate_entries``, which evaluates again only the entries
-naming an argument that changed.
+:meth:`Problem.coefficients` evaluates b, sigma and f, and
+:meth:`Problem.terminal_cost` evaluates phi: they are the one place where
+the expressions are evaluated.  Their arguments broadcast, so one call
+covers every control pair at every state.  A caller that holds some
+arguments fixed across calls (the stencil its nodes and controls, a
+simulation its frozen controls, a Hamiltonian its point while z = p.sigma
+changes) passes its previous result and the variables that changed, and
+only the entries naming one of them are evaluated again.
 
 Catalog problems carry exact finite control sets so no control
 discretization error enters the benchmarks.
@@ -120,11 +121,10 @@ class Bounds:
     sup_sigma: float
     lip_y_f: float
     sup_f: float
-    lip_phi: float
     sup_phi: float
     value_lip: float
 
-    _FIELDS = ("sup_b", "sup_sigma", "lip_y_f", "sup_f", "lip_phi", "sup_phi", "value_lip")
+    _FIELDS = ("sup_b", "sup_sigma", "lip_y_f", "sup_f", "sup_phi", "value_lip")
 
     def __post_init__(self):
         # the CFL limit and the a-priori bounds take these as sups and Lipschitz
@@ -136,6 +136,7 @@ class Bounds:
 
     @classmethod
     def from_mapping(cls, data) -> "Bounds":
+        """The bounds named in ``_FIELDS``; other keys, such as an old ``lip_phi``, are ignored."""
         missing = [k for k in cls._FIELDS if k not in data]
         if missing:
             raise ProblemError(f"bounds missing keys: {missing}")
@@ -156,10 +157,6 @@ class Problem:
     domain: Domain
     condition41_mode: str
     bounds: Bounds
-    b_src: tuple = ()
-    sigma_src: tuple = ()
-    f_src: str = ""
-    phi_src: str = ""
 
     # -- variable naming helpers ------------------------------------------
 
@@ -182,22 +179,10 @@ class Problem:
 
     # -- coefficient evaluation ---------------------------------------------
     #
-    # t, the leading axes of x (shape (..., d)) and the control indices iu,
-    # iv broadcast against each other.  Each returned entry keeps only the
-    # axes its expression depends on: a constant stays a scalar.
-
-    def _bind(self, t, x, iu, iv) -> dict:
-        x = np.asarray(x, dtype=float)
-        up = self.u_grid.points[iu]
-        vp = self.v_grid.points[iv]
-        out = {"t": t}
-        for i, name in enumerate(self.x_names()):
-            out[name] = x[..., i]
-        for i, name in enumerate(self.u_names()):
-            out[name] = up[..., i]
-        for i, name in enumerate(self.v_names()):
-            out[name] = vp[..., i]
-        return out
+    # t, the leading axes of x (shape (..., d)), y, the leading axes of z and
+    # the control indices iu, iv broadcast against each other.  Each returned
+    # entry keeps only the axes its expression depends on: a constant stays
+    # a scalar.
 
     @cached_property
     def _entry_variables(self) -> tuple:
@@ -213,9 +198,15 @@ class Problem:
         b, sigma, f = self._entry_variables
         return f.union(*b, *(n for row in sigma for n in row))
 
-    def _evaluate_entries(self, t, x, iu, iv, previous=None, changed=frozenset(),
-                          with_f=True) -> tuple:
-        """(b, sigma, f), f at y = 0 and z = 0, or None unless ``with_f``.
+    def coefficients(self, t, x, iu, iv, y=0.0, z=0.0, previous=None, changed=frozenset(),
+                     with_f=True) -> tuple:
+        """(b, sigma, f): d drift entries, d x d diffusion entries and f(t, x, y, z, u, v).
+
+        z is a scalar or has shape (..., d).  f is None unless ``with_f``,
+        which has two callers' values: ``Stepper._evaluate_block`` passes
+        False for a running cost that names y or z, and the (y, z) branch
+        of ``Stepper.entries`` then evaluates f at each level, passing the
+        block's entries as ``previous``; every other caller takes f.
 
         Without ``previous`` every entry is evaluated.  Otherwise
         ``previous`` is an earlier result at arguments that differ from
@@ -227,25 +218,21 @@ class Problem:
         """
         if previous is not None and self._any_entry_variables.isdisjoint(changed):
             return previous
-        bindings = self._bind(t, x, iu, iv)
-        bindings["y"] = 0.0
-        bindings.update((name, 0.0) for name in self.z_names())
+        x = np.asarray(x, dtype=float)
+        up = self.u_grid.points[iu]
+        vp = self.v_grid.points[iv]
+        bindings = {"t": t, "y": y}
+        for i, name in enumerate(self.x_names()):
+            bindings[name] = x[..., i]
+        for i, name in enumerate(self.z_names()):
+            bindings[name] = z if np.ndim(z) == 0 else z[..., i]
+        for i, name in enumerate(self.u_names()):
+            bindings[name] = up[..., i]
+        for i, name in enumerate(self.v_names()):
+            bindings[name] = vp[..., i]
         exprs = (self.b, self.sigma, self.f if with_f else None)
         return _renew(exprs, self._entry_variables, previous, changed,
                       lambda expr: dsl.evaluate(expr, bindings))
-
-    def coefficients(self, t, x, iu, iv) -> tuple:
-        """(b, sigma): d drift entries and d x d diffusion entries."""
-        b, sigma, _ = self._evaluate_entries(t, x, iu, iv, with_f=False)
-        return b, sigma
-
-    def running_cost(self, t, x, iu, iv, y=0.0, z=0.0):
-        """f(t, x, y, z, u, v); z is a scalar or has shape (..., d)."""
-        bnd = self._bind(t, x, iu, iv)
-        bnd["y"] = y
-        for i, name in enumerate(self.z_names()):
-            bnd[name] = z if np.ndim(z) == 0 else z[..., i]
-        return dsl.evaluate(self.f, bnd)
 
     def terminal_cost(self, x):
         """phi(x) for x of shape (..., d)."""
@@ -393,24 +380,21 @@ def _build_problem(cfg: dict) -> Problem:
     coeff_vars = ("t",) + x_names + u_names + v_names
     f_vars = ("t",) + x_names + ("y",) + z_names + u_names + v_names
 
-    b_src = tuple(_require(cfg, "b"))
-    if len(b_src) != d:
-        raise ProblemError(f"b must list {d} expressions, got {len(b_src)}")
-    b = tuple(_parse_coeff(s, coeff_vars, f"b[{i}]") for i, s in enumerate(b_src))
+    b_rows = tuple(_require(cfg, "b"))
+    if len(b_rows) != d:
+        raise ProblemError(f"b must list {d} expressions, got {len(b_rows)}")
+    b = tuple(_parse_coeff(s, coeff_vars, f"b[{i}]") for i, s in enumerate(b_rows))
 
     sigma_rows = _require(cfg, "sigma")
     if len(sigma_rows) != d or any(len(r) != d for r in sigma_rows):
         raise ProblemError(f"sigma must be a {d}x{d} array of expressions")
-    sigma_src = tuple(tuple(row) for row in sigma_rows)
     sigma = tuple(
         tuple(_parse_coeff(s, coeff_vars, f"sigma[{i}][{j}]") for j, s in enumerate(row))
-        for i, row in enumerate(sigma_src)
+        for i, row in enumerate(sigma_rows)
     )
 
-    f_src = _require(cfg, "f")
-    f = _parse_coeff(f_src, f_vars, "f")
-    phi_src = _require(cfg, "phi")
-    phi = _parse_coeff(phi_src, x_names, "phi")
+    f = _parse_coeff(_require(cfg, "f"), f_vars, "f")
+    phi = _parse_coeff(_require(cfg, "phi"), x_names, "phi")
 
     prob = Problem(
         name=name,
@@ -425,10 +409,6 @@ def _build_problem(cfg: dict) -> Problem:
         domain=domain,
         condition41_mode=mode,
         bounds=bounds,
-        b_src=b_src,
-        sigma_src=sigma_src,
-        f_src=f_src,
-        phi_src=phi_src,
     )
     _validate(prob)
     return prob
@@ -445,12 +425,12 @@ def _validate(prob: Problem) -> None:
                         f"sigma[{i}][{j}] references control variables {sorted(used)} "
                         "under condition41_mode=sigma_uncontrolled"
                     )
-    else:
-        _probe_f_linear_in_z(prob)
 
     rng = np.random.default_rng(0)
     pts = _sample_points(prob, rng, 1000)
     try:
+        if prob.condition41_mode == "f_linear_in_z":
+            _probe_f_linear_in_z(prob)  # inside the try: it evaluates b and sigma too
         _eval_all_coefficients(prob, pts)
     except dsl.EvaluationError as exc:
         raise ProblemError(f"coefficient fails to evaluate on the domain: {exc}") from exc
@@ -472,8 +452,7 @@ def _sample_points(prob: Problem, rng, n: int):
 
 def _eval_all_coefficients(prob: Problem, pts):
     t, x, iu, iv, y, z = pts
-    prob.coefficients(t, x, iu, iv)
-    prob.running_cost(t, x, iu, iv, y, z)
+    prob.coefficients(t, x, iu, iv, y, z)
     prob.terminal_cost(x)
 
 
@@ -517,16 +496,16 @@ def _probe_f_linear_in_z(prob: Problem, n_points: int = 10, rel_tol: float = 1e-
 
 
 def _f_eval(prob, t, x, iu, iv, y, z):
-    return np.asarray(prob.running_cost(t, x, iu, iv, y, z), dtype=float)
+    return np.asarray(prob.coefficients(t, x, iu, iv, y, z)[2], dtype=float)
 
 
 def _cross_check_bounds(prob: Problem, rng, n: int = 10_000) -> None:
     # sup_f is declared for f(., y=0, z=0, .); lip_y_f covers the y growth
     t, x, iu, iv, _, _ = _sample_points(prob, rng, n)
-    b, sigma = prob.coefficients(t, x, iu, iv)
+    b, sigma, f0 = prob.coefficients(t, x, iu, iv)
     sup_b = max((float(np.max(np.abs(e))) for e in b), default=0.0)
     sup_sigma = max(float(np.max(np.abs(e))) for row in sigma for e in row)
-    sup_f0 = float(np.max(np.abs(prob.running_cost(t, x, iu, iv))))
+    sup_f0 = float(np.max(np.abs(f0)))
     msgs = []
     if sup_b > prob.bounds.sup_b * (1 + 1e-9) + 1e-12:
         msgs.append(f"|b| reaches {sup_b:.4g} > declared sup_b={prob.bounds.sup_b:.4g}")
@@ -598,7 +577,6 @@ CATALOG = {
             "sup_sigma": 1.0,
             "lip_y_f": 0.0,
             "sup_f": 1.0,
-            "lip_phi": 0.0,
             "sup_phi": 0.0,
             "value_lip": 0.0,
         },
@@ -622,7 +600,6 @@ CATALOG = {
             "sup_sigma": 1.0,
             "lip_y_f": 0.0,
             "sup_f": 0.0,
-            "lip_phi": 1.0,
             "sup_phi": 1.0,
             "value_lip": 1.0,
         },
@@ -647,7 +624,6 @@ CATALOG = {
             "sup_sigma": 1.0,
             "lip_y_f": 0.0,
             "sup_f": 0.0,
-            "lip_phi": 1.0,
             "sup_phi": 7.0,
             "value_lip": 1.0,
         },
@@ -672,7 +648,6 @@ CATALOG = {
             "sup_sigma": 1.0,
             "lip_y_f": 0.0,
             "sup_f": 0.0,
-            "lip_phi": 14.0,
             "sup_phi": 49.0,
             "value_lip": 14.0,
         },

@@ -15,14 +15,14 @@ def payoff3(mat):
 CONTROLS3 = {"points": [[-1.0], [0.0], [1.0]]}
 
 
-def game3_problem(name, b, f, phi, sup_b, sup_f, lip_phi):
+def game3_problem(name, b, f, phi, sup_b, sup_f, phi_bound):
     return load_problem({
         "name": name, "d": 1, "T": 1.0, "b": [b], "sigma": [["1"]], "f": f, "phi": phi,
         "U": CONTROLS3, "V": CONTROLS3,
         "domain": {"min": [-6.0], "max": [6.0], "boundary": "clamp"},
         "condition41_mode": "sigma_uncontrolled",
         "bounds": {"sup_b": sup_b, "sup_sigma": 1.0, "lip_y_f": 0.0, "sup_f": sup_f,
-                   "lip_phi": lip_phi, "sup_phi": lip_phi, "value_lip": lip_phi},
+                   "sup_phi": phi_bound, "value_lip": phi_bound},
     })
 
 
@@ -31,4 +31,4 @@ def drift_cost3():
     # level-dependent local games whose saddles use 2x2 and 3x3 kernels
     mat = [[0.8, -0.6, 0.3], [-0.7, 0.9, -0.2], [0.1, -0.4, 0.6]]
     return game3_problem("drift_cost3", "u1 - 0.5*v1", payoff3(mat), "cos(x1)",
-                         sup_b=1.5, sup_f=0.9, lip_phi=1.0)
+                         sup_b=1.5, sup_f=0.9, phi_bound=1.0)

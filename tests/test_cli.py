@@ -24,7 +24,7 @@ BILINEAR_2D = {
     "domain": {"min": [-2.0, -2.0], "max": [2.0, 2.0]},
     "condition41_mode": "sigma_uncontrolled",
     "bounds": {"sup_b": 1.0, "sup_sigma": 1.0, "lip_y_f": 0.0, "sup_f": 1.1,
-               "lip_phi": 1.5, "sup_phi": 1.0, "value_lip": 1.5},
+               "sup_phi": 1.0, "value_lip": 1.5},
 }
 
 
@@ -176,7 +176,8 @@ def test_game_rejects_malformed_matrix(tmp_path, capsys, text, message):
     matrix.write_text(text, encoding="utf-8")
     out = tmp_path / "g.json"
     with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        # as under python -W error: a warning would end the command with exit 1
+        warnings.simplefilter("error")
         assert cli.dispatch(["game", "--matrix", str(matrix), "--out", str(out)]) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()

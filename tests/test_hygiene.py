@@ -94,29 +94,40 @@ def test_exports_resolve(path):
 
 
 # dsl.py defines the expression evaluator; problem.py is the one place that
-# evaluates coefficients with it and inspects their variables
+# evaluates coefficients with it and inspects their variables, and in
+# problem.py dsl.evaluate is named only by the two evaluating methods
 EVALUATOR_NAMES = ("evaluate", "free_variables")
-EVALUATOR_OWNERS = ("dsl.py", "problem.py")
+PROBLEM_EVALUATORS = ("Problem.coefficients", "Problem.terminal_cost")
 
 
-def dsl_evaluator_uses(source: str) -> list:
-    """References to dsl.evaluate or dsl.free_variables, through any alias of dsl."""
+def dsl_evaluator_uses(source: str, names=EVALUATOR_NAMES, exempt=()) -> list:
+    """References to the dsl functions ``names``, through any alias of dsl,
+    outside the module-level functions or methods ("Class.method") in ``exempt``."""
     tree = ast.parse(source)
     aliases = {"dsl"}
+    skipped = set()
+    for node in tree.body:
+        members = [("", node)]
+        if isinstance(node, ast.ClassDef):
+            members += [(f"{node.name}.", sub) for sub in node.body]
+        for prefix, sub in members:
+            if (isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and prefix + sub.name in exempt):
+                skipped |= {id(n) for n in ast.walk(sub)}
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             for alias in node.names:
                 if alias.name == "dsl":
                     aliases.add(alias.asname or "dsl")
-                elif (node.module or "").split(".")[-1] == "dsl" and alias.name in EVALUATOR_NAMES:
+                elif (node.module or "").split(".")[-1] == "dsl" and alias.name in names:
                     found.append((node.lineno, alias.name))
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name.split(".")[-1] == "dsl" and alias.asname:
                     aliases.add(alias.asname)
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr in EVALUATOR_NAMES:
+        if isinstance(node, ast.Attribute) and node.attr in names and id(node) not in skipped:
             owner = node.value
             if ((isinstance(owner, ast.Name) and owner.id in aliases)
                     or (isinstance(owner, ast.Attribute) and owner.attr == "dsl")):
@@ -144,10 +155,29 @@ def test_evaluator_checker_finds_every_form():
     assert dsl_evaluator_uses("from . import dsl\nE = dsl.ExpressionError\n") == []
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in EVALUATOR_OWNERS],
-                         ids=[p.name for p in MODULES if p.name not in EVALUATOR_OWNERS])
+def test_evaluator_checker_exempts_only_the_named_methods():
+    source = (
+        "from . import dsl\n"
+        "class Problem:\n"
+        "    def coefficients(self, e):\n"
+        "        return (lambda x: dsl.evaluate(x, {}))(e)\n"
+        "    def running_cost(self, e):\n"
+        "        return dsl.evaluate(e, {}) + dsl.free_variables(e)\n"
+        "def coefficients(e):\n"
+        "    return dsl.evaluate(e, {})\n"
+    )
+    assert dsl_evaluator_uses(source, ("evaluate",), ("Problem.coefficients",)) == [
+        "dsl.evaluate (line 6)", "dsl.evaluate (line 8)"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "dsl.py"],
+                         ids=[p.name for p in MODULES if p.name != "dsl.py"])
 def test_coefficients_evaluated_only_in_problem(path):
-    assert dsl_evaluator_uses(path.read_text(encoding="utf-8")) == []
+    source = path.read_text(encoding="utf-8")
+    if path.name == "problem.py":
+        assert dsl_evaluator_uses(source, ("evaluate",), PROBLEM_EVALUATORS) == []
+    else:
+        assert dsl_evaluator_uses(source) == []
 
 
 # partition.py holds the one loop that steps under held strategies: every
@@ -297,18 +327,44 @@ def unreferenced_public(sources: dict, named_elsewhere=frozenset()) -> list:
     return unreferenced(sources, lambda name: not name.startswith("_"), named_elsewhere)
 
 
-def bench_names() -> set:
-    """Names the benchmark uses: in bench/'s code and in every dotted ENTRY_POINTS path."""
-    names = set()
-    for path in sorted(BENCH.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+def used_names(sources, entry_points) -> set:
+    """Names that ``sources`` use and do not define themselves with a def or
+    class, and every part of each dotted path in ``entry_points``."""
+    names, defined = set(), set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
-    for _, dotted, _, _ in bench_tracing().ENTRY_POINTS:
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+    names -= defined
+    for _, dotted, _, _ in entry_points:
         names |= set(dotted.split("."))
     return names
+
+
+def bench_names() -> set:
+    """Names the benchmark uses of the package: in bench/'s code and in its ENTRY_POINTS."""
+    sources = [path.read_text(encoding="utf-8") for path in sorted(BENCH.glob("*.py"))]
+    return used_names(sources, bench_tracing().ENTRY_POINTS)
+
+
+def test_bench_names_skip_what_bench_defines():
+    # a method bench defines and calls is no use of a package method of the
+    # same name; an entry point's dotted parts are uses even when bench
+    # defines a name like them
+    sources = [
+        "class Tracer:\n"
+        "    def to_jsonable(self): return []\n"
+        "    def game_values(self): return 0\n"
+        "def run(tracer, mv):\n"
+        "    return tracer.to_jsonable(), mv.pde.solve\n"
+    ]
+    names = used_names(sources, [("pde", "Stepper.game_values", "games.values", None)])
+    assert "to_jsonable" not in names and "Tracer" not in names and "run" not in names
+    assert {"solve", "pde", "mv", "Stepper", "game_values"} <= names
 
 
 def test_public_checker_finds_names_used_only_by_imports_or_tests():

@@ -1,5 +1,6 @@
 import copy
 import itertools
+import json
 import math
 import re
 import sys
@@ -49,6 +50,15 @@ def point_mass(prob, n_subintervals, u_idx, v_idx) -> mc.StrategyProfile:
                               np.eye(prob.v_grid.n)[[v_idx] * n_subintervals])
 
 
+def profile_json(prof) -> dict:
+    """A profile's JSON form, written and read back as text."""
+    data = {"mode": prof.mode, "u_weights": prof.u_weights.tolist(),
+            "v_weights": prof.v_weights.tolist()}
+    if prof.cell_axis is not None:
+        data["cell_axis"] = prof.cell_axis.tolist()
+    return json.loads(json.dumps(data))
+
+
 def skew_2d():
     """d=2 with state- and control-dependent skew sigma and t-dependent drift."""
     return load_problem({
@@ -60,7 +70,7 @@ def skew_2d():
         "domain": {"min": [-2.0, -2.0], "max": [2.0, 2.0]},
         "condition41_mode": "f_linear_in_z",
         "bounds": {"sup_b": 1.2, "sup_sigma": 1.1, "lip_y_f": 0.0, "sup_f": 1.1,
-                   "lip_phi": 1.5, "sup_phi": 1.0, "value_lip": 1.5},
+                   "sup_phi": 1.0, "value_lip": 1.5},
     })
 
 
@@ -74,7 +84,7 @@ BILINEAR_DRIFT_2D = {
     "domain": {"min": [-6.0, -6.0], "max": [6.0, 6.0], "boundary": "clamp"},
     "condition41_mode": "sigma_uncontrolled",
     "bounds": {"sup_b": 1.0, "sup_sigma": 1.0, "lip_y_f": 0.0, "sup_f": 0.0,
-               "lip_phi": 1.0, "sup_phi": 1.0, "value_lip": 1.0},
+               "sup_phi": 1.0, "value_lip": 1.0},
 }
 
 
@@ -196,7 +206,8 @@ class TestStrategyProfile:
 
     def test_json_round_trip(self, uv_cost):
         prof = mc.StrategyProfile.uniform(uv_cost, 3)
-        back = mc.StrategyProfile.from_jsonable(prof.to_jsonable())
+        back = mc.StrategyProfile.from_jsonable(profile_json(prof))
+        assert back.mode == "openloop" and back.cell_axis is None
         assert np.array_equal(back.u_weights, prof.u_weights)
 
     def test_from_sweep(self, uv_cost):
@@ -212,9 +223,18 @@ class TestStrategyProfile:
         # profile survives its JSON round trip bitwise
         assert np.array_equal(prof.cell_axis, grid.axes[0][1:-1])
         assert np.array_equal(prof.u_weights, res.mu) and np.array_equal(prof.v_weights, res.nu)
-        back = mc.StrategyProfile.from_jsonable(prof.to_jsonable())
+        back = mc.StrategyProfile.from_jsonable(profile_json(prof))
         for name in ("cell_axis", "u_weights", "v_weights"):
             assert getattr(back, name).tobytes() == getattr(prof, name).tobytes()
+
+    def test_from_sweep_rejects_another_grid(self):
+        # a grid one node coarser than the sweep's would put the cells at
+        # other nodes: its cell axis would start at -7.0, the work nodes at -6.861
+        prob = load_problem("uv_drift")
+        res = dpp_sweep(prob, SpaceGrid.for_problem(prob, 102), Partition.uniform(1.0, 2),
+                        SchemeParams(), "lower", record_strategies=True)
+        with pytest.raises(ValueError, match=re.escape("(102,)") + ".*" + re.escape("(101,)")):
+            mc.StrategyProfile.from_sweep(res, SpaceGrid.for_problem(prob, 101))
 
     @pytest.mark.parametrize("axis", [[-1.0, 0.0, 0.0, 2.0], [2.0, 0.0, 1.0, -1.0],
                                       [-1.0, 0.0, 1.0, math.inf], [-1.0, math.nan, 1.0, 2.0]])
@@ -320,7 +340,7 @@ class TestSimulate:
         delta = (pi.times[1] - pi.times[0]) / 1
         dw = mc.RandomizationDevice(8).brownian_normals(0, 0, 300, 1, 2)[:, 0] * math.sqrt(delta)
         for i in range(300):
-            b, sig = prob.coefficients(0.0, x0, ens.u_indices[i, 0], ens.v_indices[i, 0])
+            b, sig, _ = prob.coefficients(0.0, x0, ens.u_indices[i, 0], ens.v_indices[i, 0])
             b, sig = np.array(b, dtype=float), np.array(sig, dtype=float)
             sig_dw = sig[:, 0] * dw[i, 0] + sig[:, 1] * dw[i, 1]
             assert np.array_equal(ens.states[i, 1], x0 + b * delta + sig_dw)
@@ -611,7 +631,7 @@ def moving_2d():
         "domain": {"min": [-2.0, -2.0], "max": [2.0, 2.0]},
         "condition41_mode": "f_linear_in_z",
         "bounds": {"sup_b": 1.3, "sup_sigma": 1.1, "lip_y_f": 0.0, "sup_f": 1.1,
-                   "lip_phi": 1.5, "sup_phi": 1.0, "value_lip": 1.5},
+                   "sup_phi": 1.0, "value_lip": 1.5},
     })
 
 
@@ -631,11 +651,11 @@ def per_substep_euler(prob, pi, profile, x0, n_paths, substeps, seed):
         z = dev.brownian_normals(j, 0, n_paths, substeps, prob.d)
         for s in range(substeps):
             t = pi.times[j] + s * delta
-            b, sig = prob.coefficients(t, x, du, dv)
+            b, sig, f = prob.coefficients(t, x, du, dv)
             b = np.stack([np.broadcast_to(e, (n_paths,)) for e in b], axis=-1)
             sig = np.stack([np.stack([np.broadcast_to(e, (n_paths,)) for e in row], axis=-1)
                             for row in sig], axis=1)
-            cost += delta * prob.running_cost(t, x, du, dv)
+            cost += delta * f
             x = x + b * delta + np.einsum("nij,nj->ni", sig, z[:, s, :] * math.sqrt(delta))
         states.append(x)
     return np.stack(states, axis=1), cost
@@ -824,7 +844,7 @@ class TestEstimatePayoff:
 
 def feedback_moving_phi_1d():
     """moving_1d with a sin/exp terminal cost, feedback play."""
-    prob = moving_1d(phi="sin(x1) + exp(-x1*x1)", lip_phi=2.0, sup_phi=2.0, value_lip=3.0)
+    prob = moving_1d(phi="sin(x1) + exp(-x1*x1)", sup_phi=2.0, value_lip=3.0)
     pi = Partition.uniform(prob.T, 3)
     grid = SpaceGrid.for_problem(prob, 31)
     res = dpp_sweep(prob, grid, pi, SchemeParams(), "lower", record_strategies=True)

@@ -255,7 +255,7 @@ class TestBatchedGames:
         assert np.all(x / x.sum() > 0) and np.all(y / y.sum() > 0)
         val = 1.0 / x.sum()
         prob = games3.game3_problem("cost3", "0", games3.payoff3(mat.tolist()), "0",
-                                    sup_b=0.0, sup_f=0.6, lip_phi=0.0)
+                                    sup_b=0.0, sup_f=0.6, phi_bound=0.0)
         grid = SpaceGrid.for_problem(prob, 41)
         levels = solve(prob, grid, SchemeParams())
         for fld in levels:
@@ -281,7 +281,7 @@ def yz_pair(d):
         yz = "u1*v1 + 0.3*z1 - 0.1*z2 - 0.2*y"
     cfg.update(name=f"yz{d}", T=1.0, U={"points": [[-1.0], [1.0]]},
                V={"points": [[-1.0], [1.0]]}, condition41_mode="f_linear_in_z")
-    cfg["bounds"].update(lip_y_f=0.2, sup_f=1.0, lip_phi=1.0, sup_phi=1.0, value_lip=1.0)
+    cfg["bounds"].update(lip_y_f=0.2, sup_f=1.0, sup_phi=1.0, value_lip=1.0)
     base = load_problem({**cfg, "f": "u1*v1", "bounds": {**cfg["bounds"], "lip_y_f": 0.0}})
     return base, load_problem({**cfg, "f": yz})
 
@@ -492,7 +492,7 @@ def heat2d():
         "condition41_mode": "sigma_uncontrolled",
         "bounds": {
             "sup_b": 0.0, "sup_sigma": 1.0, "lip_y_f": 0.0, "sup_f": 0.0,
-            "lip_phi": 1.5, "sup_phi": 1.0, "value_lip": 1.5,
+            "sup_phi": 1.0, "value_lip": 1.5,
         },
     })
 
@@ -523,7 +523,7 @@ class TestTwoDimensional:
             "condition41_mode": "sigma_uncontrolled",
             "bounds": {
                 "sup_b": 0.3, "sup_sigma": 1.1, "lip_y_f": 0.0, "sup_f": 0.0,
-                "lip_phi": 0.0, "sup_phi": 0.0, "value_lip": 0.0,
+                "sup_phi": 0.0, "value_lip": 0.0,
             },
         })
         grid = SpaceGrid.for_problem(prob, 21)
@@ -614,7 +614,7 @@ def roll_reference_entries(prob, grid, values, t):
     d, h = grid.d, grid.h
     m, k = prob.u_grid.n, prob.v_grid.n
     nb, x, iu, iv = work_region(prob, grid, values)
-    b, sig = prob.coefficients(t, x, iu, iv)
+    b, sig, fval = prob.coefficients(t, x, iu, iv)
     c = nb(*(0,) * d)
     if d == 1:
         p0, m0 = nb(1), nb(-1)
@@ -641,9 +641,7 @@ def roll_reference_entries(prob, grid, values, t):
         p = [np.where(np.asarray(b[i]) >= 0.0, fwd[i], bwd[i]) for i in range(d)]
         z = [p[0] * sig[0][j] + p[1] * sig[1][j] if d == 2 else p[0] * sig[0][j]
              for j in range(d)]
-        fval = prob.running_cost(t, x, iu, iv, c, np.stack(np.broadcast_arrays(*z), axis=-1))
-    else:
-        fval = prob.running_cost(t, x, iu, iv)
+        fval = prob.coefficients(t, x, iu, iv, c, np.stack(np.broadcast_arrays(*z), axis=-1))[2]
     return np.broadcast_to(diff + drift + fval, (m, k) + c.shape)
 
 
@@ -674,7 +672,7 @@ def difference_pattern(d, h):
 
 def stencil_features(prob, x, iu, iv, t):
     """(m*k, n_features, nodes) features of b and sigma; nodes is 1 when both are free of x."""
-    b, sig = prob.coefficients(t, x, iu, iv)
+    b, sig, _ = prob.coefficients(t, x, iu, iv)
     feats = [np.maximum(s, 0.0) for bi in b for s in (bi, -bi)]
     feats += [row[0] * row[0] if prob.d == 1 else row[0] * row[0] + row[1] * row[1]
               for row in sig]
@@ -709,9 +707,9 @@ def weights_reference_entries(prob, grid, values, t):
         p = [np.where(np.asarray(b[i]) >= 0.0, grad[2 * i], -grad[2 * i + 1]) for i in range(d)]
         z = [p[0] * sig[0][j] + p[1] * sig[1][j] if d == 2 else p[0] * sig[0][j]
              for j in range(d)]
-        gen += prob.running_cost(t, x, iu, iv, c, np.stack(np.broadcast_arrays(*z), axis=-1))
+        gen += prob.coefficients(t, x, iu, iv, c, np.stack(np.broadcast_arrays(*z), axis=-1))[2]
     else:
-        gen += prob.running_cost(t, x, iu, iv)
+        gen += prob.coefficients(t, x, iu, iv)[2]
     return gen
 
 
@@ -726,7 +724,7 @@ def stencil_problem(d, sigma, boundary="clamp", f="u1*v1", **over):
         "domain": {"min": [lo] * d, "max": [-lo] * d, "boundary": boundary},
         "condition41_mode": "f_linear_in_z",
         "bounds": {"sup_b": 2.0, "sup_sigma": 1.1, "lip_y_f": 0.2, "sup_f": 2.0,
-                   "lip_phi": 1.0, "sup_phi": 1.0, "value_lip": 1.0},
+                   "sup_phi": 1.0, "value_lip": 1.0},
         **over,
     })
 
@@ -820,7 +818,7 @@ class TestStencilAgainstRollReference:
         x = np.linspace(-3.0, 3.0, 13)[:, None, None]
         for sigma, idx in ((SIGMA_X_SIGN, 0), (SIGMA_U_SIGN, np.arange(2)[:, None, None])):
             prob = stencil_problem(2, sigma)
-            _, sig = prob.coefficients(0.5, np.concatenate([x, x], axis=-1), idx, 0)
+            _, sig, _ = prob.coefficients(0.5, np.concatenate([x, x], axis=-1), idx, 0)
             a01 = np.asarray(sig[0][0] * sig[1][0] + sig[0][1] * sig[1][1])
             assert a01.min() < 0.0 < a01.max()
 

@@ -1,6 +1,8 @@
 import copy
 import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ from mixedvalue.problem import (
     time_modulus_bound,
     value_bound,
 )
+
+BENCH_PROBLEMS = Path(__file__).resolve().parent.parent / "bench" / "problems"
 
 
 def cfg_variant(base_name, **overrides):
@@ -47,8 +51,8 @@ class TestCatalog:
         prob = load_problem("uv_running_cost")
         assert prob.u_grid.points.tolist() == [[-1.0], [1.0]]
         assert prob.v_grid.points.tolist() == [[-1.0], [1.0]]
-        assert prob.f_src == "u1*v1"
-        assert prob.phi_src == "0"
+        assert prob.f == dsl.BinOp("*", dsl.Var("u1"), dsl.Var("v1"))
+        assert prob.phi == dsl.Num(0.0)
 
     def test_entries_share_no_mutable_parts(self):
         # a dict or list used twice would stay aliased in a deep copy, so
@@ -81,8 +85,8 @@ class TestCatalog:
 
     def test_uv_drift_shape(self):
         prob = load_problem("uv_drift")
-        assert prob.b_src == ("u1*v1",)
-        assert prob.phi_src == "x1"
+        assert prob.b == (dsl.BinOp("*", dsl.Var("u1"), dsl.Var("v1")),)
+        assert prob.phi == dsl.Var("x1")
 
 
 class TestLoading:
@@ -151,6 +155,14 @@ class TestCondition41:
         with pytest.raises(ConditionViolationError, match="z coefficient"):
             load_problem(cfg)
 
+    def test_f_linear_in_z_probe_names_a_failing_coefficient(self):
+        # the probe evaluates f, b and sigma at its own points: a failure
+        # there is the same ProblemError as on the load-time samples
+        for over in ({"f": "sqrt(x1) + z1"}, {"f": "u1*v1 + z1", "b": ["sqrt(x1)"]}):
+            cfg = cfg_variant("uv_running_cost", condition41_mode="f_linear_in_z", **over)
+            with pytest.raises(ProblemError, match="fails to evaluate on the domain"):
+                load_problem(cfg)
+
 
 class TestValidationChecks:
     def test_bounds_cross_check_warns(self):
@@ -181,7 +193,7 @@ class TestValidationChecks:
             "condition41_mode": "sigma_uncontrolled",
             "bounds": {
                 "sup_b": 0.0, "sup_sigma": 1.5, "lip_y_f": 0.0, "sup_f": 0.0,
-                "lip_phi": 0.0, "sup_phi": 0.0, "value_lip": 0.0,
+                "sup_phi": 0.0, "value_lip": 0.0,
             },
         }
         with pytest.raises(ProblemError, match="dominant"):
@@ -202,7 +214,7 @@ class TestValidationChecks:
             "condition41_mode": "sigma_uncontrolled",
             "bounds": {
                 "sup_b": 0.0, "sup_sigma": 1.0, "lip_y_f": 0.0, "sup_f": 0.0,
-                "lip_phi": 1.5, "sup_phi": 1.0, "value_lip": 1.5,
+                "sup_phi": 1.0, "value_lip": 1.5,
             },
         }
         prob = load_problem(cfg)
@@ -211,7 +223,7 @@ class TestValidationChecks:
 
 def point_coefficients(prob, t, x, iu, iv) -> tuple:
     """(b, sigma) as (d,) and (d, d) arrays at one (t, x, u, v) point."""
-    b, sig = prob.coefficients(t, np.atleast_1d(np.asarray(x, dtype=float)), iu, iv)
+    b, sig, _ = prob.coefficients(t, np.atleast_1d(np.asarray(x, dtype=float)), iu, iv)
     return np.array(b, dtype=float), np.array(sig, dtype=float)
 
 
@@ -266,7 +278,7 @@ SKEW_2D = {
     "condition41_mode": "f_linear_in_z",
     "bounds": {
         "sup_b": 1.2, "sup_sigma": 1.1, "lip_y_f": 0.2, "sup_f": 1.1,
-        "lip_phi": 1.5, "sup_phi": 1.0, "value_lip": 1.5,
+        "sup_phi": 1.0, "value_lip": 1.5,
     },
 }
 
@@ -298,9 +310,9 @@ class TestEvaluator:
         iu = np.arange(m)[:, None]
         iv = np.arange(k)
         shape = (n, m, k)
-        b, sig = prob.coefficients(t, x, iu, iv)
+        b, sig, f = prob.coefficients(t, x, iu, iv, y, z)
         b, sig = stack_entries(b, shape), stack_entries(sig, shape)
-        f = np.broadcast_to(prob.running_cost(t, x, iu, iv, y, z), shape)
+        f = np.broadcast_to(f, shape)
         phi = np.broadcast_to(prob.terminal_cost(x), (n, 1, 1))
         for i in range(n):
             ti, xi, yi, zi = t[i, 0, 0], x[i, 0, 0], y[i, 0, 0], z[i, 0, 0]
@@ -317,10 +329,32 @@ class TestEvaluator:
     def test_entries_keep_their_own_shape(self):
         prob = load_problem("uv_drift")
         x = np.zeros((5, 1, 1, 1))
-        b, sig = prob.coefficients(0.3, x, np.arange(2)[:, None], np.arange(2))
+        b, sig, f = prob.coefficients(0.3, x, np.arange(2)[:, None], np.arange(2))
         assert np.shape(b[0]) == (2, 2)  # u1*v1: no state axis
         assert np.ndim(sig[0][0]) == 0  # a constant stays a scalar
-        assert np.ndim(prob.running_cost(0.3, x, 0, 1)) == 0
+        assert np.ndim(f) == 0
+
+    def test_previous_entries_are_kept_and_changed_ones_evaluated(self):
+        # the (y, z) call of a stencil step: b and sigma come back as passed,
+        # f is evaluated at the new y and z
+        prob = load_problem(SKEW_2D)
+        x = np.array([[0.3, -0.4], [1.1, 0.2]])
+        iu, iv = np.arange(3)[:, None, None], np.arange(2)[:, None]
+        b, sig, f = prob.coefficients(0.7, x, iu, iv, with_f=False)
+        assert f is None
+        y, z = np.array([0.5, -1.0]), np.array([[0.2, 0.1], [-0.3, 0.4]])
+        yz = frozenset(("y", *prob.z_names()))
+        b2, sig2, f2 = prob.coefficients(0.7, x, iu, iv, y, z, (b, sig, None), yz)
+        assert b2 is b and sig2 is sig
+        assert np.array_equal(f2, prob.coefficients(0.7, x, iu, iv, y, z)[2])
+        # an entry free of the changed variables is the previous object
+        coef = prob.coefficients(0.7, x, iu, iv)
+        assert prob.coefficients(0.2, x, iu, iv, previous=coef, changed={"x1"})[0][1] is coef[0][1]
+        # nothing names t or x: a simulation's next substep evaluates nothing
+        drift = load_problem("uv_drift")
+        coef = drift.coefficients(0.0, x[:, :1], 0, 1)
+        assert drift.coefficients(0.5, x[:, :1] + 1.0, 0, 1, previous=coef,
+                                  changed={"t", "x1"}) is coef
 
     def test_f_needs_yz(self):
         assert not load_problem("uv_drift").f_needs_yz
@@ -364,6 +398,22 @@ class TestBounds:
             load_problem(cfg_variant("uv_drift", bounds={key: value}))
         with pytest.raises(ProblemError, match=f"bound {key} "):
             Bounds(**dict(CATALOG["uv_drift"]["bounds"], **{key: value}))
+
+    def test_mapping_without_lip_phi_loads(self):
+        # lip_phi bounded nothing: it is no longer a bound
+        cfg = cfg_variant("uv_drift")
+        cfg["bounds"].pop("lip_phi", None)
+        assert load_problem(cfg).bounds == Bounds.from_mapping(cfg["bounds"])
+        assert not hasattr(Bounds.from_mapping(cfg["bounds"]), "lip_phi")
+
+    def test_files_that_carry_lip_phi_still_load(self):
+        # the benchmark's problem files keep the key; it is ignored
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            load_problem(cfg_variant("uv_drift", bounds={"lip_phi": 1.0}))
+            for path in sorted(BENCH_PROBLEMS.glob("*.json")):
+                assert "lip_phi" in json.loads(path.read_text(encoding="utf-8"))["bounds"]
+                load_problem(str(path))
 
 
 class TestTypes:
