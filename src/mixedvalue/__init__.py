@@ -6,12 +6,13 @@ a partition-indexed backward dynamic-programming sweep producing lower and
 upper values, and Monte Carlo simulation of per-subinterval randomized
 controls.  The routes live in ``pde``, ``partition`` and ``montecarlo``;
 the local matrix games are solved in ``games``.  The package namespace
-holds the pointwise Hamiltonian matrix and problem loading.
+holds the table of pointwise Hamiltonian matrices over a stack of
+(p, A) points, and problem loading.
 """
 
 __version__ = "0.1.0"
 
-from .hamiltonian import HamiltonianPoint, payoff_matrix
+from .hamiltonian import payoff_matrix
 from .problem import (
     CATALOG,
     Bounds,
@@ -24,7 +25,6 @@ from .problem import (
 
 __all__ = [
     "__version__",
-    "HamiltonianPoint",
     "payoff_matrix",
     "Problem",
     "ControlGrid",

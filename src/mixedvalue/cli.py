@@ -26,22 +26,15 @@ import warnings
 
 import numpy as np
 
-from . import __version__, dsl, montecarlo as mc, pde
-from .games import GameError, pure_envelope, solve_games
-from .hamiltonian import HamiltonianPoint, payoff_matrix
+from . import __version__, montecarlo as mc, pde
+from .games import pure_envelope, solve_games
+from .hamiltonian import payoff_matrix
 from .partition import Partition, convergence_study, dpp_sweep
 from .problem import ProblemError, load_problem
 
-_VALIDATION_ERRORS = (
-    ProblemError,
-    GameError,
-    dsl.ExpressionError,
-    pde.CflViolationError,
-    mc.ClassicalCaseError,
-    ValueError,
-    FileNotFoundError,
-    json.JSONDecodeError,
-)
+# every validation error of the package subclasses ValueError, and so does
+# json.JSONDecodeError
+_VALIDATION_ERRORS = (ValueError, FileNotFoundError)
 
 
 def _sha256(path: str) -> str:
@@ -130,17 +123,14 @@ def _cmd_hamiltonian(args, argv, started):
     prob = load_problem(args.problem)
     if prob.d != 1:
         raise ProblemError("the hamiltonian sweep command supports d=1 problems only")
-    p_vals = np.linspace(args.p_min, args.p_max, args.n_p)
-    a_vals = np.linspace(args.a_min, args.a_max, args.n_a)
-    points = [(p, a) for p in p_vals for a in a_vals]
-    ent = np.empty((prob.u_grid.n, prob.v_grid.n, len(points)))
-    for j, (p, a) in enumerate(points):
-        pt = HamiltonianPoint(t=args.t, x=[args.x], y=args.y, p=[p], A=[[a]])
-        ent[:, :, j] = payoff_matrix(pt, prob)
+    # p on the outer loop, A on the inner
+    p = np.repeat(np.linspace(args.p_min, args.p_max, args.n_p), args.n_a)
+    a = np.tile(np.linspace(args.a_min, args.a_max, args.n_a), args.n_p)
+    ent = payoff_matrix(prob, args.t, [args.x], args.y, p[:, None], a[:, None, None])
     sol = solve_games(ent, tol=args.tol)
     lower, upper = (pure_envelope(ent, upper=side).tolist() for side in (False, True))
-    rows = [(args.t, args.x, p, a, lo, up, v, gap) for (p, a), lo, up, v, gap
-            in zip(points, lower, upper, sol.value.tolist(), sol.gap.tolist())]
+    rows = [(args.t, args.x, *row) for row in zip(p.tolist(), a.tolist(), lower, upper,
+                                                  sol.value.tolist(), sol.gap.tolist())]
     _write_csv(args.out, ["t", "x", "p", "A", "h_minus", "h_plus", "h_relaxed", "gap"], rows)
     _write_manifest(args.out, "hamiltonian", argv, {
         "problem": args.problem, "t": args.t, "x": args.x, "y": args.y,

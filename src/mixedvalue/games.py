@@ -362,8 +362,8 @@ def solve_games(ent: np.ndarray, tol: float = 1e-9, hint: np.ndarray | None = No
     game whose returned mu or nu is not a probability vector: finite,
     >= 0 and summing to 1 within 1e-12.
     """
-    if tol <= 0:
-        raise GameError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise GameError(f"tol must be finite and positive, got {tol}")
     ent = np.asarray(ent, dtype=float)
     if ent.ndim != 3 or min(ent.shape[:2]) < 1:
         raise GameError(f"expected an (m, k, n) batch of payoff matrices, got shape {ent.shape}")

@@ -67,6 +67,8 @@ class Partition:
             raise ValueError("a partition needs at least two time points")
         if t[0] != 0.0:
             raise ValueError("partition must start at exactly 0")
+        if not np.all(np.isfinite(t)):
+            raise ValueError("partition times must be finite")
         if np.any(np.diff(t) <= 0):
             raise ValueError("partition times must be strictly increasing")
         t = t.copy()

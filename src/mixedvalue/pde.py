@@ -184,8 +184,8 @@ class SchemeParams:
             raise ValueError(f"unknown hamiltonian_mode {self.hamiltonian_mode!r}")
         if not (0 < self.cfl_safety <= 1):
             raise ValueError("cfl_safety must lie in (0, 1]")
-        if self.game_tol <= 0:
-            raise ValueError("game_tol must be positive")
+        if not 0 < self.game_tol < np.inf:
+            raise ValueError(f"game_tol must be finite and positive, got {self.game_tol}")
 
 
 def cfl_limit(prob: Problem, grid: SpaceGrid) -> float:

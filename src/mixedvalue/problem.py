@@ -16,9 +16,10 @@ The solvers require one of two structural modes:
 the expressions are evaluated.  Their arguments broadcast, so one call
 covers every control pair at every state.  A caller that holds some
 arguments fixed across calls (the stencil its nodes and controls, a
-simulation its frozen controls, a Hamiltonian its point while z = p.sigma
-changes) passes its previous result and the variables that changed, and
-only the entries naming one of them are evaluated again.
+simulation its frozen controls, a Hamiltonian table its state while
+z = p.sigma runs over the table's gradients) passes its previous result
+and the variables that changed, and only the entries naming one of them
+are evaluated again.
 
 Catalog problems carry exact finite control sets so no control
 discretization error enters the benchmarks.
@@ -202,21 +203,24 @@ class Problem:
                      with_f=True) -> tuple:
         """(b, sigma, f): d drift entries, d x d diffusion entries and f(t, x, y, z, u, v).
 
-        z is a scalar or has shape (..., d).  f is None unless ``with_f``,
-        which has two callers' values: ``Stepper._evaluate_block`` passes
-        False for a running cost that names y or z, and the (y, z) branch
-        of ``Stepper.entries`` then evaluates f at each level, passing the
-        block's entries as ``previous``; every other caller takes f.
+        z is a scalar or has shape (..., d).  f is None unless ``with_f``.
+        Two callers leave it out and evaluate f later, passing these
+        entries as ``previous``: ``Stepper._evaluate_block``, for a running
+        cost that names y or z, which the (y, z) branch of
+        ``Stepper.entries`` evaluates at each level, and
+        ``hamiltonian.payoff_matrix``, which evaluates f once over its
+        stack of z = p.sigma.  Every other caller takes f.
 
         Without ``previous`` every entry is evaluated.  Otherwise
         ``previous`` is an earlier result at arguments that differ from
         these only in the variables named in ``changed``, and only the
-        entries naming one of them are evaluated again.  Every other entry
-        is the object in ``previous``, and so is b, a row of sigma or sigma
-        when none of its entries was evaluated again: callers tell what
-        changed by identity.
+        entries naming one of them, or missing from ``previous`` (an f of
+        None), are evaluated again.  Every other entry is the object in
+        ``previous``, and so is b, a row of sigma or sigma when none of its
+        entries was evaluated again: callers tell what changed by identity.
         """
-        if previous is not None and self._any_entry_variables.isdisjoint(changed):
+        if (previous is not None and (previous[2] is not None or not with_f)
+                and self._any_entry_variables.isdisjoint(changed)):
             return previous
         x = np.asarray(x, dtype=float)
         up = self.u_grid.points[iu]
@@ -352,8 +356,8 @@ def _build_problem(cfg: dict) -> Problem:
         horizon = float(cfg["horizon"])
     else:
         raise ProblemError("missing required key 'T' (alias 'horizon')")
-    if horizon <= 0:
-        raise ProblemError("horizon must be positive")
+    if not 0 < horizon < math.inf:
+        raise ProblemError(f"horizon must be finite and positive, got {horizon}")
 
     u_grid = ControlGrid(np.asarray(_require(cfg, "U")["points"], dtype=float), "U")
     v_grid = ControlGrid(np.asarray(_require(cfg, "V")["points"], dtype=float), "V")

@@ -1,4 +1,4 @@
-"""3x3 test games on (-1, 0, 1) x (-1, 0, 1), shared by several test modules."""
+"""Test games shared by several test modules, most of them 3x3 on (-1, 0, 1) x (-1, 0, 1)."""
 
 from mixedvalue.problem import load_problem
 
@@ -13,6 +13,18 @@ def payoff3(mat):
 
 
 CONTROLS3 = {"points": [[-1.0], [0.0], [1.0]]}
+
+# d = 1 with a state-dependent sigma, a 2 x 3 game and an f that names y and z
+YZ_1D = {
+    "name": "yz_1d", "d": 1, "T": 1.0,
+    "b": ["u1*v1 - 0.1*x1 + 0.2*sin(x1)"], "sigma": [["0.8 + 0.1*cos(x1)"]],
+    "f": "u1*v1 + 0.3*z1*cos(t) - 0.2*y", "phi": "cos(x1)",
+    "U": {"points": [[-1.0], [1.0]]}, "V": {"points": [[-1.0], [0.0], [1.0]]},
+    "domain": {"min": [-3.0], "max": [3.0]},
+    "condition41_mode": "f_linear_in_z",
+    "bounds": {"sup_b": 2.0, "sup_sigma": 1.1, "lip_y_f": 0.2, "sup_f": 2.0,
+               "sup_phi": 1.0, "value_lip": 1.0},
+}
 
 
 def game3_problem(name, b, f, phi, sup_b, sup_f, phi_bound):

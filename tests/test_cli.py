@@ -9,10 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixedvalue import cli, pde
+from mixedvalue import cli, dsl, pde
 from mixedvalue import montecarlo as mc
+from mixedvalue.games import pure_envelope, solve_games
+from mixedvalue.hamiltonian import payoff_matrix
 from mixedvalue.partition import Partition, dpp_sweep
 from mixedvalue.problem import CATALOG, load_problem
+
+from games3 import YZ_1D
 
 # d=2 with a t-dependent drift and mixed games; kept tiny for the CSV tests
 BILINEAR_2D = {
@@ -181,6 +185,82 @@ def test_game_rejects_malformed_matrix(tmp_path, capsys, text, message):
         assert cli.dispatch(["game", "--matrix", str(matrix), "--out", str(out)]) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+def test_game_rejects_tol_not_finite_and_positive(tmp_path, capsys, tol):
+    # a NaN tolerance would fail every certificate and leave the game to an
+    # unchecked simplex
+    out = tmp_path / "g.json"
+    argv = commands(tmp_path)["game"] + ["--tol", tol, "--out", str(out)]
+    assert cli.dispatch(argv) == 2
+    assert "error: tol must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["solve-pde", "simulate"])
+@pytest.mark.parametrize("key", ["T", "horizon"])
+def test_rejects_non_finite_horizon(tmp_path, capsys, name, key):
+    # a problem file is outside input: a horizon of NaN is a usage error
+    cfg = {k: v for k, v in CATALOG["uv_drift"].items() if k != "T"}
+    path = tmp_path / "nan_horizon.json"
+    path.write_text(json.dumps({**cfg, key: float("nan")}), encoding="utf-8")
+    assert "NaN" in path.read_text(encoding="utf-8")
+    argv = commands(tmp_path)[name]
+    argv[argv.index("--problem") + 1] = str(path)
+    out = tmp_path / "v.csv"
+    assert cli.dispatch(argv + ["--out", str(out)]) == 2
+    assert "error: horizon must be finite and positive, got nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def hamiltonian_table(tmp_path, monkeypatch, argv):
+    """Rows of ``cli hamiltonian`` and the dsl.evaluate calls it made after loading."""
+    calls = []
+    load, evaluate = cli.load_problem, dsl.evaluate
+    out = tmp_path / "h.csv"
+    with monkeypatch.context() as patch:
+        def counted_after_load(source):
+            prob = load(source)
+            patch.setattr(dsl, "evaluate", lambda e, bnd: calls.append(e) or evaluate(e, bnd))
+            return prob
+
+        patch.setattr(cli, "load_problem", counted_after_load)
+        assert cli.dispatch(["hamiltonian"] + argv + ["--out", str(out)]) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    return [{k: float(v) for k, v in row.items()} for row in rows], len(calls)
+
+
+def test_hamiltonian_evaluates_each_coefficient_once(tmp_path, monkeypatch):
+    # the default 9 x 9 table on uv_drift: b, sigma and f once each, not per point
+    rows, calls = hamiltonian_table(tmp_path, monkeypatch, ["--problem", "uv_drift"])
+    assert len(rows) == 81
+    assert calls == 3
+
+
+def test_hamiltonian_table_of_a_y_z_game(tmp_path, monkeypatch):
+    path = tmp_path / "yz_1d.json"
+    path.write_text(json.dumps(YZ_1D), encoding="utf-8")
+    prob = load_problem(str(path))
+    base = ["--problem", str(path), "--t", "0.3", "--x", "-1.2", "--n-p", "5", "--n-a", "3"]
+    tables = {}
+    for y in (0.0, 0.7):
+        rows, calls = hamiltonian_table(tmp_path, monkeypatch, base + ["--y", str(y)])
+        assert calls == 1 + 1 + 1  # d + d^2 + 1 in d = 1
+        assert len(rows) == 15
+        for row in rows:
+            # each row is a stack of one solved alone
+            ent = payoff_matrix(prob, 0.3, [-1.2], y, [[row["p"]]], [[[row["A"]]]])
+            sol = solve_games(ent)
+            assert row["h_minus"] == pure_envelope(ent, upper=False)[0]
+            assert row["h_plus"] == pure_envelope(ent, upper=True)[0]
+            assert (row["h_relaxed"], row["gap"]) == (sol.value[0], sol.gap[0])
+        tables[y] = rows
+    # f = ... - 0.2 y shifts every entry, and so the relaxed value, by -0.14
+    for r0, r1 in zip(tables[0.0], tables[0.7]):
+        assert (r0["p"], r0["A"]) == (r1["p"], r1["A"])
+        assert r1["h_relaxed"] == pytest.approx(r0["h_relaxed"] - 0.14, abs=1e-9)
 
 
 def test_threads_flag_is_gone(tmp_path, capsys):

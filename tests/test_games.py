@@ -104,8 +104,9 @@ class TestSolveGame:
             solve_one(np.zeros((0, 2)))
 
     def test_rejects_bad_tol(self):
-        with pytest.raises(GameError):
-            solve_one(MATCHING_PENNIES, tol=0.0)
+        for tol in (0.0, np.nan, np.inf):
+            with pytest.raises(GameError, match="tol must be finite and positive"):
+                solve_one(MATCHING_PENNIES, tol=tol)
 
     def test_deterministic(self):
         rng = np.random.default_rng(11)
@@ -354,8 +355,9 @@ class TestSolveGames:
             solve_games(ent, 1e-9)
 
     def test_rejects_bad_tol(self):
-        with pytest.raises(GameError):
-            solve_games(np.zeros((2, 2, 1)), 0.0)
+        for tol in (0.0, -1e-9, np.nan, np.inf):
+            with pytest.raises(GameError, match="tol must be finite and positive"):
+                solve_games(np.zeros((2, 2, 1)), tol)
 
 
 class TestHints:

@@ -65,6 +65,12 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition(np.array([0.1, 1.0]))
 
+    @pytest.mark.parametrize("times", [[0.0, 0.5, np.nan], [0.0, np.inf], [0.0, np.nan, 1.0],
+                                       [np.nan, 1.0], [0.0, 0.5, -np.inf]])
+    def test_rejects_non_finite(self, times):
+        with pytest.raises(ValueError):
+            Partition(np.array(times))
+
     def test_custom_times(self):
         pi = Partition(np.array([0.0, 0.1, 0.5, 1.0]))
         assert pi.mesh == pytest.approx(0.5)

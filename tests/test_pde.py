@@ -119,6 +119,13 @@ class TestSolve:
         assert len(levels) > 2
         assert times == [lv.t for lv in levels[:-1]]
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
+    def test_rejects_game_tol_not_finite_and_positive(self, tol):
+        # a NaN tolerance would fail every certificate and leave each game
+        # to an unchecked simplex
+        with pytest.raises(ValueError, match="game_tol must be finite and positive"):
+            SchemeParams(game_tol=tol)
+
     @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan])
     def test_rejects_nonpositive_dt(self, heat, dt):
         grid = SpaceGrid.for_problem(heat, 41)

@@ -104,6 +104,15 @@ class TestLoading:
         cfg["horizon"] = cfg.pop("T")
         assert load_problem(cfg).T == 1.0
 
+    @pytest.mark.parametrize("key", ["T", "horizon"])
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, -math.inf, 0.0])
+    def test_rejects_horizon_not_finite_and_positive(self, key, horizon):
+        cfg = cfg_variant("heat_cosine")
+        del cfg["T"]
+        cfg[key] = horizon
+        with pytest.raises(ProblemError, match="horizon must be finite and positive"):
+            load_problem(cfg)
+
     def test_missing_key(self):
         cfg = cfg_variant("heat_cosine")
         del cfg["phi"]
@@ -355,6 +364,18 @@ class TestEvaluator:
         coef = drift.coefficients(0.0, x[:, :1], 0, 1)
         assert drift.coefficients(0.5, x[:, :1] + 1.0, 0, 1, previous=coef,
                                   changed={"t", "x1"}) is coef
+
+    def test_previous_without_f_evaluates_f(self):
+        # a Hamiltonian table's f call: f names neither y nor z, yet f is
+        # missing from previous, so it is evaluated and only it
+        prob = load_problem("uv_drift")
+        iu, iv = np.arange(2)[:, None], np.arange(2)
+        coef = prob.coefficients(0.0, [0.5], iu, iv, with_f=False)
+        yz = frozenset(("y", *prob.z_names()))
+        b, sig, f = prob.coefficients(0.0, [0.5], iu, iv, 0.3, 0.7, coef, yz)
+        assert b is coef[0] and sig is coef[1]
+        assert f == 0.0
+        assert prob.coefficients(0.0, [0.5], iu, iv, 0.3, 0.7, coef, yz, with_f=False) is coef
 
     def test_f_needs_yz(self):
         assert not load_problem("uv_drift").f_needs_yz
