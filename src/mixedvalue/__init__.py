@@ -2,9 +2,11 @@
 
 Numerical toolkit with three cross-validating routes to the same value
 function: a monotone finite-difference solve of the relaxed HJBI equation,
-a partition-indexed backward dynamic-programming sweep producing lower and
-upper values, and Monte Carlo simulation of per-subinterval randomized
-controls.  The routes live in ``pde``, ``partition`` and ``montecarlo``;
+a backward dynamic-programming sweep along a time partition that holds
+per-node strategies over each subinterval (it returns the relaxed V_h at
+every |pi|, not the paper's W^pi, which holds one randomized control pair
+whatever the state does), and Monte Carlo simulation of per-subinterval
+randomized controls.  The routes live in ``pde``, ``partition`` and ``montecarlo``;
 the local matrix games are solved in ``games``.  The package namespace
 holds the table of pointwise Hamiltonian matrices over a stack of
 (p, A) points, and problem loading.

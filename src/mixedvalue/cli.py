@@ -2,10 +2,10 @@
 
 Subcommands: game, hamiltonian, solve-pde, solve-partition, converge,
 simulate, gap-report (plus replay for manifest verification).  Every
-output file gets a sibling ``<out>.manifest.json`` recording the resolved
-arguments, seeds, grid and partition parameters, tool version, wall-clock
-time and a sha256 digest of each output; replaying a manifest re-runs the
-command and checks the digests.
+output file gets a sibling ``<out>.manifest.json`` recording every parsed
+argument and what the command derived from them (step count, partition,
+parsed lists), the tool version, wall-clock time and a sha256 digest of the
+output; replaying a manifest re-runs its ``argv`` and checks the digests.
 
 Exit codes: 0 success, 2 validation or usage error, 1 runtime error.
 """
@@ -45,23 +45,27 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_path: str, subcommand: str, argv, resolved: dict,
-                    outputs, started: float) -> str:
+def _write_manifest(args, argv, started: float, **derived) -> None:
+    """Write ``<args.out>.manifest.json`` for a run that wrote ``args.out``.
+
+    ``resolved`` holds every parsed argument but ``out``, and then what the
+    command derived from them (``derived`` replaces an argument of the same
+    name, such as the parsed list of a comma-separated option).
+    """
+    skip = ("func", "subcommand", "out")
     manifest = {
         "tool": "mixedvalue",
         "version": __version__,
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "argv": list(argv),
-        "resolved": resolved,
+        "resolved": {**{k: v for k, v in vars(args).items() if k not in skip}, **derived},
         "wallclock_s": round(time.time() - started, 6),
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "outputs": {os.path.basename(p): _sha256(p) for p in outputs},
+        "outputs": {os.path.basename(args.out): _sha256(args.out)},
     }
-    path = out_path + ".manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
 
 
 def _write_csv(path: str, header, rows) -> None:
@@ -113,8 +117,7 @@ def _cmd_game(args, argv, started):
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        _write_manifest(args.out, "game", argv,
-                        {"matrix": args.matrix, "tol": args.tol}, [args.out], started)
+        _write_manifest(args, argv, started)
     sys.stdout.write(text)
     return 0
 
@@ -132,11 +135,7 @@ def _cmd_hamiltonian(args, argv, started):
     rows = [(args.t, args.x, *row) for row in zip(p.tolist(), a.tolist(), lower, upper,
                                                   sol.value.tolist(), sol.gap.tolist())]
     _write_csv(args.out, ["t", "x", "p", "A", "h_minus", "h_plus", "h_relaxed", "gap"], rows)
-    _write_manifest(args.out, "hamiltonian", argv, {
-        "problem": args.problem, "t": args.t, "x": args.x, "y": args.y,
-        "p_grid": [args.p_min, args.p_max, args.n_p],
-        "a_grid": [args.a_min, args.a_max, args.n_a], "tol": args.tol,
-    }, [args.out], started)
+    _write_manifest(args, argv, started)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
@@ -147,10 +146,7 @@ def _cmd_solve_pde(args, argv, started):
     params = pde.SchemeParams(hamiltonian_mode=args.mode, cfl_safety=args.dt_safety)
     levels = pde.solve(prob, grid, params)
     _write_level_csv(args.out, ["t", *prob.x_names(), "value"], [("", levels)], grid)
-    _write_manifest(args.out, "solve-pde", argv, {
-        "problem": args.problem, "nx": args.nx, "mode": args.mode,
-        "dt_safety": args.dt_safety, "n_steps": len(levels) - 1,
-    }, [args.out], started)
+    _write_manifest(args, argv, started, n_steps=len(levels) - 1)
     v0 = levels[-1].values
     print(f"solved {prob.name} [{args.mode}]: {len(levels) - 1} steps, "
           f"V(0) range [{v0.min():.6g}, {v0.max():.6g}], wrote {args.out}")
@@ -167,11 +163,7 @@ def _cmd_solve_partition(args, argv, started):
     runs = [(f"{orientation},", dpp_sweep(prob, grid, pi, params, orientation).levels)
             for orientation in orientations]
     _write_level_csv(args.out, header, runs, grid)
-    _write_manifest(args.out, "solve-partition", argv, {
-        "problem": args.problem, "nx": args.nx, "n_steps": args.n_steps,
-        "orientation": args.orientation, "dt_safety": args.dt_safety,
-        "partition": list(pi.times),
-    }, [args.out], started)
+    _write_manifest(args, argv, started, partition=list(pi.times))
     print(f"swept {prob.name} n={args.n_steps} ({args.orientation}), wrote {args.out}")
     return 0
 
@@ -184,10 +176,7 @@ def _cmd_converge(args, argv, started):
     rows = convergence_study(prob, grid, meshes, params)
     header = list(rows[0].keys())
     _write_csv(args.out, header, [[r[k] for k in header] for r in rows])
-    _write_manifest(args.out, "converge", argv, {
-        "problem": args.problem, "nx": args.nx, "meshes": meshes,
-        "dt_safety": args.dt_safety,
-    }, [args.out], started)
+    _write_manifest(args, argv, started, meshes=meshes)
     for r in rows:
         print(f"n={r['n']:4d}  |pi|={r['mesh']:.5f}  sup|W-V|={r['sup_w_minus_v']:.3e}")
     return 0
@@ -210,11 +199,7 @@ def _cmd_simulate(args, argv, started):
     est = mc.estimate(prob, pi, profile, x0, args.paths, args.euler_substeps, device)
     _write_csv(args.out, ["estimate", "std_error", "paths", "seed"],
                [[est.mean, est.std_error, est.n_paths, args.seed]])
-    _write_manifest(args.out, "simulate", argv, {
-        "problem": args.problem, "n_steps": args.n_steps, "paths": args.paths,
-        "profile": args.profile, "seed": args.seed, "x0": x0,
-        "euler_substeps": args.euler_substeps,
-    }, [args.out], started)
+    _write_manifest(args, argv, started, x0=x0)
     print(f"estimate={est.mean:.6g}  std_error={est.std_error:.3g}  "
           f"paths={est.n_paths}  seed={args.seed}")
     return 0
@@ -226,9 +211,7 @@ def _cmd_gap_report(args, argv, started):
     report = pde.gap_report(prob, grid, pde.SchemeParams(cfl_safety=args.dt_safety))
     d = report.as_dict()
     _write_csv(args.out, list(d.keys()), [list(d.values())])
-    _write_manifest(args.out, "gap-report", argv, {
-        "problem": args.problem, "nx": args.nx, "dt_safety": args.dt_safety,
-    }, [args.out], started)
+    _write_manifest(args, argv, started)
     print(json.dumps(d, indent=2))
     return 0
 
@@ -236,9 +219,14 @@ def _cmd_gap_report(args, argv, started):
 def _cmd_replay(args, argv, started):
     with open(args.manifest, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    stored_argv = manifest["argv"]
-    if not stored_argv:
-        raise ValueError("manifest has no argv to replay")
+    if not isinstance(manifest, dict):
+        raise ValueError(f"a manifest must be a JSON object, got {type(manifest).__name__}")
+    stored_argv, outputs = manifest.get("argv"), manifest.get("outputs")
+    if not (isinstance(stored_argv, list) and stored_argv
+            and all(isinstance(tok, str) for tok in stored_argv)):
+        raise ValueError("manifest 'argv' must be a non-empty JSON list of strings")
+    if not (isinstance(outputs, dict) and outputs):
+        raise ValueError("manifest 'outputs' must be a non-empty JSON object")
     with tempfile.TemporaryDirectory() as tmp:
         new_argv = list(stored_argv)
         # redirect --out into the scratch directory
@@ -250,7 +238,9 @@ def _cmd_replay(args, argv, started):
             print(f"replay run failed with exit code {code}")
             return 1
         ok = True
-        for name, digest in manifest["outputs"].items():
+        for name, digest in outputs.items():
+            if name not in os.listdir(tmp):  # also a path outside the re-run's directory
+                raise ValueError(f"manifest output {name!r} is not a file the replayed run wrote")
             new_digest = _sha256(os.path.join(tmp, name))
             match = new_digest == digest
             ok = ok and match
@@ -301,7 +291,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=_cmd_solve_pde)
 
-    pp = sub.add_parser("solve-partition", help="backward sweep along a uniform partition")
+    pp = sub.add_parser("solve-partition", help=(
+        "backward sweep along a uniform partition with per-node strategies held over "
+        "each subinterval; gives the relaxed V_h at every |pi|, not the paper's W^pi"))
     pp.add_argument("--problem", required=True)
     pp.add_argument("--nx", type=int, required=True)
     pp.add_argument("--n-steps", type=int, required=True)
@@ -310,7 +302,9 @@ def _build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--out", required=True)
     pp.set_defaults(func=_cmd_solve_partition)
 
-    cv = sub.add_parser("converge", help="partition-refinement study against the PDE value")
+    cv = sub.add_parser("converge", help=(
+        "partition-refinement study of the per-node sweep against the PDE value; the "
+        "sweep gives the relaxed V_h at every |pi|, not the paper's W^pi"))
     cv.add_argument("--problem", required=True)
     cv.add_argument("--nx", type=int, required=True)
     cv.add_argument("--meshes", default="2,4,8,16,32")

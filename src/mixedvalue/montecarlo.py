@@ -254,6 +254,11 @@ class StrategyProfile:
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "StrategyProfile":
+        if not isinstance(data, dict):
+            raise ValueError(f"a profile must be a JSON object, got {type(data).__name__}")
+        missing = [k for k in ("mode", "u_weights", "v_weights") if k not in data]
+        if missing:
+            raise ValueError(f"profile missing keys: {missing}")
         axis = data.get("cell_axis")
         return cls(
             data["mode"],

@@ -168,7 +168,8 @@ class SchemeParams:
     ``dt=None`` derives the step from the CFL limit scaled by
     ``cfl_safety``.  ``game_tol`` bounds the certified duality gap of every
     relaxed local game.  :func:`solve` reads every field; :func:`gap_report`
-    all but ``hamiltonian_mode``, which it sets itself;
+    all but ``hamiltonian_mode``, which it sets itself and so requires to be
+    the default "relaxed";
     ``partition.dpp_sweep`` and ``partition.convergence_study`` only
     ``game_tol`` and ``cfl_safety``, which sets the sweep's substep counts
     (the sweep rejects the other two).
@@ -678,8 +679,12 @@ def gap_report(prob: Problem, grid: SpaceGrid, params: SchemeParams) -> GapRepor
     """Sup-norm gaps at t=0 between the three solution modes.
 
     Measured on the interior window, where boundary truncation effects are
-    excluded by the domain-of-dependence margin.
+    excluded by the domain-of-dependence margin.  The report solves every
+    mode itself, so a ``params.hamiltonian_mode`` other than "relaxed" is
+    rejected.
     """
+    if params.hamiltonian_mode != "relaxed":
+        raise ValueError("gap_report ignores params.hamiltonian_mode: it solves every mode")
     fields = {}
     for mode in _MODES:
         for level in _levels(prob, grid, replace(params, hamiltonian_mode=mode)):

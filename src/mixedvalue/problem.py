@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import warnings
 from dataclasses import dataclass
@@ -104,6 +105,9 @@ class Domain:
         hi = np.atleast_1d(np.asarray(self.x_max, dtype=float))
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ProblemError("domain bounds must be vectors of equal length")
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise ProblemError(f"domain bounds must be finite, got min {lo.tolist()} "
+                               f"and max {hi.tolist()}")
         if not np.all(lo < hi):
             raise ProblemError("domain requires x_min < x_max componentwise")
         for arr in (lo, hi):
@@ -141,7 +145,7 @@ class Bounds:
         missing = [k for k in cls._FIELDS if k not in data]
         if missing:
             raise ProblemError(f"bounds missing keys: {missing}")
-        return cls(**{k: float(data[k]) for k in cls._FIELDS})
+        return cls(**{k: _number(data[k], f"bound {k}") for k in cls._FIELDS})
 
 
 @dataclass(frozen=True)
@@ -306,16 +310,38 @@ def time_modulus_bound(prob: Problem) -> float:
 
 
 def _parse_coeff(src: str, allowed, what: str):
+    if not isinstance(src, str):
+        raise ProblemError(f"{what} must be a string expression, got {src!r}")
     try:
         return dsl.parse(src, allowed)
     except dsl.ExpressionError as exc:
         raise ProblemError(f"cannot parse {what}: {exc}") from exc
 
 
-def _require(cfg, key):
+def _require(cfg, key, where="problem config"):
     if key not in cfg:
-        raise ProblemError(f"missing required key {key!r} in problem config")
+        raise ProblemError(f"missing required key {key!r} in {where}")
     return cfg[key]
+
+
+def _object(cfg, key) -> dict:
+    value = _require(cfg, key)
+    if not isinstance(value, dict):
+        raise ProblemError(f"{key} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _number(value, what: str) -> float:
+    # float() would also take a string or true: a JSON number is required
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ProblemError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _is_list(value, n: int, of=str) -> bool:
+    """Whether ``value`` is a list (or tuple) of ``n`` items of type ``of``."""
+    return (isinstance(value, (list, tuple)) and len(value) == n
+            and all(isinstance(item, of) for item in value))
 
 
 def load_problem(source) -> "Problem":
@@ -342,27 +368,28 @@ def load_problem(source) -> "Problem":
         cfg = source
     else:
         raise ProblemError(f"unsupported problem source {type(source)!r}")
+    if not isinstance(cfg, dict):
+        raise ProblemError(f"a problem config must be a JSON object, got {type(cfg).__name__}")
     return _build_problem(cfg)
 
 
 def _build_problem(cfg: dict) -> Problem:
     name = cfg.get("name", "unnamed")
-    d = int(_require(cfg, "d"))
-    if d not in (1, 2):
-        raise ProblemError(f"state dimension must be 1 or 2, got {d}")
-    if "T" in cfg:
-        horizon = float(cfg["T"])
-    elif "horizon" in cfg:
-        horizon = float(cfg["horizon"])
-    else:
+    d = _require(cfg, "d")
+    if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d not in (1, 2):
+        raise ProblemError(f"state dimension d must be the integer 1 or 2, got {d!r}")
+    d = int(d)
+    if "T" not in cfg and "horizon" not in cfg:
         raise ProblemError("missing required key 'T' (alias 'horizon')")
+    key = "T" if "T" in cfg else "horizon"
+    horizon = _number(cfg[key], f"horizon {key}")
     if not 0 < horizon < math.inf:
         raise ProblemError(f"horizon must be finite and positive, got {horizon}")
 
-    u_grid = ControlGrid(np.asarray(_require(cfg, "U")["points"], dtype=float), "U")
-    v_grid = ControlGrid(np.asarray(_require(cfg, "V")["points"], dtype=float), "V")
+    u_grid = ControlGrid(np.asarray(_require(_object(cfg, "U"), "points", "U"), dtype=float), "U")
+    v_grid = ControlGrid(np.asarray(_require(_object(cfg, "V"), "points", "V"), dtype=float), "V")
 
-    dom_cfg = _require(cfg, "domain")
+    dom_cfg = _object(cfg, "domain")
     domain = Domain(
         np.asarray(_require(dom_cfg, "min"), dtype=float),
         np.asarray(_require(dom_cfg, "max"), dtype=float),
@@ -375,7 +402,7 @@ def _build_problem(cfg: dict) -> Problem:
     if mode not in ("sigma_uncontrolled", "f_linear_in_z"):
         raise ProblemError(f"unknown condition41_mode {mode!r}")
 
-    bounds = Bounds.from_mapping(_require(cfg, "bounds"))
+    bounds = Bounds.from_mapping(_object(cfg, "bounds"))
 
     x_names = tuple(f"x{i + 1}" for i in range(d))
     z_names = tuple(f"z{i + 1}" for i in range(d))
@@ -384,14 +411,15 @@ def _build_problem(cfg: dict) -> Problem:
     coeff_vars = ("t",) + x_names + u_names + v_names
     f_vars = ("t",) + x_names + ("y",) + z_names + u_names + v_names
 
-    b_rows = tuple(_require(cfg, "b"))
-    if len(b_rows) != d:
-        raise ProblemError(f"b must list {d} expressions, got {len(b_rows)}")
+    b_rows = _require(cfg, "b")
+    if not _is_list(b_rows, d):
+        raise ProblemError(f"b must be a list of {d} expression strings, got {b_rows!r}")
     b = tuple(_parse_coeff(s, coeff_vars, f"b[{i}]") for i, s in enumerate(b_rows))
 
     sigma_rows = _require(cfg, "sigma")
-    if len(sigma_rows) != d or any(len(r) != d for r in sigma_rows):
-        raise ProblemError(f"sigma must be a {d}x{d} array of expressions")
+    if not (_is_list(sigma_rows, d, (list, tuple)) and all(_is_list(r, d) for r in sigma_rows)):
+        raise ProblemError(f"sigma must be {d} lists of {d} expression strings, "
+                           f"got {sigma_rows!r}")
     sigma = tuple(
         tuple(_parse_coeff(s, coeff_vars, f"sigma[{i}][{j}]") for j, s in enumerate(row))
         for i, row in enumerate(sigma_rows)

@@ -1,6 +1,11 @@
-"""Test games shared by several test modules, most of them 3x3 on (-1, 0, 1) x (-1, 0, 1)."""
+"""Test games shared by several test modules, most of them 3x3 on (-1, 0, 1) x (-1, 0, 1).
 
-from mixedvalue.problem import load_problem
+Also malformed variants of ``uv_drift``, which no loader may accept.
+"""
+
+import math
+
+from mixedvalue.problem import CATALOG, load_problem
 
 
 def payoff3(mat):
@@ -44,3 +49,39 @@ def drift_cost3():
     mat = [[0.8, -0.6, 0.3], [-0.7, 0.9, -0.2], [0.1, -0.4, 0.6]]
     return game3_problem("drift_cost3", "u1 - 0.5*v1", payoff3(mat), "cos(x1)",
                          sup_b=1.5, sup_f=0.9, phi_bound=1.0)
+
+
+def uv_drift_with(**overrides):
+    return {**CATALOG["uv_drift"], **overrides}
+
+
+# uv_drift with one key of the wrong JSON shape: case -> (config, the ProblemError message)
+MALFORMED_PROBLEMS = {
+    "config_array": ([uv_drift_with()], "a problem config must be a JSON object, got list"),
+    "U_without_points": (uv_drift_with(U={}), "missing required key 'points' in U"),
+    "U_array": (uv_drift_with(U=[[-1.0], [1.0]]), "U must be a JSON object, got list"),
+    "V_number": (uv_drift_with(V=2), "V must be a JSON object, got int"),
+    "domain_array": (uv_drift_with(domain=[[-7.0], [7.0]]),
+                     "domain must be a JSON object, got list"),
+    "bounds_null": (uv_drift_with(bounds=None), "bounds must be a JSON object, got NoneType"),
+    "b_number": (uv_drift_with(b=5), "b must be a list of 1 expression strings, got 5"),
+    "b_of_a_number": (uv_drift_with(b=[5]), "b must be a list of 1 expression strings, got [5]"),
+    "b_string": (uv_drift_with(b="u1*v1"),
+                 "b must be a list of 1 expression strings, got 'u1*v1'"),
+    "sigma_string": (uv_drift_with(sigma="1"),
+                     "sigma must be 1 lists of 1 expression strings, got '1'"),
+    "sigma_row_string": (uv_drift_with(sigma=["1"]),
+                         "sigma must be 1 lists of 1 expression strings, got ['1']"),
+    "sigma_of_a_number": (uv_drift_with(sigma=[[1]]),
+                          "sigma must be 1 lists of 1 expression strings, got [[1]]"),
+    "f_number": (uv_drift_with(f=0), "f must be a string expression, got 0"),
+    "T_null": (uv_drift_with(T=None), "horizon T must be a number, got None"),
+    "T_string": (uv_drift_with(T="1.0"), "horizon T must be a number, got '1.0'"),
+    "d_fraction": (uv_drift_with(d=1.5), "state dimension d must be the integer 1 or 2, got 1.5"),
+    "bound_null": (uv_drift_with(bounds={**CATALOG["uv_drift"]["bounds"], "sup_b": None}),
+                   "bound sup_b must be a number, got None"),
+    "bound_string": (uv_drift_with(bounds={**CATALOG["uv_drift"]["bounds"], "sup_f": "0"}),
+                     "bound sup_f must be a number, got '0'"),
+    "domain_max_infinite": (uv_drift_with(domain={"min": [-7.0], "max": [math.inf]}),
+                            "domain bounds must be finite, got min [-7.0] and max [inf]"),
+}

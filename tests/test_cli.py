@@ -16,7 +16,7 @@ from mixedvalue.hamiltonian import payoff_matrix
 from mixedvalue.partition import Partition, dpp_sweep
 from mixedvalue.problem import CATALOG, load_problem
 
-from games3 import YZ_1D
+from games3 import MALFORMED_PROBLEMS, YZ_1D
 
 # d=2 with a t-dependent drift and mixed games; kept tiny for the CSV tests
 BILINEAR_2D = {
@@ -62,6 +62,81 @@ def test_command_and_replay(tmp_path, capsys, name):
     manifest = f"{out}.manifest.json"
     assert cli.dispatch(["replay", manifest]) == 0
     assert "outputs reproduce bitwise" in capsys.readouterr().out
+
+
+# what each subcommand derives from its arguments, given commands(tmp_path)[name]
+DERIVED = {
+    "game": lambda prob: {},
+    "hamiltonian": lambda prob: {},
+    "solve-pde": lambda prob: {"n_steps": len(pde.solve(prob, pde.SpaceGrid.for_problem(prob, 21),
+                                                       pde.SchemeParams())) - 1},
+    "solve-partition": lambda prob: {"partition": Partition.uniform(prob.T, 2).times.tolist()},
+    "converge": lambda prob: {"meshes": [1, 2]},
+    "simulate": lambda prob: {"x0": [0.25]},
+    "gap-report": lambda prob: {},
+}
+
+
+@pytest.mark.parametrize("name", sorted(DERIVED))
+def test_manifest_resolves_every_parsed_argument(tmp_path, name):
+    out = tmp_path / "out"
+    argv = commands(tmp_path)[name] + (["--x0=0.25"] if name == "simulate" else []) + [
+        "--out", str(out)]
+    assert cli.dispatch(argv) == 0
+    manifest = json.loads(Path(f"{out}.manifest.json").read_text(encoding="utf-8"))
+    parsed = {k: v for k, v in vars(cli._build_parser().parse_args(argv)).items()
+              if k not in ("func", "subcommand", "out")}
+    problem = parsed.get("problem")
+    derived = DERIVED[name](load_problem(problem) if problem else None)
+    assert manifest["resolved"] == {**parsed, **derived}
+    assert manifest["subcommand"] == argv[0]
+    assert manifest["argv"] == argv
+    assert manifest["outputs"] == {"out": cli._sha256(str(out))}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PROBLEMS))
+def test_solve_pde_rejects_problem_file_of_wrong_json_shape(tmp_path, capsys, case):
+    # a problem file is outside input: a key of the wrong type is a usage error
+    cfg, message = MALFORMED_PROBLEMS[case]
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "v.csv"
+    assert cli.dispatch(["solve-pde", "--problem", str(path), "--nx", "21",
+                         "--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_ARGV_MESSAGE = "manifest 'argv' must be a non-empty JSON list of strings"
+_OUTPUTS_MESSAGE = "manifest 'outputs' must be a non-empty JSON object"
+# a manifest of game, edited: case -> (edit, message)
+MALFORMED_MANIFESTS = {
+    "array": (lambda m: [m["argv"]], "a manifest must be a JSON object, got list"),
+    "no_argv": (lambda m: {"outputs": m["outputs"]}, _ARGV_MESSAGE),
+    "argv_empty": (lambda m: {**m, "argv": []}, _ARGV_MESSAGE),
+    "argv_string": (lambda m: {**m, "argv": " ".join(m["argv"])}, _ARGV_MESSAGE),
+    "argv_of_a_number": (lambda m: {**m, "argv": ["game", 5]}, _ARGV_MESSAGE),
+    "outputs_empty": (lambda m: {**m, "outputs": {}}, _OUTPUTS_MESSAGE),
+    "outputs_array": (lambda m: {**m, "outputs": list(m["outputs"])}, _OUTPUTS_MESSAGE),
+    # the matrix file, which matches its digest, is not what the re-run wrote
+    "output_elsewhere": (lambda m: {**m, "outputs": {m["argv"][2]: cli._sha256(m["argv"][2])}},
+                         "is not a file the replayed run wrote"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
+def test_replay_rejects_manifest_without_a_run_to_check(tmp_path, capsys, case):
+    # each of these used to re-run the command and report that outputs it
+    # did not check reproduced bitwise, or to end in a runtime error
+    edit, message = MALFORMED_MANIFESTS[case]
+    manifest = {"argv": commands(tmp_path)["game"] + ["--out", str(tmp_path / "g.json")],
+                "outputs": {"g.json": "0" * 64}}
+    path = tmp_path / "g.json.manifest.json"
+    path.write_text(json.dumps(edit(manifest)), encoding="utf-8")
+    assert cli.dispatch(["replay", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert "replay:" not in captured.out
 
 
 def simulated_chunks(tmp_path, monkeypatch, workers):
@@ -138,13 +213,17 @@ PROFILES_OFF_THE_GAME = {
                                        "v_weights": [[[0.5, 0.5]] * 3] * 2,
                                        "cell_axis": [-1.0, 0.0, 1.0]},
                        "feedback profiles are supported for d=1 only, the game has d=2"),
+    # and files that are no profile at all
+    "no_mode": ("uv_drift", {"u_weights": [[0.5, 0.5]] * 2, "v_weights": [[0.5, 0.5]] * 2},
+                "profile missing keys: ['mode']"),
+    "array": ("uv_drift", [[0.5, 0.5]] * 2, "a profile must be a JSON object, got list"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(PROFILES_OFF_THE_GAME))
 def test_simulate_rejects_profile_off_the_game(tmp_path, capsys, case):
-    # a profile file is outside input: one that does not fit the game is a
-    # usage error, not a runtime failure
+    # a profile file is outside input: one that is malformed or does not fit
+    # the game is a usage error, not a runtime failure
     problem, profile, message = PROFILES_OFF_THE_GAME[case]
     path = tmp_path / "profile.json"
     path.write_text(json.dumps(profile), encoding="utf-8")

@@ -248,6 +248,15 @@ class TestStrategyProfile:
         data["cell_axis"] = [-1.0, 0.0, 1.0, 2.0]
         assert mc.StrategyProfile.from_jsonable(data).cell_axis.tolist() == data["cell_axis"]
 
+    @pytest.mark.parametrize("data,message", [
+        ({"u_weights": [[0.5, 0.5]], "v_weights": [[0.5, 0.5]]}, "profile missing keys: ['mode']"),
+        ({"mode": "openloop", "u_weights": [[1.0]]}, "profile missing keys: ['v_weights']"),
+        ([[0.5, 0.5]], "a profile must be a JSON object, got list"),
+    ], ids=["no_mode", "no_v_weights", "array"])
+    def test_from_jsonable_rejects_wrong_json_shape(self, data, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            mc.StrategyProfile.from_jsonable(data)
+
 
 # every route that draws paths, on 10 paths from the origin of a device that may not draw
 ROUTES = {

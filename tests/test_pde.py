@@ -402,6 +402,13 @@ class TestGapReport:
         rep = gap_report(uv_drift, grid, SchemeParams())
         assert rep.pure_gap == pytest.approx(2.0, abs=2e-2)
 
+    @pytest.mark.parametrize("mode", ["pure_lower", "pure_upper"])
+    def test_rejects_hamiltonian_mode(self, heat, mode):
+        # the report solves every mode itself: a mode it was given would do nothing
+        grid = SpaceGrid.for_problem(heat, 21)
+        with pytest.raises(ValueError, match="gap_report ignores params.hamiltonian_mode"):
+            gap_report(heat, grid, SchemeParams(hamiltonian_mode=mode))
+
     def test_keeps_no_whole_solve(self, heat):
         # each mode's solve keeps its last level only; with whole solves of
         # 1 236 levels each kept, the peak at nx = 401 was 8.7 MB

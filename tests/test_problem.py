@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -22,6 +23,8 @@ from mixedvalue.problem import (
     time_modulus_bound,
     value_bound,
 )
+
+from games3 import MALFORMED_PROBLEMS
 
 BENCH_PROBLEMS = Path(__file__).resolve().parent.parent / "bench" / "problems"
 
@@ -112,6 +115,30 @@ class TestLoading:
         cfg[key] = horizon
         with pytest.raises(ProblemError, match="horizon must be finite and positive"):
             load_problem(cfg)
+
+    @pytest.mark.parametrize("key", ["min", "max"])
+    @pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan])
+    def test_rejects_domain_bound_not_finite(self, key, bound):
+        # sampling the domain for validation cannot draw from an infinite box
+        cfg = cfg_variant("heat_cosine")
+        cfg["domain"][key] = [bound]
+        with pytest.raises(ProblemError, match="domain bounds must be finite"):
+            load_problem(cfg)
+
+    @pytest.mark.parametrize("d", [1.5, 1.0, True, "1", None, 0, [1]])
+    def test_rejects_dimension_not_the_integer_1_or_2(self, d):
+        with pytest.raises(ProblemError, match=re.escape(
+                f"state dimension d must be the integer 1 or 2, got {d!r}")):
+            load_problem(cfg_variant("heat_cosine", d=d))
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_PROBLEMS))
+    def test_rejects_wrong_json_shape(self, case, tmp_path):
+        cfg, message = MALFORMED_PROBLEMS[case]
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        for source in (json.dumps(cfg), str(path)):
+            with pytest.raises(ProblemError, match=re.escape(message)):
+                load_problem(source)
 
     def test_missing_key(self):
         cfg = cfg_variant("heat_cosine")
