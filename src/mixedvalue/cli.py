@@ -123,6 +123,8 @@ def _cmd_game(args, argv, started):
 
 
 def _cmd_hamiltonian(args, argv, started):
+    if min(args.n_p, args.n_a) < 1:  # an empty axis would write a table of no rows
+        raise ValueError(f"--n-p and --n-a must be at least 1, got {args.n_p} and {args.n_a}")
     prob = load_problem(args.problem)
     if prob.d != 1:
         raise ProblemError("the hamiltonian sweep command supports d=1 problems only")

@@ -536,14 +536,14 @@ def _statistics(payoff: np.ndarray) -> PayoffEstimate:
     The standard error is ``np.std(payoff, ddof=1) / sqrt(n)`` bitwise: the
     same subtraction, squaring and sum as ``np.std``, done in ``payoff``
     itself (which is overwritten) where ``np.std`` allocates a temporary
-    as large as it.
+    as large as it.  A standard error needs at least two paths.
     """
     n = payoff.size
+    if n < 2:
+        raise ValueError(f"a standard error needs at least 2 paths, got {n}")
     mean = np.mean(payoff)
-    se = 0.0
-    if n > 1:
-        np.square(np.subtract(payoff, mean, out=payoff), out=payoff)
-        se = float(np.sqrt(np.add.reduce(payoff) / (n - 1)) / math.sqrt(n))
+    np.square(np.subtract(payoff, mean, out=payoff), out=payoff)
+    se = float(np.sqrt(np.add.reduce(payoff) / (n - 1)) / math.sqrt(n))
     return PayoffEstimate(mean=float(mean), std_error=se, n_paths=n)
 
 
@@ -552,7 +552,8 @@ def estimate_payoff(ensemble: PathEnsemble, prob: Problem) -> PayoffEstimate:
 
     Requires the classical case: f must not name y or any z component
     (``Problem.f_needs_yz``).  The reduction is numpy pairwise summation,
-    deterministic for a fixed ensemble.
+    deterministic for a fixed ensemble.  An ensemble of fewer than two paths
+    raises ``ValueError``: it has no standard error.
     """
     _check_classical(prob)
     return _statistics(_payoffs(ensemble, prob))
@@ -570,14 +571,14 @@ def estimate(prob: Problem, pi: Partition, profile: StrategyProfile, x0, n_paths
     ensemble of all paths holds O(paths x subintervals); the statistics
     reduce the payoff vector in place.  They are those of
     :func:`estimate_payoff` over the same payoff vector.  Input that
-    :func:`simulate` rejects raises its ``ValueError`` before any draw.  A
-    non-finite state raises the ``ArithmeticError`` that it would: the
-    earliest (subinterval, substep) over all chunks and the lowest path
-    index there.
+    :func:`simulate` rejects, and fewer than two paths, raise
+    ``ValueError`` before any draw.  A non-finite state raises the
+    ``ArithmeticError`` that it would: the earliest (subinterval, substep)
+    over all chunks and the lowest path index there.
     """
     _check_classical(prob)
-    if n_paths < 1 or euler_substeps < 1:
-        raise ValueError("need n_paths >= 1 and euler_substeps >= 1")
+    if n_paths < 2 or euler_substeps < 1:  # a standard error needs two paths
+        raise ValueError("need n_paths >= 2 and euler_substeps >= 1")
     x0 = _start_state(prob, x0)
     payoff = np.empty(n_paths)
 

@@ -140,10 +140,11 @@ class ValueField:
 
     @classmethod
     def _adopt(cls, t: float, values: np.ndarray) -> "ValueField":
-        """A field owning ``values``, a fresh finite array from :meth:`Stepper._finish`.
+        """A field holding ``values``, a fresh finite level: an array or a row of one.
 
         It is made read-only in place, without the copy and the scan of the
-        constructor, which :meth:`Stepper._finish` has already done.
+        constructor: :meth:`Stepper._finish`, or the field a row was copied
+        from, has already scanned it.
         """
         values.flags.writeable = False
         field = object.__new__(cls)
@@ -551,9 +552,12 @@ class Stepper:
 
     # -- stepping -------------------------------------------------------------
 
-    def _finish(self, values, vals, dt, t_new):
-        """The next level: values + dt * vals on the work region, then the boundary."""
-        new = np.empty(values.shape)
+    def _finish(self, values, vals, dt, t_new, out=None):
+        """The next level: values + dt * vals on the work region, then the boundary.
+
+        It is written into ``out`` when given, else into a new array.
+        """
+        new = np.empty(values.shape) if out is None else out
         inc = np.multiply(dt, vals, out=self._array("increment", self.work_shape))
         np.add(values[self._work], inc, out=new[self._work])
         # axis by axis, clamp copies each end's neighbour, periodic copies
@@ -568,10 +572,10 @@ class Stepper:
             raise NonFiniteFieldError(f"non-finite value at node {node} (t={t_new})")
         return new
 
-    def step(self, values, t, dt, mode):
-        """One explicit step from level t to t - dt; returns the new level."""
+    def step(self, values, t, dt, mode, out=None):
+        """One explicit step from level t to t - dt; returns the new level (``out`` if given)."""
         vals, _, _ = self.game_values(self.entries(values, t), mode, t)
-        return self._finish(values, vals, dt, t - dt)
+        return self._finish(values, vals, dt, t - dt, out)
 
     def step_frozen(self, values, ent, t, dt, mu, nu):
         """One step under frozen per-node mixed strategies.
@@ -606,12 +610,20 @@ def solve(prob: Problem, grid: SpaceGrid, params: SchemeParams) -> list:
     not exceeding params.dt (or the CFL-safety limit when dt is None).
     A dt that is not positive, or above that limit, raises
     :class:`CflViolationError`.
+
+    The levels are read-only rows of one ``(n_steps + 1, *grid.shape)``
+    array, so keeping any one of them keeps the whole history alive.
     """
-    return list(_levels(prob, grid, params))
+    return list(_levels(prob, grid, params, one_array=True))
 
 
-def _levels(prob: Problem, grid: SpaceGrid, params: SchemeParams):
-    """The levels of :func:`solve`, yielded one at a time from T down to 0."""
+def _levels(prob: Problem, grid: SpaceGrid, params: SchemeParams, *, one_array=False):
+    """The levels of :func:`solve`, yielded one at a time from T down to 0.
+
+    With ``one_array`` every level is written into a row of one array
+    allocated up front.  Without it each level is an array of its own, so a
+    caller that keeps only the last level holds one level's memory.
+    """
     limit = params.cfl_safety * cfl_limit(prob, grid)
     dt_target = limit if params.dt is None else params.dt
     if not dt_target > 0:  # also NaN
@@ -630,10 +642,16 @@ def _levels(prob: Problem, grid: SpaceGrid, params: SchemeParams):
     stepper = Stepper(prob, grid, params.game_tol)
     stepper.schedule(map(time, range(n_steps)))
     fld = terminal_field(prob, grid)
+    if one_array:
+        rows = np.empty((n_steps + 1,) + grid.shape)
+        rows[0] = fld.values
+        fld = ValueField._adopt(fld.t, rows[0])
+    else:
+        rows = [None] * (n_steps + 1)  # each step allocates its own level
     yield fld
     values = fld.values
     for i in range(n_steps):
-        values = stepper.step(values, time(i), dt, params.hamiltonian_mode)
+        values = stepper.step(values, time(i), dt, params.hamiltonian_mode, out=rows[i + 1])
         fld = ValueField._adopt(time(i + 1), values)
         fld.check_bound(prob)
         yield fld

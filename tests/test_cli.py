@@ -293,6 +293,27 @@ def test_rejects_non_finite_horizon(tmp_path, capsys, name, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,count", [("--n-p", "0"), ("--n-a", "0"), ("--n-p", "-1")])
+def test_hamiltonian_rejects_an_empty_axis(tmp_path, capsys, flag, count):
+    # an axis of no points used to write a header-only table and a manifest
+    argv = commands(tmp_path)["hamiltonian"]
+    argv[argv.index(flag) + 1] = count
+    out = tmp_path / "h.csv"
+    assert cli.dispatch(argv + ["--out", str(out)]) == 2
+    assert "error: --n-p and --n-a must be at least 1" in capsys.readouterr().err
+    assert not out.exists() and not Path(f"{out}.manifest.json").exists()
+
+
+def test_simulate_rejects_one_path(tmp_path, capsys):
+    # one path has no standard error; it used to print std_error=0
+    argv = commands(tmp_path)["simulate"]
+    argv[argv.index("--paths") + 1] = "1"
+    out = tmp_path / "s.csv"
+    assert cli.dispatch(argv + ["--out", str(out)]) == 2
+    assert "error: need n_paths >= 2" in capsys.readouterr().err
+    assert not out.exists() and not Path(f"{out}.manifest.json").exists()
+
+
 def hamiltonian_table(tmp_path, monkeypatch, argv):
     """Rows of ``cli hamiltonian`` and the dsl.evaluate calls it made after loading."""
     calls = []

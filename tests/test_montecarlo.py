@@ -884,7 +884,7 @@ class TestEstimate:
     def test_bitwise_equal_to_estimate_payoff(self, monkeypatch, case, chunk):
         prob, pi, prof, x0, substeps = ESTIMATE_CASES[case]()
         monkeypatch.setattr(mc, "_CHUNK_PATHS", chunk)
-        sizes = sorted({n for n in (1, 7, chunk - 1, chunk, chunk + 1, 2 * chunk + 5) if n >= 1})
+        sizes = sorted({n for n in (2, 7, chunk - 1, chunk, chunk + 1, 2 * chunk + 5) if n >= 2})
         for n in sizes:
             dev = mc.RandomizationDevice(23)
             got = mc.estimate(prob, pi, prof, x0, n, substeps, dev)
@@ -964,15 +964,34 @@ class TestEstimate:
         # peak grows by the payoff vector alone; the ensemble would add 208.
         assert peaks[1] - peaks[0] <= 1.25 * 8 * 200_000
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 127, 128, 129, 1000, 100_003])
+    @pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 127, 128, 129, 1000, 100_003])
     def test_statistics_bitwise_np_std(self, n):
         rng = np.random.default_rng(n)
         for payoff in (rng.normal(3.0, 2.0, n), 1e8 + rng.standard_cauchy(n),
                        np.full(n, 0.1), np.linspace(-1.0, 1.0, n) ** 3):
-            want_se = np.std(payoff, ddof=1) / math.sqrt(n) if n > 1 else 0.0
+            want_se = np.std(payoff, ddof=1) / math.sqrt(n)
             got = mc._statistics(payoff.copy())
             assert (got.mean.hex(), got.std_error.hex(), got.n_paths) == \
                 (float(np.mean(payoff)).hex(), float(want_se).hex(), n)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_statistics_rejects_fewer_than_two_paths(self, n):
+        # one path has no sample variance: its standard error is not 0
+        with pytest.raises(ValueError, match=f"a standard error needs at least 2 paths, got {n}"):
+            mc._statistics(np.full(n, 0.5))
+
+    @pytest.mark.parametrize("case", sorted(ESTIMATE_CASES))
+    def test_estimators_reject_one_path(self, monkeypatch, case):
+        # simulate still runs one path (chunks of one path are tested above);
+        # estimate rejects it before any draw, estimate_payoff on its ensemble
+        prob, pi, prof, x0, substeps = ESTIMATE_CASES[case]()
+        ens = mc.simulate(prob, pi, prof, x0, 1, substeps, mc.RandomizationDevice(23))
+        assert ens.n_paths == 1
+        with pytest.raises(ValueError, match="a standard error needs at least 2 paths, got 1"):
+            mc.estimate_payoff(ens, prob)
+        monkeypatch.setattr(mc, "simulate", None)
+        with pytest.raises(ValueError, match="need n_paths >= 2"):
+            mc.estimate(prob, pi, prof, x0, 1, substeps, mc.RandomizationDevice(23))
 
     def test_statistics_adds_no_path_sized_array(self):
         payoff = np.random.default_rng(0).normal(size=1_000_000)

@@ -109,15 +109,37 @@ class TestSolve:
         times = []
         inner = pde.Stepper.step
 
-        def counted(stepper, values, t, dt, step_mode):
+        def counted(stepper, values, t, *args, **kwargs):
             times.append(t)
-            return inner(stepper, values, t, dt, step_mode)
+            return inner(stepper, values, t, *args, **kwargs)
 
         monkeypatch.setattr(pde.Stepper, "step", counted)
         levels = solve(uv_cost, SpaceGrid.for_problem(uv_cost, 21),
                        SchemeParams(hamiltonian_mode=mode))
         assert len(levels) > 2
         assert times == [lv.t for lv in levels[:-1]]
+
+    @pytest.mark.parametrize("case", ["pure_lower_2d", "relaxed_1d"])
+    def test_levels_are_read_only_rows_of_one_array(self, uv_cost, case):
+        # solve writes every level into one array; each level is bitwise the
+        # level that _levels streams as arrays of their own, as gap_report
+        # and convergence_study take them
+        if case == "pure_lower_2d":
+            prob = load_problem(str(BENCH_PROBLEMS / "bilinear_drift_2d.json"))
+            params = SchemeParams(hamiltonian_mode="pure_lower")
+        else:
+            prob, params = uv_cost, SchemeParams(hamiltonian_mode="relaxed")
+        grid = SpaceGrid.for_problem(prob, 21)
+        levels = solve(prob, grid, params)
+        streamed = [(lv.t, lv.values.tobytes()) for lv in pde._levels(prob, grid, params)]
+        assert len(levels) > 2
+        assert [(lv.t, lv.values.tobytes()) for lv in levels] == streamed
+        base = levels[0].values.base
+        assert base is not None and base.shape == (len(levels),) + grid.shape
+        assert all(lv.values.base is base for lv in levels)
+        for lv in levels:
+            with pytest.raises(ValueError, match="read-only"):
+                lv.values[(0,) * grid.d] = 0.0
 
     @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
     def test_rejects_game_tol_not_finite_and_positive(self, tol):
