@@ -229,24 +229,20 @@ def _cmd_replay(args, argv, started):
         raise ValueError("manifest 'argv' must be a non-empty JSON list of strings")
     if not (isinstance(outputs, dict) and outputs):
         raise ValueError("manifest 'outputs' must be a non-empty JSON object")
+    if len(outputs) != 1:
+        raise ValueError(f"manifest 'outputs' must name one file, got {len(outputs)}")
+    [(name, digest)] = outputs.items()
+    if name != os.path.basename(name):
+        raise ValueError(f"manifest output {name!r} is not a file the replayed run wrote")
     with tempfile.TemporaryDirectory() as tmp:
-        new_argv = list(stored_argv)
-        # redirect --out into the scratch directory
-        for i, tok in enumerate(new_argv):
-            if tok == "--out" and i + 1 < len(new_argv):
-                new_argv[i + 1] = os.path.join(tmp, os.path.basename(new_argv[i + 1]))
-        code = dispatch(new_argv)
+        # argparse keeps the last --out, however the stored argv spells its own
+        code = dispatch(list(stored_argv) + ["--out", os.path.join(tmp, name)])
         if code != 0:
             print(f"replay run failed with exit code {code}")
             return 1
-        ok = True
-        for name, digest in outputs.items():
-            if name not in os.listdir(tmp):  # also a path outside the re-run's directory
-                raise ValueError(f"manifest output {name!r} is not a file the replayed run wrote")
-            new_digest = _sha256(os.path.join(tmp, name))
-            match = new_digest == digest
-            ok = ok and match
-            print(f"{name}: {'MATCH' if match else 'MISMATCH'} ({new_digest[:12]}...)")
+        new_digest = _sha256(os.path.join(tmp, name))
+    ok = new_digest == digest
+    print(f"{name}: {'MATCH' if ok else 'MISMATCH'} ({new_digest[:12]}...)")
     print("replay: outputs reproduce bitwise" if ok else "replay: DIGEST MISMATCH")
     return 0 if ok else 1
 

@@ -9,8 +9,14 @@ quoted strings, e.g. ``"exp(-(1-t)/2)*cos(x1)"``.  The grammar is
     atom   := NUMBER | NAME | NAME '(' expr (',' expr)* ')' | '(' expr ')'
 
 with the usual precedence (unary minus binds tighter than '*' and '/',
-which bind tighter than '+' and '-') and left associativity.  Parsing is
-whitespace-insensitive.  Trees are immutable after :func:`parse`, so
+which bind tighter than '+' and '-') and left associativity.  This is a
+subset of Python's expression grammar, so Python's parser reads it and
+:func:`parse` converts the resulting tree.  The conversion rejects every
+other node, a NUMBER that is not decimal digits with at most one '.' and
+an optional exponent (``1_0``, ``0x10``, ``1j``, ``True``), a call with
+keywords or a trailing comma, and nesting deeper than 200 levels.  The
+source must be ASCII without ``#``; any whitespace, newlines included,
+separates tokens.  Trees are immutable after :func:`parse`, so
 :func:`evaluate` is reentrant and safe to call concurrently.
 
 ``evaluate`` accepts scalar or numpy-array bindings; array bindings must
@@ -19,6 +25,8 @@ share a common shape and evaluation is then elementwise.
 
 from __future__ import annotations
 
+import ast
+import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
@@ -136,140 +144,15 @@ Expr = Union[Num, Var, Neg, BinOp, Call]
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
-# ---------------------------------------------------------------------------
-
-_SINGLE = set("+-*/(),")
-
-
-def _tokenize(source: str):
-    """Yield (kind, text, offset) triples; kind in {num, name, op, end}."""
-    tokens = []
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _SINGLE:
-            tokens.append(("op", ch, i))
-            i += 1
-            continue
-        if ch.isdigit() or ch == ".":
-            j = i
-            while j < n and (source[j].isdigit() or source[j] == "."):
-                j += 1
-            # optional exponent
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k].isdigit():
-                    j = k
-                    while j < n and source[j].isdigit():
-                        j += 1
-            text = source[i:j]
-            try:
-                value = float(text)
-            except ValueError:
-                raise ParseError(f"malformed number {text!r}", i) from None
-            tokens.append(("num", value, i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(("name", source[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", "", n))
-    return tokens
-
-
-# ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
 
-
-class _Parser:
-    def __init__(self, tokens, allowed_vars):
-        self.tokens = tokens
-        self.pos = 0
-        self.allowed = frozenset(allowed_vars)
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, text):
-        kind, val, off = self.peek()
-        if kind != "op" or val != text:
-            raise ParseError(f"expected {text!r}", off)
-        return self.advance()
-
-    def parse_expr(self):
-        node = self.parse_term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                node = BinOp(val, node, self.parse_term())
-            else:
-                return node
-
-    def parse_term(self):
-        node = self.parse_unary()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.advance()
-                node = BinOp(val, node, self.parse_unary())
-            else:
-                return node
-
-    def parse_unary(self):
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
-            self.advance()
-            return Neg(self.parse_unary())
-        return self.parse_atom()
-
-    def parse_atom(self):
-        kind, val, off = self.advance()
-        if kind == "num":
-            return Num(val)
-        if kind == "name":
-            if val in FUNCTIONS:
-                nxt_kind, nxt_val, nxt_off = self.peek()
-                if nxt_kind != "op" or nxt_val != "(":
-                    raise ParseError(f"expected '(' after function {val!r}", nxt_off)
-                self.advance()
-                args = [self.parse_expr()]
-                while True:
-                    k, v, o = self.peek()
-                    if k == "op" and v == ",":
-                        self.advance()
-                        args.append(self.parse_expr())
-                    else:
-                        break
-                self.expect(")")
-                if len(args) != FUNCTIONS[val]:
-                    raise ArityError(val, FUNCTIONS[val], len(args), off)
-                return Call(val, tuple(args))
-            if val not in self.allowed:
-                raise UnknownIdentifierError(val, off)
-            return Var(val)
-        if kind == "op" and val == "(":
-            node = self.parse_expr()
-            self.expect(")")
-            return node
-        raise ParseError(f"unexpected token {val!r}" if val else "unexpected end of input", off)
+# ASCII whitespace as ``str.isspace`` has it, \x1c-\x1f included
+_SPACES = str.maketrans({chr(c): " " for c in range(128) if chr(c).isspace()})
+_NUMBER = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?", re.ASCII)
+_BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
+# nesting beyond this is an error; Python's parser nests at most 200 parentheses
+_MAX_DEPTH = 200
 
 
 def parse(source: str, allowed_vars: Iterable[str]) -> Expr:
@@ -280,12 +163,49 @@ def parse(source: str, allowed_vars: Iterable[str]) -> Expr:
     """
     if not isinstance(source, str) or not source.strip():
         raise ParseError("empty expression", 0)
-    parser = _Parser(_tokenize(source), allowed_vars)
-    node = parser.parse_expr()
-    kind, val, off = parser.peek()
-    if kind != "end":
-        raise ParseError(f"unexpected trailing input {val!r}", off)
-    return node
+    text = source.translate(_SPACES).lstrip(" ")
+    lead = len(source) - len(text)
+    bad = re.search(r"[^ -~]|#", text)
+    if bad:
+        raise ParseError(f"unexpected character {bad.group()!r}", lead + bad.start())
+    try:
+        return _tree(ast.parse(text, mode="eval").body, text, lead, frozenset(allowed_vars), 0)
+    except SyntaxError as exc:
+        raise ParseError(exc.msg, lead + max((exc.offset or 1) - 1, 0)) from None
+    except (RecursionError, MemoryError):
+        raise ParseError("expression too deeply nested", lead) from None
+
+
+def _tree(node, text, lead, allowed, depth) -> Expr:
+    """Convert one node of Python's tree, allowing only the grammar above."""
+    at, segment = lead + node.col_offset, text[node.col_offset:node.end_col_offset]
+    if depth > _MAX_DEPTH:
+        raise ParseError(f"expression nested deeper than {_MAX_DEPTH} levels", at)
+    sub = lambda child: _tree(child, text, lead, allowed, depth + 1)
+    if isinstance(node, ast.Constant) and _NUMBER.fullmatch(segment):
+        return Num(float(segment))
+    elif isinstance(node, ast.Name):
+        if node.id in FUNCTIONS:
+            raise ParseError(f"expected '(' after function {node.id!r}",
+                             lead + node.end_col_offset)
+        if node.id not in allowed:
+            raise UnknownIdentifierError(node.id, at)
+        return Var(node.id)
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return Neg(sub(node.operand))
+    elif isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        return BinOp(_BINOPS[type(node.op)], sub(node.left), sub(node.right))
+    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        name, args = node.func.id, node.args
+        if name not in FUNCTIONS and name not in allowed:
+            raise UnknownIdentifierError(name, at)
+        # (cos)(x1) starts before the name, and cos(x1,) ends in a comma
+        if (name in FUNCTIONS and not node.keywords and node.col_offset == node.func.col_offset
+                and not text[:node.end_col_offset - 1].rstrip().endswith(",")):
+            if len(args) != FUNCTIONS[name]:
+                raise ArityError(name, FUNCTIONS[name], len(args), at)
+            return Call(name, tuple(sub(a) for a in args))
+    raise ParseError(f"unsupported syntax {segment!r}", at)
 
 
 # ---------------------------------------------------------------------------

@@ -194,7 +194,9 @@ class StrategyProfile:
         if uw.shape[:-1] != vw.shape[:-1]:
             raise ValueError("player weight shapes disagree")
         for w, who in ((uw, "u"), (vw, "v")):
-            if np.any(w < -1e-12) or np.any(np.abs(w.sum(axis=-1) - 1.0) > 1e-9):
+            # every comparison with NaN is false: finiteness is checked first
+            if (not np.all(np.isfinite(w)) or np.any(w < -1e-12)
+                    or np.any(np.abs(w.sum(axis=-1) - 1.0) > 1e-9)):
                 raise ValueError(f"{who} weights must be probability vectors")
         if self.mode == "feedback":
             if self.cell_axis is None:

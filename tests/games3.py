@@ -1,6 +1,7 @@
 """Test games shared by several test modules, most of them 3x3 on (-1, 0, 1) x (-1, 0, 1).
 
-Also malformed variants of ``uv_drift``, which no loader may accept.
+Also malformed variants of ``uv_drift``, and terminal costs nested too deep,
+which no loader may accept.
 """
 
 import math
@@ -84,4 +85,14 @@ MALFORMED_PROBLEMS = {
                      "bound sup_f must be a number, got '0'"),
     "domain_max_infinite": (uv_drift_with(domain={"min": [-7.0], "max": [math.inf]}),
                             "domain bounds must be finite, got min [-7.0] and max [inf]"),
+}
+
+# terminal costs of uv_drift nested deeper than the parser's limit: case -> phi.
+# Each used to end load_problem in a RecursionError; 100 000 unary minuses
+# make Python's own parser raise MemoryError.
+TOO_DEEP_PHI = {
+    "parentheses_300": "(" * 300 + "x1" + ")" * 300,
+    "sum_of_1200_terms": "+".join(["x1"] * 1200),
+    "minus_3000": "-" * 3000 + "x1",
+    "minus_100000": "-" * 100_000 + "x1",
 }

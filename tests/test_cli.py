@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from mixedvalue.hamiltonian import payoff_matrix
 from mixedvalue.partition import Partition, dpp_sweep
 from mixedvalue.problem import CATALOG, load_problem
 
-from games3 import MALFORMED_PROBLEMS, YZ_1D
+from games3 import MALFORMED_PROBLEMS, TOO_DEEP_PHI, YZ_1D, uv_drift_with
 
 # d=2 with a t-dependent drift and mixed games; kept tiny for the CSV tests
 BILINEAR_2D = {
@@ -107,6 +108,18 @@ def test_solve_pde_rejects_problem_file_of_wrong_json_shape(tmp_path, capsys, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", sorted(TOO_DEEP_PHI))
+def test_solve_pde_rejects_expression_nested_too_deep(tmp_path, capsys, case):
+    # these used to exit 1 with "runtime error: RecursionError"
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(uv_drift_with(phi=TOO_DEEP_PHI[case])), encoding="utf-8")
+    out = tmp_path / "v.csv"
+    assert cli.dispatch(["solve-pde", "--problem", str(path), "--nx", "21",
+                         "--out", str(out)]) == 2
+    assert "error: cannot parse phi: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 _ARGV_MESSAGE = "manifest 'argv' must be a non-empty JSON list of strings"
 _OUTPUTS_MESSAGE = "manifest 'outputs' must be a non-empty JSON object"
 # a manifest of game, edited: case -> (edit, message)
@@ -118,6 +131,8 @@ MALFORMED_MANIFESTS = {
     "argv_of_a_number": (lambda m: {**m, "argv": ["game", 5]}, _ARGV_MESSAGE),
     "outputs_empty": (lambda m: {**m, "outputs": {}}, _OUTPUTS_MESSAGE),
     "outputs_array": (lambda m: {**m, "outputs": list(m["outputs"])}, _OUTPUTS_MESSAGE),
+    "outputs_two": (lambda m: {**m, "outputs": {**m["outputs"], "h.json": "0" * 64}},
+                    "manifest 'outputs' must name one file, got 2"),
     # the matrix file, which matches its digest, is not what the re-run wrote
     "output_elsewhere": (lambda m: {**m, "outputs": {m["argv"][2]: cli._sha256(m["argv"][2])}},
                          "is not a file the replayed run wrote"),
@@ -137,6 +152,20 @@ def test_replay_rejects_manifest_without_a_run_to_check(tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and message in captured.err
     assert "replay:" not in captured.out
+
+
+@pytest.mark.parametrize("spelling", [["--out={}"], ["--ou", "{}"]], ids=["equals", "abbreviated"])
+def test_replay_leaves_the_original_run_alone(tmp_path, capsys, spelling):
+    # replay used to redirect only a literal --out token: these spellings
+    # re-ran into the original output and manifest
+    out = tmp_path / "v.csv"
+    argv = ["solve-pde", "--problem", "uv_drift", "--nx", "21"]
+    assert cli.dispatch(argv + [tok.format(out) for tok in spelling]) == 0
+    manifest = Path(f"{out}.manifest.json")
+    before = out.read_bytes(), manifest.read_bytes()
+    assert cli.dispatch(["replay", str(manifest)]) == 0
+    assert "v.csv: MATCH" in capsys.readouterr().out
+    assert (out.read_bytes(), manifest.read_bytes()) == before
 
 
 def simulated_chunks(tmp_path, monkeypatch, workers):
@@ -217,6 +246,10 @@ PROFILES_OFF_THE_GAME = {
     "no_mode": ("uv_drift", {"u_weights": [[0.5, 0.5]] * 2, "v_weights": [[0.5, 0.5]] * 2},
                 "profile missing keys: ['mode']"),
     "array": ("uv_drift", [[0.5, 0.5]] * 2, "a profile must be a JSON object, got list"),
+    # json reads NaN; it used to pass the probability check and draw control 0 on every path
+    "nan_weight": ("uv_drift", {"mode": "openloop", "u_weights": [[math.nan, 1.0]] * 2,
+                                "v_weights": [[0.5, 0.5]] * 2},
+                   "u weights must be probability vectors"),
 }
 
 

@@ -81,6 +81,63 @@ class TestParse:
             parse("1+2)", ())
 
 
+# the language boundary: sources Python's parser reads differently from the
+# grammar, or Python-only syntax; source -> tree
+ACCEPTED = {
+    "\n x1 *\t( t\r\n+ 1 )\n": BinOp("*", Var("x1"), BinOp("+", Var("t"), Num(1.0))),
+    "\x0cx1\x1c+\x0bt": BinOp("+", Var("x1"), Var("t")),
+    ".5": Num(0.5),
+    "1.": Num(1.0),
+    "1e-2": Num(0.01),
+    "1.e5": Num(1e5),
+    "0.5": Num(0.5),
+    "1e05": Num(1e5),
+    "00": Num(0.0),
+    "--x1": Neg(Neg(Var("x1"))),
+    "cos (x1)": Call("cos", (Var("x1"),)),
+    "min((x1), -(t))": Call("min", (Var("x1"), Neg(Var("t")))),
+}
+
+REJECTED = [
+    "x1 # c", "cos(x1,)", "cos((x1),)", "1_0", "0x10", "1j", "True", "None", "x1**2", "x1%2",
+    "x1//2", "+x1", "~x1", "(x1, t)", "min(x1=1,t=2)", "min(*x1)", "\uff581", "x\u00b9",
+    "x1 if t else 0", "cos", "cos+1", "x1(2)", "(cos)(x1)", "cos(x1)(t)", "x1 < t", "x1.real",
+    "[x1]", "'x1'", "lambda: x1", "x1 and t", "x1\\\n+1", "x1\x00", "x1;", "1..2", "2x1",
+]
+
+# what the parent's hand-written parser accepted and Python's parser does not:
+# integer literals with leading zeros, non-ASCII spaces and digits, and
+# nesting past 200 levels (Python's tokenizer nests at most 200 parentheses)
+NARROWED = [
+    "01", "x1+007", "\xa0x1", "x1\u2003+t", "\u0661", "-" * 201 + "x1",
+    "(" * 201 + "x1" + ")" * 201, "+".join(["x1"] * 202), "cos(" * 201 + "x1" + ")" * 201,
+    # 4 300 digits is Python's limit for an integer literal; longer ones read as inf
+    "1" * 4301,
+]
+DEEPEST = ["-" * 200 + "x1", "(" * 200 + "x1" + ")" * 200, "+".join(["x1"] * 201),
+           "cos(" * 200 + "x1" + ")" * 200]
+
+
+class TestLanguageBoundary:
+    @pytest.mark.parametrize("source", sorted(ACCEPTED))
+    def test_accepted(self, source):
+        assert parse(source, VARS) == ACCEPTED[source]
+
+    @pytest.mark.parametrize("source", REJECTED)
+    def test_rejected(self, source):
+        with pytest.raises(dsl.ExpressionError):
+            parse(source, VARS)
+
+    @pytest.mark.parametrize("source", NARROWED, ids=range(len(NARROWED)))
+    def test_narrowed(self, source):
+        with pytest.raises(ParseError):
+            parse(source, VARS)
+
+    @pytest.mark.parametrize("source", DEEPEST, ids=["minus", "parentheses", "sum", "calls"])
+    def test_deepest_accepted(self, source):
+        assert free_variables(parse(source, VARS)) == {"x1"}
+
+
 class TestEvaluate:
     def test_product(self):
         assert evaluate(parse("u1*v1", VARS), {"u1": -1.0, "v1": 1.0}) == -1.0

@@ -179,6 +179,15 @@ class TestStrategyProfile:
         with pytest.raises(ValueError):
             mc.StrategyProfile("openloop", np.array([[0.7, 0.7]]), np.array([[0.5, 0.5]]))
 
+    @pytest.mark.parametrize("bad", [[math.nan, 1.0], [1.0, math.nan], [math.inf, 1.0]])
+    @pytest.mark.parametrize("who", ["u", "v"])
+    def test_rejects_non_finite_weights(self, bad, who):
+        # searchsorted over a NaN cumulative weight draws control 0 on every path
+        weights = {"u": [[0.5, 0.5]], "v": [[0.5, 0.5]], who: [bad]}
+        data = {"mode": "openloop", "u_weights": weights["u"], "v_weights": weights["v"]}
+        with pytest.raises(ValueError, match=f"{who} weights must be probability vectors"):
+            mc.StrategyProfile.from_jsonable(data)
+
     def test_feedback_lookup_uses_nearest_cell(self):
         axis = np.array([-1.0, 0.0, 1.0])
         uw = np.zeros((1, 3, 2))

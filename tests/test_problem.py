@@ -24,7 +24,7 @@ from mixedvalue.problem import (
     value_bound,
 )
 
-from games3 import MALFORMED_PROBLEMS
+from games3 import MALFORMED_PROBLEMS, TOO_DEEP_PHI, uv_drift_with
 
 BENCH_PROBLEMS = Path(__file__).resolve().parent.parent / "bench" / "problems"
 
@@ -139,6 +139,11 @@ class TestLoading:
         for source in (json.dumps(cfg), str(path)):
             with pytest.raises(ProblemError, match=re.escape(message)):
                 load_problem(source)
+
+    @pytest.mark.parametrize("case", sorted(TOO_DEEP_PHI))
+    def test_rejects_expression_nested_too_deep(self, case):
+        with pytest.raises(ProblemError, match="cannot parse phi: "):
+            load_problem(uv_drift_with(phi=TOO_DEEP_PHI[case]))
 
     def test_missing_key(self):
         cfg = cfg_variant("heat_cosine")
